@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OverflowError, OSError, RuntimeError) as exc:
         print(f"status: error: {exc}")
         return 1
     print("status: ok")

@@ -88,9 +88,13 @@ def _round_half_away(v: np.ndarray) -> np.ndarray:
 
 
 def encode_block(block, engine: DctEngine, q: np.ndarray) -> np.ndarray:
-    """Level-shift, transform, quantize one 8x8 pixel block -> int coefs."""
-    b = np.asarray(block, dtype=np.float64)
-    coefs = dct2d(b - 128.0, engine)
+    """Level-shift, transform, quantize one 8x8 pixel block (or an
+    (..., 8, 8) stack of them) -> int coefs."""
+    coefs = dct2d(np.asarray(block, dtype=np.float64) - 128.0, engine)
+    return _quantize(coefs, engine, q)
+
+
+def _quantize(coefs: np.ndarray, engine: DctEngine, q: np.ndarray) -> np.ndarray:
     divisor = q.astype(np.float64)
     if engine.fold_into_quantizer:
         # Transform skipped its per-output scales; divide them into the
@@ -101,7 +105,10 @@ def encode_block(block, engine: DctEngine, q: np.ndarray) -> np.ndarray:
 
 
 def decode_block(coefs, q: np.ndarray) -> np.ndarray:
-    """Dequantize, exact inverse transform, de-level-shift, clamp to [0, 255]."""
+    """Dequantize, exact inverse transform, de-level-shift, clamp to [0, 255].
+
+    Works on one 8x8 block of coefficients or an (..., 8, 8) stack.
+    """
     c = np.asarray(coefs, dtype=np.float64) * q.astype(np.float64)
     pixels = idct2d_oracle(c) + 128.0
     return np.clip(_round_half_away(pixels), 0, 255).astype(np.int64)
@@ -125,20 +132,25 @@ def _pad_to_blocks(samples: np.ndarray) -> np.ndarray:
     return np.pad(samples, ((0, -h % 8), (0, -w % 8)), mode="edge")
 
 
+def _to_blocks(samples: np.ndarray) -> np.ndarray:
+    """Edge-pad to whole blocks; an (N, 8, 8) float stack in raster block order."""
+    padded = _pad_to_blocks(samples).astype(np.float64)
+    ph, pw = padded.shape
+    return padded.reshape(ph // 8, 8, pw // 8, 8).swapaxes(1, 2).reshape(-1, 8, 8)
+
+
+def _from_blocks(blocks: np.ndarray, like: GrayImage) -> GrayImage:
+    """Inverse of :func:`_to_blocks` for pixel blocks; crops the padding."""
+    bh, bw = -(-like.height // 8), -(-like.width // 8)
+    padded = blocks.reshape(bh, bw, 8, 8).swapaxes(1, 2).reshape(bh * 8, bw * 8)
+    cropped = padded[: like.height, : like.width].astype(np.uint8)
+    return GrayImage(width=like.width, height=like.height, samples=cropped)
+
+
 def roundtrip_image(img: GrayImage, engine: DctEngine, quality: int) -> GrayImage:
     """Encode and decode every 8x8 block; crop away the replication padding."""
     q = quant_table_for_quality(quality)
-    padded = _pad_to_blocks(img.samples).astype(np.float64)
-    out = np.empty_like(padded)
-    h, w = padded.shape
-    for by in range(0, h, 8):
-        for bx in range(0, w, 8):
-            block = padded[by : by + 8, bx : bx + 8]
-            out[by : by + 8, bx : bx + 8] = decode_block(
-                encode_block(block, engine, q), q
-            )
-    cropped = out[: img.height, : img.width].astype(np.uint8)
-    return GrayImage(width=img.width, height=img.height, samples=cropped)
+    return _from_blocks(decode_block(encode_block(_to_blocks(img.samples), engine, q), q), img)
 
 
 @dataclass(frozen=True)
@@ -186,21 +198,15 @@ def _fmt_db(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.3f}"
 
 
-def _mean_coef_error(img: GrayImage, engine: DctEngine) -> float:
-    """Mean |cordic - oracle| forward-transform coefficient discrepancy."""
-    padded = _pad_to_blocks(img.samples).astype(np.float64) - 128.0
-    h, w = padded.shape
-    total = 0.0
-    count = 0
-    for by in range(0, h, 8):
-        for bx in range(0, w, 8):
-            block = padded[by : by + 8, bx : bx + 8]
-            got = dct2d(block, engine)
-            if engine.fold_into_quantizer:
-                got = got * np.outer(engine.post_scales, engine.post_scales)
-            total += float(np.sum(np.abs(got - dct2d_oracle(block))))
-            count += 64
-    return total / count
+def _mean_coef_error(blocks: np.ndarray, coefs: np.ndarray, engine: DctEngine) -> float:
+    """Mean |cordic - oracle| discrepancy of the forward coefficients
+    ``coefs = dct2d(blocks, engine)`` of a level-shifted block stack."""
+    if engine.fold_into_quantizer:
+        coefs = coefs * np.outer(engine.post_scales, engine.post_scales)
+    per_block = np.abs(coefs - dct2d_oracle(blocks)).reshape(-1, 64).sum(axis=1)
+    # Block sums added one after another in raster order (cumsum, not a
+    # pairwise sum), so the total's last bits are those of a block loop.
+    return float(np.cumsum(per_block)[-1]) / (64 * len(per_block))
 
 
 def sweep(
@@ -213,10 +219,16 @@ def sweep(
 ) -> PsnrReport:
     """Round-trip the image for every (epsilon, quality) pair.
 
+    The image is cut into an (N, 8, 8) block stack once; per epsilon the
+    forward transform runs once over the whole stack and every quality
+    quantizes and decodes those same coefficients.  A row's
+    ``saturations`` is the saturation count of that one forward pass.
+
     Rows come out sorted by epsilon then quality (descending quality, the
     high-to-low presentation order) and the whole computation is
     deterministic for fixed inputs.
     """
+    blocks = _to_blocks(img.samples) - 128.0
     rows = []
     for eps in sorted(epsilons):
         counter = OpCounter()
@@ -229,17 +241,18 @@ def sweep(
             mode=eng_mode,
             fold_into_quantizer=fold_into_quantizer,
         )
-        coef_err = _mean_coef_error(img, engine)
+        coefs = dct2d(blocks, engine)
+        coef_err = _mean_coef_error(blocks, coefs, engine)
         for quality in sorted(qualities, reverse=True):
-            before = counter.saturations
-            decoded = roundtrip_image(img, engine, quality)
+            q = quant_table_for_quality(quality)
+            decoded = _from_blocks(decode_block(_quantize(coefs, engine, q), q), img)
             rows.append(
                 PsnrRow(
                     epsilon=eps,
                     quality=quality,
                     psnr_db=psnr(img, decoded),
                     mean_abs_coef_err=coef_err,
-                    saturations=counter.saturations - before,
+                    saturations=counter.saturations,
                 )
             )
     return PsnrReport(rows=tuple(rows))

@@ -1,5 +1,7 @@
 """8-point DCT built from butterflies, fixed-angle shift-add rotators and
 post-scaling, plus exact matrix oracles and the separable 8x8 transform.
+The 2-D transform and the 2-D oracles take one 8x8 block or an
+``(..., 8, 8)`` stack of blocks.
 
 The 1-D transform uses the classic even/odd factorization: sums and
 differences of mirrored inputs feed an even half (two plane rotations by
@@ -68,14 +70,22 @@ def idct8_oracle(coefs) -> np.ndarray:
     return DCT_MATRIX.T @ np.asarray(coefs, dtype=np.float64)
 
 
-def dct2d_oracle(block) -> np.ndarray:
+def _as_blocks(block) -> np.ndarray:
+    """One 8x8 block or an (..., 8, 8) stack of them, as float64."""
     b = np.asarray(block, dtype=np.float64)
-    return DCT_MATRIX @ b @ DCT_MATRIX.T
+    if b.ndim < 2 or b.shape[-2:] != (8, 8):
+        raise ValueError(f"expected an 8x8 block or a stack of them, got shape {b.shape}")
+    return b
+
+
+def dct2d_oracle(block) -> np.ndarray:
+    """Reference 8x8 DCT of one block or of each block of an (..., 8, 8) stack."""
+    return DCT_MATRIX @ _as_blocks(block) @ DCT_MATRIX.T
 
 
 def idct2d_oracle(block) -> np.ndarray:
-    b = np.asarray(block, dtype=np.float64)
-    return DCT_MATRIX.T @ b @ DCT_MATRIX
+    """Exact inverse of :func:`dct2d_oracle`, for one block or a stack."""
+    return DCT_MATRIX.T @ _as_blocks(block) @ DCT_MATRIX
 
 
 class DctEngine:
@@ -220,8 +230,10 @@ def _transform8_float(engine: DctEngine, X: np.ndarray, apply_post: bool) -> np.
 
 def _to_raw_array(X: np.ndarray, mode: ArithmeticMode) -> np.ndarray:
     scaled = X * float(1 << mode.fmt.frac_bits)
-    raw = np.trunc(scaled + np.copysign(0.5, scaled)).astype(np.int64)
-    return _fit_array(raw, mode)
+    rounded = np.trunc(scaled + np.copysign(0.5, scaled))
+    # Range-check while still in float: casting a float beyond int64 is
+    # undefined (INT64_MIN on x86, whatever the sign).
+    return _fit_array(rounded, mode).astype(np.int64)
 
 
 def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> np.ndarray:
@@ -330,13 +342,19 @@ def _transform8_fixed(
 
 
 def transform8(engine: DctEngine, X) -> np.ndarray:
-    """Run the flow graph on each row of an (n, 8) array (or a single vec)."""
+    """Run the flow graph on each row of an (n, 8) array (or a single vec).
+
+    Raises ``ValueError`` on any other shape (a block stack goes through
+    :func:`dct2d`) and on non-finite samples, in both arithmetic modes.
+    """
     arr = np.asarray(X, dtype=np.float64)
     single = arr.ndim == 1
     if single:
         arr = arr.reshape(1, 8)
-    if arr.shape[1] != 8:
+    if arr.ndim != 2 or arr.shape[1] != 8:
         raise ValueError(f"expected rows of 8 samples, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite sample in transform input")
     apply_post = not engine.fold_into_quantizer
     if engine.mode.is_fixed:
         out = _transform8_fixed(engine, arr, engine.mode, apply_post)
@@ -351,10 +369,12 @@ def dct8_cordic(x, engine: DctEngine) -> np.ndarray:
 
 
 def dct2d(block, engine: DctEngine) -> np.ndarray:
-    """Separable 8x8 transform: rows, transpose, rows, transpose."""
-    b = np.asarray(block, dtype=np.float64)
-    if b.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 block, got shape {b.shape}")
-    rows = transform8(engine, b)
-    cols = transform8(engine, rows.T)
-    return cols.T
+    """Separable 8x8 transform of one block or of each block of an
+    (..., 8, 8) stack: rows, swap the last two axes, rows, swap back.
+
+    Each pass is one :func:`transform8` call over every row of the stack.
+    """
+    b = _as_blocks(block)
+    rows = transform8(engine, b.reshape(-1, 8)).reshape(b.shape)
+    cols = transform8(engine, rows.swapaxes(-1, -2).reshape(-1, 8))
+    return cols.reshape(b.shape).swapaxes(-1, -2)

@@ -128,6 +128,13 @@ class TestRotate:
         assert rc == 0
         assert "rotated:" in out
 
+    def test_fixed_mode_non_finite_input_fails(self, capsys):
+        rc, out = run_cli(
+            capsys, "rotate", "--angle", "pi/4", "--x", "inf", "--y", "0", "--mode", "fixed"
+        )
+        assert rc == 1
+        assert out.strip().split("\n")[-1].startswith("status: error:")
+
 
 class TestDct:
     def test_constant_vector_from_file(self, capsys, tmp_path):
@@ -153,6 +160,15 @@ class TestDct:
         payload = json.loads(out[: out.rindex("status:")])
         assert len(payload["coefficients"]) == 8
         assert payload["max_error_vs_oracle"] < 1e-2
+
+    @pytest.mark.parametrize("mode", ["float", "fixed"])
+    @pytest.mark.parametrize("count", [8, 64])
+    def test_non_finite_input_fails(self, capsys, tmp_path, mode, count):
+        src = tmp_path / "vec.txt"
+        src.write_text(" ".join(["inf"] + ["0"] * (count - 1)))
+        rc, out = run_cli(capsys, "dct", "--input", str(src), "--mode", mode)
+        assert rc == 1
+        assert out.strip().split("\n")[-1].startswith("status: error:")
 
     def test_wrong_count_fails(self, capsys, tmp_path):
         src = tmp_path / "vec.txt"

@@ -2,6 +2,7 @@
 PGM io."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from cordic_dct.codec import (
     BASE_LUMA_QUANT,
     GrayImage,
+    _round_half_away,
     decode_block,
     encode_block,
     psnr,
@@ -16,7 +18,8 @@ from cordic_dct.codec import (
     roundtrip_image,
     sweep,
 )
-from cordic_dct.dct8 import DctEngine, dct2d
+from cordic_dct.dct8 import DctEngine, dct2d, dct2d_oracle, idct2d_oracle
+from cordic_dct.fixedpoint import ArithmeticMode, OpCounter, OverflowPolicy
 from cordic_dct.images import gradient_image, photo_proxy, seeded_texture, zone_plate
 from cordic_dct.pgm import read_pgm, write_pgm
 
@@ -252,6 +255,94 @@ class TestSweep:
         plain = sweep(photo256, [1e-4], [95]).rows[0].psnr_db
         folded = sweep(photo256, [1e-4], [95], fold_into_quantizer=True).rows[0].psnr_db
         assert abs(plain - folded) <= 0.2
+
+
+def _blockwise_reference(img: GrayImage, engine: DctEngine, qualities):
+    """The codec as a loop over 8x8 blocks, one ``dct2d`` and one
+    ``idct2d_oracle`` call per block: decoded samples per quality, the mean
+    |cordic - oracle| coefficient error summed block by block, and the
+    saturations of the forward pass."""
+    h, w = img.height, img.width
+    padded = np.pad(img.samples, ((0, -h % 8), (0, -w % 8)), mode="edge")
+    padded = padded.astype(np.float64) - 128.0
+    scales = np.outer(engine.post_scales, engine.post_scales)
+    counter = engine.mode.counter
+    coefs, total = {}, 0.0
+    for by in range(0, padded.shape[0], 8):
+        for bx in range(0, padded.shape[1], 8):
+            block = padded[by : by + 8, bx : bx + 8]
+            c = coefs[by, bx] = dct2d(block, engine)
+            got = c * scales if engine.fold_into_quantizer else c
+            total += float(np.sum(np.abs(got - dct2d_oracle(block))))
+    saturations = counter.saturations if counter is not None else 0
+    decoded = {}
+    for quality in qualities:
+        q = quant_table_for_quality(quality).astype(np.float64)
+        divisor = q / scales if engine.fold_into_quantizer else q
+        out = np.empty_like(padded)
+        for (by, bx), c in coefs.items():
+            pixels = idct2d_oracle(_round_half_away(c / divisor) * q) + 128.0
+            out[by : by + 8, bx : bx + 8] = np.clip(_round_half_away(pixels), 0, 255)
+        decoded[quality] = GrayImage.from_array(out[:h, :w].astype(np.uint8))
+    return decoded, total / (64 * len(coefs)), saturations
+
+
+class TestBatchedCodecMatchesBlockLoop:
+    """The batched codec must reproduce a per-block loop exactly."""
+
+    QUALITIES = (95, 60)
+
+    # 72 blocks: enough that a pairwise sum of the block sums shows in the last bits
+    @pytest.mark.parametrize("size", [(13, 21), (40, 24), (64, 72)])
+    @pytest.mark.parametrize("bits", [None, (16, 5)])
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_exact_equality(self, size, bits, compensation, fold):
+        rng = np.random.default_rng(sum(size))
+        samples = rng.integers(0, 256, size=size).astype(np.uint8)
+        samples[: size[0] // 2] = 255  # bright enough to saturate 16.5 arithmetic
+        img = GrayImage.from_array(samples)
+
+        def engine():
+            mode = None
+            if bits is not None:
+                mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE, OpCounter())
+            return DctEngine(epsilon=1e-3, mode=mode, compensation=compensation,
+                             fold_into_quantizer=fold)
+
+        ref_images, ref_err, ref_sats = _blockwise_reference(img, engine(), self.QUALITIES)
+        if bits is not None:
+            assert ref_sats > 0  # the 16.5 case must exercise the saturation count
+        for quality in self.QUALITIES:
+            got = roundtrip_image(img, engine(), quality)
+            assert np.array_equal(got.samples, ref_images[quality].samples)
+
+        if compensation != "folded":
+            return  # sweep always builds folded engines
+        mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+        rows = sweep(img, [1e-3], self.QUALITIES, mode=mode, fold_into_quantizer=fold).rows
+        for row in rows:
+            assert row.psnr_db == psnr(img, ref_images[row.quality])
+            assert row.mean_abs_coef_err == ref_err
+            assert row.saturations == ref_sats
+
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, size, epsilons, qualities, bits",
+    [
+        ("sweep-float-float.csv", 512, (1e-3, 1e-4, 1e-6), (95, 90, 85, 80, 75), None),
+        ("sweep-fixed-q24_8.csv", 128, (1e-3, 1e-4), (90, 75), (24, 8)),
+        ("sweep-fixed-q16_5.csv", 128, (1e-3, 1e-4), (90, 75), (16, 5)),
+    ],
+)
+def test_sweep_matches_benchmark_golden(golden, size, epsilons, qualities, bits):
+    """The benchmark's stored sweep CSVs (seed 7) are reproduced byte for byte."""
+    mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+    report = sweep(photo_proxy(size, 7), epsilons, qualities, mode=mode)
+    assert report.to_csv() == (GOLDEN_DIR / golden).read_text()
 
 
 class TestGrayImage:

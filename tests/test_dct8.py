@@ -148,6 +148,8 @@ class TestFlowGraph:
             DctEngine(epsilon=0.5)
         with pytest.raises(ValueError):
             transform8(DctEngine(), np.zeros((4, 7)))
+        with pytest.raises(ValueError):  # a block stack, not rows
+            transform8(DctEngine(), np.zeros((2, 8, 8)))
 
     def test_post_scales_positive_and_plans_share_epsilon(self):
         eng = DctEngine(epsilon=1e-3)
@@ -183,6 +185,28 @@ class TestDct2d:
         deferred = dct8_cordic(x, folded) * folded.post_scales
         assert np.all(deferred == dct8_cordic(x, plain))
 
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("bits", [None, (16, 5)])
+    def test_stack_equals_per_block_calls(self, compensation, bits):
+        mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+        eng = DctEngine(epsilon=1e-3, mode=mode, compensation=compensation)
+        stack = RNG.integers(-128, 128, size=(3, 5, 8, 8)).astype(np.float64)
+        per_block = np.array([dct2d(b, eng) for b in stack.reshape(-1, 8, 8)])
+        assert np.array_equal(dct2d(stack, eng), per_block.reshape(stack.shape))
+
+    def test_oracles_on_stack_equal_per_block_calls(self):
+        stack = RNG.uniform(-128, 128, size=(37, 8, 8))
+        for oracle in (dct2d_oracle, idct2d_oracle):
+            per_block = np.array([oracle(b) for b in stack])
+            assert np.array_equal(oracle(stack), per_block)
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 7), (4, 8, 9), (64,)])
+    def test_bad_trailing_shape_rejected(self, shape):
+        eng = DctEngine(epsilon=1e-3)
+        for fn in (lambda b: dct2d(b, eng), dct2d_oracle, idct2d_oracle):
+            with pytest.raises(ValueError):
+                fn(np.zeros(shape))
+
 
 class TestFixedPointPath:
     def test_tracks_float_path(self):
@@ -217,6 +241,26 @@ class TestFixedPointPath:
         with pytest.raises(FixedPointOverflowError):
             transform8(eng, np.full((1, 8), 250.0))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_huge_input_saturates_to_its_own_rail(self, sign):
+        fmt = ArithmeticMode.fixed(16, 5).fmt
+        rail = fmt.max_value if sign > 0 else fmt.min_value
+        outs, sats = [], []
+        for first in (sign * 1e300, rail):
+            counter = OpCounter()
+            mode = ArithmeticMode.fixed(16, 5, OverflowPolicy.SATURATE, counter)
+            outs.append(transform8(DctEngine(epsilon=1e-3, mode=mode), [first] + [0.0] * 7))
+            sats.append(counter.saturations)
+        assert np.array_equal(outs[0], outs[1])
+        assert sats[0] == sats[1] + 1
+
+    def test_huge_input_raises_under_error_policy(self):
+        from cordic_dct.fixedpoint import FixedPointOverflowError
+
+        eng = DctEngine(epsilon=1e-3, mode=ArithmeticMode.fixed(24, 8, OverflowPolicy.ERROR))
+        with pytest.raises(FixedPointOverflowError):
+            transform8(eng, [1e300] + [0.0] * 7)
+
     def test_operation_counts_report(self):
         eng = DctEngine(epsilon=1e-3)
         counts = eng.operation_counts()
@@ -225,3 +269,20 @@ class TestFixedPointPath:
         assert counts["shifts"] > 0
         assert counts["rotation_steps"]["pi/4"] == 1
         json.dumps(counts)  # must be serializable
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bits", [None, (24, 8)])
+def test_non_finite_input_refused(value, bits):
+    mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+    eng = DctEngine(epsilon=1e-3, mode=mode)
+    x = np.zeros((3, 8))
+    x[1, 5] = value
+    with pytest.raises(ValueError):
+        transform8(eng, x)
+    with pytest.raises(ValueError):
+        dct8_cordic(x[1], eng)
+    block = np.zeros((8, 8))
+    block[2, 3] = value
+    with pytest.raises(ValueError):
+        dct2d(block, eng)
