@@ -47,12 +47,12 @@ def _parse_policy(name: str) -> IndexPolicy:
     return IndexPolicy.NEAREST if name == "nearest" else IndexPolicy.LITERAL
 
 
-def _parse_mode(args) -> ArithmeticMode:
+def _parse_mode(args, overflow: OverflowPolicy = OverflowPolicy.ERROR) -> ArithmeticMode:
+    """The arithmetic of ``--mode``.  Fixed point refuses out-of-range
+    values unless the caller reports saturations itself (``eval``)."""
     if args.mode == "float":
         return ArithmeticMode.exact()
-    return ArithmeticMode.fixed(
-        total_bits=args.bits, frac_bits=args.frac, overflow=OverflowPolicy.SATURATE
-    )
+    return ArithmeticMode.fixed(total_bits=args.bits, frac_bits=args.frac, overflow=overflow)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -181,7 +181,7 @@ def cmd_eval(args) -> int:
     img = pgm.read_pgm(args.image) if args.image != "synthetic" else images.photo_proxy()
     qualities = [int(q) for q in args.qualities.split(",")]
     epsilons = [float(e) for e in args.epsilons.split(",")]
-    mode = _parse_mode(args)
+    mode = _parse_mode(args, OverflowPolicy.SATURATE)  # the report counts saturations
     report = codec.sweep(
         img, epsilons, qualities, policy=_parse_policy(args.policy),
         mode=None if not mode.is_fixed else mode,

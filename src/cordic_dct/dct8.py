@@ -18,11 +18,17 @@ extra path-equalizing constant (realized as a CSD shift-add in fixed
 point) before the recombination butterflies; ``per_rotator`` mode instead
 compensates every rotator by its own gain right away.  Both modes agree
 with the exact-matrix oracle to the plan tolerance.
+
+In fixed point every add, micro-rotation step and constant scale is
+range-checked against the word, unless the quantized input stays within
+the engine's :meth:`DctEngine.safe_input_bound`, below which no node can
+leave the word and the checks are skipped as provable no-ops.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +51,7 @@ DCT_ANGLES = {
 }
 
 _CSD_TOLERANCE = 2.0 ** -14  # constant-scale expansion error, fixed-point path
+_BOUND_FRAC_BITS = 64  # fraction bits of the scaled integers in a _NodeBound
 
 
 def dct_matrix() -> np.ndarray:
@@ -184,6 +191,61 @@ class DctEngine:
         out["rotation_steps"] = {name: len(p.steps) for name, p in self.plans.items()}
         return out
 
+    def safe_input_bound(self, fmt: FixedPointFormat) -> int:
+        """Largest input magnitude ``max|raw|`` for which no range-checked
+        node of the fixed-point transform in ``fmt`` can leave the word.
+
+        Derived once per engine by interval propagation over the flow
+        graph (see :class:`_NodeBound`).  The bound is sound, so the
+        range checks the transform skips below it are no-ops.
+        """
+        gain, offset = self._node_growth
+        # An all-zero input keeps every node at 0, so 0 is always safe.
+        return max(0, ((fmt.max_raw << _BOUND_FRAC_BITS) - offset) // gain)
+
+    @cached_property
+    def _node_growth(self) -> tuple[int, int]:
+        """(gain, offset) with |node| <= (gain*M + offset) / 2**_BOUND_FRAC_BITS
+        at every range-checked node, for inputs with max|raw| <= M."""
+        gain, offset = 0, 0
+
+        def record(node: _NodeBound) -> _NodeBound:
+            nonlocal gain, offset
+            gain, offset = max(gain, node.gain), max(offset, node.offset)
+            return node
+
+        unit = _NodeBound(1 << _BOUND_FRAC_BITS, 0)
+        _flow_raw(self, [unit] * 8, record, None, not self.fold_into_quantizer)
+        return gain, offset
+
+
+class _NodeBound:
+    """Upper bound ``(gain*M + offset) / 2**_BOUND_FRAC_BITS`` on the
+    magnitude of one flow-graph node, for inputs with max|raw| <= M.
+
+    It supports what :func:`_flow_raw` does to raw columns:
+    ``|a +- b| <= A + B``, ``|a << k| = A * 2**k`` and, for
+    the floor shift, ``|a >> i| <= ceil(A / 2**i) < A / 2**i + 1``.
+    Scaled values round up, so each bound stays an upper bound.
+    """
+
+    __slots__ = ("gain", "offset")
+
+    def __init__(self, gain: int, offset: int):
+        self.gain = gain
+        self.offset = offset
+
+    def __add__(self, other: "_NodeBound") -> "_NodeBound":
+        return _NodeBound(self.gain + other.gain, self.offset + other.offset)
+
+    __sub__ = __add__
+
+    def __lshift__(self, k: int) -> "_NodeBound":
+        return _NodeBound(self.gain << k, self.offset << k)
+
+    def __rshift__(self, i: int) -> "_NodeBound":
+        return _NodeBound(-(-self.gain >> i), -(-self.offset >> i) + (1 << _BOUND_FRAC_BITS))
+
 
 def _rotate_float(xc, yc, plan: RotationPlan, compensate: bool):
     for step in plan.steps:
@@ -228,12 +290,16 @@ def _transform8_float(engine: DctEngine, X: np.ndarray, apply_post: bool) -> np.
     return F
 
 
-def _to_raw_array(X: np.ndarray, mode: ArithmeticMode) -> np.ndarray:
+def _to_raw_array(X: np.ndarray, mode: ArithmeticMode) -> tuple[np.ndarray, float]:
+    """Quantize to raw integers; also return max|raw| before any clipping."""
     scaled = X * float(1 << mode.fmt.frac_bits)
     rounded = np.trunc(scaled + np.copysign(0.5, scaled))
-    # Range-check while still in float: casting a float beyond int64 is
-    # undefined (INT64_MIN on x86, whatever the sign).
-    return _fit_array(rounded, mode).astype(np.int64)
+    peak = float(np.abs(rounded).max(initial=0.0))
+    if peak > mode.fmt.max_raw:
+        # Range-check while still in float: casting a float beyond int64 is
+        # undefined (INT64_MIN on x86, whatever the sign).
+        rounded = _fit_array(rounded, mode)
+    return rounded.astype(np.int64), peak
 
 
 def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> np.ndarray:
@@ -252,21 +318,25 @@ def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> np.ndarray:
     return raw
 
 
-def _add_raw(a, b, mode: ArithmeticMode):
-    out = _fit_array(a + b, mode)
-    if mode.counter is not None:
-        mode.counter.adds += out.size
+def _unchecked(raw):
+    return raw
+
+
+def _add_raw(a, b, fit, counter: OpCounter | None):
+    out = fit(a + b)
+    if counter is not None:
+        counter.adds += out.size
     return out
 
 
-def _sub_raw(a, b, mode: ArithmeticMode):
-    out = _fit_array(a - b, mode)
-    if mode.counter is not None:
-        mode.counter.adds += out.size
+def _sub_raw(a, b, fit, counter: OpCounter | None):
+    out = fit(a - b)
+    if counter is not None:
+        counter.adds += out.size
     return out
 
 
-def _rotate_raw(xc, yc, plan: RotationPlan, mode: ArithmeticMode):
+def _rotate_raw(xc, yc, plan: RotationPlan, fit, counter: OpCounter | None):
     for step in plan.steps:
         sx = xc >> step.index
         sy = yc >> step.index
@@ -274,71 +344,90 @@ def _rotate_raw(xc, yc, plan: RotationPlan, mode: ArithmeticMode):
             nx, ny = xc - sy, yc + sx
         else:
             nx, ny = xc + sy, yc - sx
-        if mode.counter is not None:
-            mode.counter.shifts += sx.size + sy.size
-            mode.counter.adds += nx.size + ny.size
-        xc, yc = _fit_array(nx, mode), _fit_array(ny, mode)
+        if counter is not None:
+            counter.shifts += sx.size + sy.size
+            counter.adds += nx.size + ny.size
+        xc, yc = fit(nx), fit(ny)
     return xc, yc
 
 
-def _csd_apply_array(raw: np.ndarray, scale: CsdScale, mode: ArithmeticMode) -> np.ndarray:
-    acc = np.zeros_like(raw)
+def _csd_apply_array(raw, scale: CsdScale, fit, counter: OpCounter | None):
+    acc = None
     for shift, sign in scale.terms:
         term = raw >> shift if shift >= 0 else raw << -shift
-        acc = acc + term if sign > 0 else acc - term
-    if mode.counter is not None:
-        mode.counter.shifts += len(scale.terms) * raw.size
-        mode.counter.adds += len(scale.terms) * raw.size
-    return _fit_array(acc, mode)
+        if acc is None:  # csd_scale expands a positive value: its first term is +
+            acc = term
+        else:
+            acc = acc + term if sign > 0 else acc - term
+    if counter is not None:
+        counter.shifts += len(scale.terms) * raw.size
+        counter.adds += len(scale.terms) * raw.size
+    return fit(acc)
+
+
+def _flow_raw(engine: DctEngine, x: list, fit, counter: OpCounter | None, apply_post: bool) -> list:
+    """The fixed-point flow graph on eight raw input columns.
+
+    Every node that can leave the word goes through ``fit``: the range
+    check of the mode, or :func:`_unchecked` once the input is known to
+    be within the engine's safe input bound.  The graph only adds,
+    subtracts and shifts, so it also runs on :class:`_NodeBound` values,
+    which is how that bound is derived.
+    """
+    per_rot = engine.compensation == "per_rotator"
+    x0, x1, x2, x3, x4, x5, x6, x7 = x
+
+    u0, u1 = _add_raw(x0, x7, fit, counter), _add_raw(x1, x6, fit, counter)
+    u2, u3 = _add_raw(x2, x5, fit, counter), _add_raw(x3, x4, fit, counter)
+    v0, v1 = _sub_raw(x0, x7, fit, counter), _sub_raw(x1, x6, fit, counter)
+    v2, v3 = _sub_raw(x2, x5, fit, counter), _sub_raw(x3, x4, fit, counter)
+
+    p, q = _add_raw(u0, u3, fit, counter), _add_raw(u1, u2, fit, counter)
+    r, s = _sub_raw(u0, u3, fit, counter), _sub_raw(u1, u2, fit, counter)
+    g0, g1 = _rotate_raw(p, q, engine.plans["pi/4"], fit, counter)
+    h0, h1 = _rotate_raw(r, s, engine.plans["3pi/8"], fit, counter)
+    a1, a0 = _rotate_raw(v3, v0, engine.plans["pi/16"], fit, counter)
+    b1, b0 = _rotate_raw(v2, v1, engine.plans["3pi/16"], fit, counter)
+
+    if per_rot:
+        g0 = _csd_apply_array(g0, engine._csd_gains["pi/4"], fit, counter)
+        g1 = _csd_apply_array(g1, engine._csd_gains["pi/4"], fit, counter)
+        h0 = _csd_apply_array(h0, engine._csd_gains["3pi/8"], fit, counter)
+        h1 = _csd_apply_array(h1, engine._csd_gains["3pi/8"], fit, counter)
+        a0 = _csd_apply_array(a0, engine._csd_gains["pi/16"], fit, counter)
+        a1 = _csd_apply_array(a1, engine._csd_gains["pi/16"], fit, counter)
+        b0 = _csd_apply_array(b0, engine._csd_gains["3pi/16"], fit, counter)
+        b1 = _csd_apply_array(b1, engine._csd_gains["3pi/16"], fit, counter)
+    else:
+        a0 = _csd_apply_array(a0, engine._csd_equalizer, fit, counter)
+        a1 = _csd_apply_array(a1, engine._csd_equalizer, fit, counter)
+
+    cols = [None] * 8
+    cols[0], cols[4], cols[2], cols[6] = g1, g0, h1, h0
+    cols[1] = _add_raw(a0, b0, fit, counter)
+    cols[7] = _sub_raw(b1, a1, fit, counter)
+    cols[3] = _sub_raw(
+        _sub_raw(a0, a1, fit, counter), _add_raw(b0, b1, fit, counter), fit, counter
+    )
+    cols[5] = _sub_raw(
+        _add_raw(a0, a1, fit, counter), _sub_raw(b0, b1, fit, counter), fit, counter
+    )
+    if apply_post:
+        cols = [_csd_apply_array(c, s, fit, counter) for c, s in zip(cols, engine._csd_post)]
+    return cols
 
 
 def _transform8_fixed(
     engine: DctEngine, X: np.ndarray, mode: ArithmeticMode, apply_post: bool
 ) -> np.ndarray:
-    per_rot = engine.compensation == "per_rotator"
-    raw = _to_raw_array(np.asarray(X, dtype=np.float64), mode)
-    x0, x1, x2, x3 = raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3]
-    x4, x5, x6, x7 = raw[:, 4], raw[:, 5], raw[:, 6], raw[:, 7]
-
-    u0, u1 = _add_raw(x0, x7, mode), _add_raw(x1, x6, mode)
-    u2, u3 = _add_raw(x2, x5, mode), _add_raw(x3, x4, mode)
-    v0, v1 = _sub_raw(x0, x7, mode), _sub_raw(x1, x6, mode)
-    v2, v3 = _sub_raw(x2, x5, mode), _sub_raw(x3, x4, mode)
-
-    p, q = _add_raw(u0, u3, mode), _add_raw(u1, u2, mode)
-    r, s = _sub_raw(u0, u3, mode), _sub_raw(u1, u2, mode)
-    g0, g1 = _rotate_raw(p, q, engine.plans["pi/4"], mode)
-    h0, h1 = _rotate_raw(r, s, engine.plans["3pi/8"], mode)
-    a1, a0 = _rotate_raw(v3, v0, engine.plans["pi/16"], mode)
-    b1, b0 = _rotate_raw(v2, v1, engine.plans["3pi/16"], mode)
-
-    if per_rot:
-        g0 = _csd_apply_array(g0, engine._csd_gains["pi/4"], mode)
-        g1 = _csd_apply_array(g1, engine._csd_gains["pi/4"], mode)
-        h0 = _csd_apply_array(h0, engine._csd_gains["3pi/8"], mode)
-        h1 = _csd_apply_array(h1, engine._csd_gains["3pi/8"], mode)
-        a0 = _csd_apply_array(a0, engine._csd_gains["pi/16"], mode)
-        a1 = _csd_apply_array(a1, engine._csd_gains["pi/16"], mode)
-        b0 = _csd_apply_array(b0, engine._csd_gains["3pi/16"], mode)
-        b1 = _csd_apply_array(b1, engine._csd_gains["3pi/16"], mode)
+    raw, peak = _to_raw_array(np.asarray(X, dtype=np.float64), mode)
+    if peak <= engine.safe_input_bound(mode.fmt):
+        fit = _unchecked  # no node can leave the word: every check is a no-op
     else:
-        a0 = _csd_apply_array(a0, engine._csd_equalizer, mode)
-        a1 = _csd_apply_array(a1, engine._csd_equalizer, mode)
-
-    cols = [None] * 8
-    cols[0], cols[4], cols[2], cols[6] = g1, g0, h1, h0
-    cols[1] = _add_raw(a0, b0, mode)
-    cols[7] = _sub_raw(b1, a1, mode)
-    cols[3] = _sub_raw(_sub_raw(a0, a1, mode), _add_raw(b0, b1, mode), mode)
-    cols[5] = _sub_raw(_add_raw(a0, a1, mode), _sub_raw(b0, b1, mode), mode)
-    if apply_post:
-        cols = [_csd_apply_array(c, s, mode) for c, s in zip(cols, engine._csd_post)]
-
-    out = np.empty_like(X, dtype=np.float64)
-    lsb = mode.fmt.lsb
-    for k in range(8):
-        out[:, k] = cols[k].astype(np.float64) * lsb
-    return out
+        def fit(a):
+            return _fit_array(a, mode)
+    cols = _flow_raw(engine, list(raw.T), fit, mode.counter, apply_post)
+    return np.stack(cols, axis=1) * mode.fmt.lsb
 
 
 def transform8(engine: DctEngine, X) -> np.ndarray:

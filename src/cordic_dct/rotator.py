@@ -89,7 +89,9 @@ def micro_rotate(v: Vector2, step: MicroRotation, mode: ArithmeticMode = Arithme
     Fixed-point mode quantizes, runs the raw shift-add kernel, and
     converts back; chained fixed-point steps should go through
     :func:`apply_plan`, which stays in the raw domain throughout.
+    Raises ``ValueError`` on a non-finite component, in both modes.
     """
+    _check_finite(v)
     if not mode.is_fixed:
         t = step.direction * 2.0 ** -step.index
         return Vector2(v.x - t * v.y, v.y + t * v.x)
@@ -98,6 +100,11 @@ def micro_rotate(v: Vector2, step: MicroRotation, mode: ArithmeticMode = Arithme
     yr = fit_raw(fmt.to_raw(v.y), mode)
     xr, yr = _micro_rotate_raw(xr, yr, step.index, step.direction, mode)
     return Vector2(fmt.from_raw(xr), fmt.from_raw(yr))
+
+
+def _check_finite(v: Vector2) -> None:
+    if not (math.isfinite(v.x) and math.isfinite(v.y)):
+        raise ValueError(f"non-finite vector component in ({v.x!r}, {v.y!r})")
 
 
 def _micro_rotate_raw(xr: int, yr: int, index: int, direction: int, mode: ArithmeticMode):
@@ -127,8 +134,10 @@ def apply_plan(
     With ``compensate`` the result approximates the ideal rotation of
     ``v`` by ``plan.target`` to within the plan tolerance.  The
     fixed-point path compensates via a CSD expansion of the gain (shift
-    and add only).
+    and add only).  Raises ``ValueError`` on a non-finite component, in
+    both modes.
     """
+    _check_finite(v)
     if not mode.is_fixed:
         x, y = v.x, v.y
         for step in plan.steps:

@@ -135,6 +135,23 @@ class TestRotate:
         assert rc == 1
         assert out.strip().split("\n")[-1].startswith("status: error:")
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_float_mode_non_finite_input_fails(self, capsys, value):
+        rc, out = run_cli(capsys, "rotate", "--angle", "pi/4", "--x", value, "--y", "0")
+        assert rc == 1
+        assert out.strip().split("\n")[-1].startswith("status: error:")
+        assert "rotated:" not in out
+
+    def test_fixed_mode_out_of_range_result_fails(self, capsys):
+        # 16.12 holds [-8, 8); the uncompensated pi/4 rotation of (7, 7) leaves it
+        rc, out = run_cli(
+            capsys, "rotate", "--angle", "pi/4", "--x", "7", "--y", "7",
+            "--mode", "fixed", "--no-compensate",
+        )
+        assert rc == 1
+        assert out.strip().split("\n")[-1].startswith("status: error:")
+        assert "rotated:" not in out
+
 
 class TestDct:
     def test_constant_vector_from_file(self, capsys, tmp_path):
@@ -169,6 +186,15 @@ class TestDct:
         rc, out = run_cli(capsys, "dct", "--input", str(src), "--mode", mode)
         assert rc == 1
         assert out.strip().split("\n")[-1].startswith("status: error:")
+
+    @pytest.mark.parametrize("count", [8, 64])
+    def test_fixed_mode_out_of_range_input_fails(self, capsys, tmp_path, count):
+        src = tmp_path / "vec.txt"
+        src.write_text(" ".join(["1e300"] + ["0"] * (count - 1)))
+        rc, out = run_cli(capsys, "dct", "--input", str(src), "--mode", "fixed")
+        assert rc == 1
+        assert out.strip().split("\n")[-1].startswith("status: error:")
+        assert "coefficients:" not in out
 
     def test_wrong_count_fails(self, capsys, tmp_path):
         src = tmp_path / "vec.txt"

@@ -4,9 +4,14 @@ fixed-point behaviour and the separable 2-D transform."""
 import json
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cordic_dct import dct8
 from cordic_dct.dct8 import (
     DCT_MATRIX,
     DctEngine,
@@ -18,7 +23,15 @@ from cordic_dct.dct8 import (
     idct8_oracle,
     transform8,
 )
-from cordic_dct.fixedpoint import ArithmeticMode, OpCounter, OverflowPolicy
+from cordic_dct.fixedpoint import (
+    ArithmeticMode,
+    FixedPointFormat,
+    FixedPointOverflowError,
+    OpCounter,
+    OverflowPolicy,
+    fit_raw,
+)
+from cordic_dct.rotator import _micro_rotate_raw
 
 RNG = np.random.default_rng(20240601)
 
@@ -286,3 +299,145 @@ def test_non_finite_input_refused(value, bits):
     block[2, 3] = value
     with pytest.raises(ValueError):
         dct2d(block, eng)
+
+
+def scalar_transform8(engine: DctEngine, row, mode: ArithmeticMode) -> list[float]:
+    """One row through the fixed-point flow graph on Python ints, every
+    node range-checked by the scalar kernels of ``rotator``/``fixedpoint``.
+    ``mode`` must carry a counter; it is ticked like the array path's."""
+    fmt, counter = mode.fmt, mode.counter
+
+    def add(a, b):
+        counter.adds += 1
+        return fit_raw(a + b, mode)
+
+    def sub(a, b):
+        counter.adds += 1
+        return fit_raw(a - b, mode)
+
+    def rotate(x, y, name):
+        for step in engine.plans[name].steps:
+            x, y = _micro_rotate_raw(x, y, step.index, step.direction, mode)
+        return x, y
+
+    def scale(raw, csd):
+        return fit_raw(csd.apply_raw(raw, counter), mode)
+
+    x = [fit_raw(fmt.to_raw(float(v)), mode) for v in row]
+    u = [add(x[k], x[7 - k]) for k in range(4)]
+    v = [sub(x[k], x[7 - k]) for k in range(4)]
+    g0, g1 = rotate(add(u[0], u[3]), add(u[1], u[2]), "pi/4")
+    h0, h1 = rotate(sub(u[0], u[3]), sub(u[1], u[2]), "3pi/8")
+    a1, a0 = rotate(v[3], v[0], "pi/16")
+    b1, b0 = rotate(v[2], v[1], "3pi/16")
+    if engine.compensation == "per_rotator":
+        gains = engine._csd_gains
+        g0, g1 = scale(g0, gains["pi/4"]), scale(g1, gains["pi/4"])
+        h0, h1 = scale(h0, gains["3pi/8"]), scale(h1, gains["3pi/8"])
+        a0, a1 = scale(a0, gains["pi/16"]), scale(a1, gains["pi/16"])
+        b0, b1 = scale(b0, gains["3pi/16"]), scale(b1, gains["3pi/16"])
+    else:
+        a0, a1 = scale(a0, engine._csd_equalizer), scale(a1, engine._csd_equalizer)
+    cols = [
+        g1,
+        add(a0, b0),
+        h1,
+        sub(sub(a0, a1), add(b0, b1)),
+        g0,
+        sub(add(a0, a1), sub(b0, b1)),
+        h0,
+        sub(b1, a1),
+    ]
+    if not engine.fold_into_quantizer:
+        cols = [scale(c, csd) for c, csd in zip(cols, engine._csd_post)]
+    return [fmt.from_raw(c) for c in cols]
+
+
+WORD_FORMATS = [(24, 8), (16, 5), (20, 10), (32, 16), (12, 3)]
+
+
+class TestSafeInputBound:
+    @given(
+        data=st.data(),
+        eps=st.floats(1e-6, 1e-2),
+        bits=st.sampled_from(WORD_FORMATS),
+        compensation=st.sampled_from(["folded", "per_rotator"]),
+        fold=st.booleans(),
+        policy=st.sampled_from([OverflowPolicy.SATURATE, OverflowPolicy.ERROR]),
+        above=st.booleans(),
+    )
+    def test_array_path_equals_scalar_reference(
+        self, data, eps, bits, compensation, fold, policy, above
+    ):
+        fmt = FixedPointFormat(*bits)
+        make = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold)
+        bound = make.safe_input_bound(fmt)
+        if above:  # far past the bound, up to 4x the word: checks run, most rows saturate
+            values = st.floats(-4 * fmt.max_value, 4 * fmt.max_value)
+        else:  # exact raw values within the bound: the checks are skipped
+            values = st.integers(-bound, bound).map(lambda r: r * fmt.lsb)
+        rows = data.draw(st.lists(st.lists(values, min_size=8, max_size=8), min_size=1, max_size=4))
+        X = np.array(rows, dtype=np.float64)
+
+        results = []
+        for run in ("array", "scalar"):
+            counter = OpCounter()
+            mode = ArithmeticMode(fmt, policy, counter)
+            engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+            try:
+                if run == "array":
+                    out = transform8(engine, X)
+                else:
+                    out = np.array([scalar_transform8(engine, row, mode) for row in X])
+            except FixedPointOverflowError:
+                results.append(None)
+            else:
+                results.append((out, counter.as_dict()))
+        if results[0] is None or results[1] is None:
+            assert policy is OverflowPolicy.ERROR
+            assert results[0] is results[1] is None
+            return
+        (out_a, counts_a), (out_s, counts_s) = results
+        assert np.array_equal(out_a, out_s)
+        assert counts_a == counts_s
+        if not above:
+            assert counts_a["saturations"] == 0
+
+    @pytest.mark.parametrize("bits", [(24, 8), (16, 5)])
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_no_node_overflows_at_the_bound(self, bits, compensation, fold, eps):
+        mode = ArithmeticMode(FixedPointFormat(*bits), OverflowPolicy.ERROR, OpCounter())
+        engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+        bound = engine.safe_input_bound(mode.fmt)
+        signs = np.array(list(itertools.product((-1, 1), repeat=8)))
+        rng = np.random.default_rng(int(eps * 1e6) + bits[0])
+        rows = np.concatenate([signs * bound, rng.integers(-bound, bound + 1, size=(64, 8))])
+        X = rows * mode.fmt.lsb
+        # The scalar reference checks every node, so it raises on any overflow.
+        ref = np.array([scalar_transform8(engine, row, mode) for row in X])
+        assert np.array_equal(transform8(engine, X), ref)
+        # Not vacuous: twice the bound does overflow some node.
+        with pytest.raises(FixedPointOverflowError):
+            for row in signs * min(2 * bound, mode.fmt.max_raw) * mode.fmt.lsb:
+                scalar_transform8(engine, row, mode)
+
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_8_bit_blocks_skip_the_checks(self, compensation, fold, monkeypatch):
+        fmt = FixedPointFormat(24, 8)
+        for eps in np.geomspace(1e-6, 1e-2, 17):
+            engine = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold)
+            assert engine.safe_input_bound(fmt) >= 512 * 2 ** fmt.frac_bits
+
+        def no_checks(raw, mode):
+            raise AssertionError("range check ran")
+
+        monkeypatch.setattr(dct8, "_fit_array", no_checks)
+        mode = ArithmeticMode(fmt, OverflowPolicy.SATURATE)
+        engine = DctEngine(1e-4, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+        dct2d(RNG.integers(-128, 128, size=(16, 8, 8)).astype(np.float64), engine)
+        dct2d(np.full((8, 8), -128.0), engine)
+        with pytest.raises(AssertionError, match="range check ran"):
+            transform8(engine, np.full(8, 3000.0))

@@ -225,6 +225,17 @@ class TestFixedPointRotation:
         assert fmt.to_raw(out.x) == 3  # x - (y >> 1) = 0 - (-3)
         assert fmt.to_raw(out.y) == -5  # y + (x >> 1) = -5 + 0
 
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_component_refused(self, fixed, value):
+        mode = ArithmeticMode.fixed(16, 12) if fixed else ArithmeticMode.exact()
+        plan = decompose(PI / 4, 1e-3)
+        for v in (Vector2(value, 0.0), Vector2(0.0, value)):
+            with pytest.raises(ValueError, match="non-finite"):
+                micro_rotate(v, MicroRotation(1, 1), mode)
+            with pytest.raises(ValueError, match="non-finite"):
+                apply_plan(v, plan, mode, compensate=True)
+
     def test_overflow_error_policy(self):
         mode = ArithmeticMode.fixed(8, 4)  # range [-8, 8)
         with pytest.raises(FixedPointOverflowError):
