@@ -36,11 +36,11 @@ from .fixedpoint import (
     ArithmeticMode,
     FixedPointFormat,
     FixedPointOverflowError,
-    OpCounter,
     OverflowPolicy,
+    tally,
 )
 from .planner import IndexPolicy, RotationPlan, decompose
-from .rotator import CsdScale, csd_scale
+from .rotator import CsdScale, csd_scale, rotate_float, rotate_raw
 
 # The four rotation angles the flow graph needs, keyed for readability.
 DCT_ANGLES = {
@@ -51,6 +51,7 @@ DCT_ANGLES = {
 }
 
 _CSD_TOLERANCE = 2.0 ** -14  # constant-scale expansion error, fixed-point path
+_BUTTERFLY_ADDS = 20  # adds and subtracts of the flow graph outside its rotators
 _BOUND_FRAC_BITS = 64  # fraction bits of the scaled integers in a _NodeBound
 
 
@@ -169,27 +170,34 @@ class DctEngine:
             for name, plan in self.plans.items()
         }
 
-    def operation_counts(self, fmt_mode: ArithmeticMode | None = None) -> dict:
+    def operation_counts(self) -> dict:
         """Adds/shifts/multiplies for one 8-point transform, JSON-friendly.
 
-        Counted by running a single probe vector through the fixed-point
-        datapath (the shift-add realization is the same regardless of the
-        engine's own arithmetic mode).
+        Read off the static cost model of the fixed-point flow graph (the
+        shift-add realization is the same whatever the engine's own
+        arithmetic mode or word format); nothing is run.
         """
-        counter = OpCounter()
-        if fmt_mode is not None:
-            fmt = fmt_mode.fmt
-        elif self.mode.is_fixed:
-            fmt = self.mode.fmt
+        adds, shifts = self._row_cost
+        return {
+            "adds": adds,
+            "shifts": shifts,
+            "multiplies": 0,
+            "rotation_steps": {name: len(p.steps) for name, p in self.plans.items()},
+        }
+
+    @cached_property
+    def _row_cost(self) -> tuple[int, int]:
+        """(adds, shifts) of one row through :func:`_flow_raw`: 2 of each per
+        micro-rotation step, 1 of each per CSD term applied to a column, and
+        the butterfly adds."""
+        steps = sum(len(p.steps) for p in self.plans.values())
+        if self.compensation == "per_rotator":
+            csd = 2 * sum(len(s.terms) for s in self._csd_gains.values())
         else:
-            fmt = FixedPointFormat(24, 8)
-        probe_mode = ArithmeticMode(fmt, OverflowPolicy.ERROR, counter)
-        probe = np.arange(8, dtype=np.float64).reshape(1, 8) - 4.0
-        _transform8_fixed(self, probe, probe_mode, not self.fold_into_quantizer)
-        out = counter.as_dict()
-        del out["saturations"]  # a probe count, not a datapath property
-        out["rotation_steps"] = {name: len(p.steps) for name, p in self.plans.items()}
-        return out
+            csd = 2 * len(self._csd_equalizer.terms)
+        if not self.fold_into_quantizer:
+            csd += sum(len(s.terms) for s in self._csd_post)
+        return _BUTTERFLY_ADDS + 2 * steps + csd, 2 * steps + csd
 
     def safe_input_bound(self, fmt: FixedPointFormat) -> int:
         """Largest input magnitude ``max|raw|`` for which no range-checked
@@ -215,7 +223,7 @@ class DctEngine:
             return node
 
         unit = _NodeBound(1 << _BOUND_FRAC_BITS, 0)
-        _flow_raw(self, [unit] * 8, record, None, not self.fold_into_quantizer)
+        _flow_raw(self, [unit] * 8, record)
         return gain, offset
 
 
@@ -247,18 +255,13 @@ class _NodeBound:
         return _NodeBound(-(-self.gain >> i), -(-self.offset >> i) + (1 << _BOUND_FRAC_BITS))
 
 
-def _rotate_float(xc, yc, plan: RotationPlan, compensate: bool):
-    for step in plan.steps:
-        t = step.direction * 2.0 ** -step.index
-        xc, yc = xc - t * yc, yc + t * xc
-    if compensate:
-        xc = xc * plan.gain
-        yc = yc * plan.gain
-    return xc, yc
-
-
-def _transform8_float(engine: DctEngine, X: np.ndarray, apply_post: bool) -> np.ndarray:
+def _transform8_float(engine: DctEngine, X: np.ndarray) -> np.ndarray:
     per_rot = engine.compensation == "per_rotator"
+
+    def rotate(x, y, name):
+        plan = engine.plans[name]
+        return rotate_float(x, y, plan.steps, plan.gain if per_rot else None)
+
     x0, x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
     x4, x5, x6, x7 = X[:, 4], X[:, 5], X[:, 6], X[:, 7]
 
@@ -267,11 +270,11 @@ def _transform8_float(engine: DctEngine, X: np.ndarray, apply_post: bool) -> np.
 
     p, q = u0 + u3, u1 + u2
     r, s = u0 - u3, u1 - u2
-    g0, g1 = _rotate_float(p, q, engine.plans["pi/4"], per_rot)
-    h0, h1 = _rotate_float(r, s, engine.plans["3pi/8"], per_rot)
+    g0, g1 = rotate(p, q, "pi/4")
+    h0, h1 = rotate(r, s, "3pi/8")
 
-    a1, a0 = _rotate_float(v3, v0, engine.plans["pi/16"], per_rot)
-    b1, b0 = _rotate_float(v2, v1, engine.plans["3pi/16"], per_rot)
+    a1, a0 = rotate(v3, v0, "pi/16")
+    b1, b0 = rotate(v2, v1, "3pi/16")
     if not per_rot:
         a0 = a0 * engine.equalizer
         a1 = a1 * engine.equalizer
@@ -285,7 +288,7 @@ def _transform8_float(engine: DctEngine, X: np.ndarray, apply_post: bool) -> np.
     F[:, 7] = b1 - a1
     F[:, 3] = (a0 - a1) - (b0 + b1)
     F[:, 5] = (a0 + a1) - (b0 - b1)
-    if apply_post:
+    if not engine.fold_into_quantizer:
         F *= engine.post_scales
     return F
 
@@ -313,8 +316,7 @@ def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> np.ndarray:
                 f"{n_out} value(s) outside {fmt.total_bits}.{fmt.frac_bits} range"
             )
         raw = np.clip(raw, fmt.min_raw, fmt.max_raw)
-        if mode.counter is not None:
-            mode.counter.saturations += n_out
+        tally(mode, saturations=n_out)
     return raw
 
 
@@ -322,111 +324,66 @@ def _unchecked(raw):
     return raw
 
 
-def _add_raw(a, b, fit, counter: OpCounter | None):
-    out = fit(a + b)
-    if counter is not None:
-        counter.adds += out.size
-    return out
-
-
-def _sub_raw(a, b, fit, counter: OpCounter | None):
-    out = fit(a - b)
-    if counter is not None:
-        counter.adds += out.size
-    return out
-
-
-def _rotate_raw(xc, yc, plan: RotationPlan, fit, counter: OpCounter | None):
-    for step in plan.steps:
-        sx = xc >> step.index
-        sy = yc >> step.index
-        if step.direction > 0:
-            nx, ny = xc - sy, yc + sx
-        else:
-            nx, ny = xc + sy, yc - sx
-        if counter is not None:
-            counter.shifts += sx.size + sy.size
-            counter.adds += nx.size + ny.size
-        xc, yc = fit(nx), fit(ny)
-    return xc, yc
-
-
-def _csd_apply_array(raw, scale: CsdScale, fit, counter: OpCounter | None):
-    acc = None
-    for shift, sign in scale.terms:
-        term = raw >> shift if shift >= 0 else raw << -shift
-        if acc is None:  # csd_scale expands a positive value: its first term is +
-            acc = term
-        else:
-            acc = acc + term if sign > 0 else acc - term
-    if counter is not None:
-        counter.shifts += len(scale.terms) * raw.size
-        counter.adds += len(scale.terms) * raw.size
-    return fit(acc)
-
-
-def _flow_raw(engine: DctEngine, x: list, fit, counter: OpCounter | None, apply_post: bool) -> list:
+def _flow_raw(engine: DctEngine, x: list, fit) -> list:
     """The fixed-point flow graph on eight raw input columns.
 
     Every node that can leave the word goes through ``fit``: the range
     check of the mode, or :func:`_unchecked` once the input is known to
     be within the engine's safe input bound.  The graph only adds,
     subtracts and shifts, so it also runs on :class:`_NodeBound` values,
-    which is how that bound is derived.
+    which is how that bound is derived.  Its cost per row is
+    ``DctEngine._row_cost``.
     """
     per_rot = engine.compensation == "per_rotator"
     x0, x1, x2, x3, x4, x5, x6, x7 = x
 
-    u0, u1 = _add_raw(x0, x7, fit, counter), _add_raw(x1, x6, fit, counter)
-    u2, u3 = _add_raw(x2, x5, fit, counter), _add_raw(x3, x4, fit, counter)
-    v0, v1 = _sub_raw(x0, x7, fit, counter), _sub_raw(x1, x6, fit, counter)
-    v2, v3 = _sub_raw(x2, x5, fit, counter), _sub_raw(x3, x4, fit, counter)
+    def rotate(x, y, name):
+        return rotate_raw(x, y, engine.plans[name].steps, fit)
 
-    p, q = _add_raw(u0, u3, fit, counter), _add_raw(u1, u2, fit, counter)
-    r, s = _sub_raw(u0, u3, fit, counter), _sub_raw(u1, u2, fit, counter)
-    g0, g1 = _rotate_raw(p, q, engine.plans["pi/4"], fit, counter)
-    h0, h1 = _rotate_raw(r, s, engine.plans["3pi/8"], fit, counter)
-    a1, a0 = _rotate_raw(v3, v0, engine.plans["pi/16"], fit, counter)
-    b1, b0 = _rotate_raw(v2, v1, engine.plans["3pi/16"], fit, counter)
+    def scale(col, csd: CsdScale):
+        return fit(csd.apply_raw(col))
+
+    u0, u1, u2, u3 = fit(x0 + x7), fit(x1 + x6), fit(x2 + x5), fit(x3 + x4)
+    v0, v1, v2, v3 = fit(x0 - x7), fit(x1 - x6), fit(x2 - x5), fit(x3 - x4)
+
+    p, q = fit(u0 + u3), fit(u1 + u2)
+    r, s = fit(u0 - u3), fit(u1 - u2)
+    g0, g1 = rotate(p, q, "pi/4")
+    h0, h1 = rotate(r, s, "3pi/8")
+    a1, a0 = rotate(v3, v0, "pi/16")
+    b1, b0 = rotate(v2, v1, "3pi/16")
 
     if per_rot:
-        g0 = _csd_apply_array(g0, engine._csd_gains["pi/4"], fit, counter)
-        g1 = _csd_apply_array(g1, engine._csd_gains["pi/4"], fit, counter)
-        h0 = _csd_apply_array(h0, engine._csd_gains["3pi/8"], fit, counter)
-        h1 = _csd_apply_array(h1, engine._csd_gains["3pi/8"], fit, counter)
-        a0 = _csd_apply_array(a0, engine._csd_gains["pi/16"], fit, counter)
-        a1 = _csd_apply_array(a1, engine._csd_gains["pi/16"], fit, counter)
-        b0 = _csd_apply_array(b0, engine._csd_gains["3pi/16"], fit, counter)
-        b1 = _csd_apply_array(b1, engine._csd_gains["3pi/16"], fit, counter)
+        gains = engine._csd_gains
+        g0, g1 = scale(g0, gains["pi/4"]), scale(g1, gains["pi/4"])
+        h0, h1 = scale(h0, gains["3pi/8"]), scale(h1, gains["3pi/8"])
+        a0, a1 = scale(a0, gains["pi/16"]), scale(a1, gains["pi/16"])
+        b0, b1 = scale(b0, gains["3pi/16"]), scale(b1, gains["3pi/16"])
     else:
-        a0 = _csd_apply_array(a0, engine._csd_equalizer, fit, counter)
-        a1 = _csd_apply_array(a1, engine._csd_equalizer, fit, counter)
+        a0, a1 = scale(a0, engine._csd_equalizer), scale(a1, engine._csd_equalizer)
 
     cols = [None] * 8
     cols[0], cols[4], cols[2], cols[6] = g1, g0, h1, h0
-    cols[1] = _add_raw(a0, b0, fit, counter)
-    cols[7] = _sub_raw(b1, a1, fit, counter)
-    cols[3] = _sub_raw(
-        _sub_raw(a0, a1, fit, counter), _add_raw(b0, b1, fit, counter), fit, counter
-    )
-    cols[5] = _sub_raw(
-        _add_raw(a0, a1, fit, counter), _sub_raw(b0, b1, fit, counter), fit, counter
-    )
-    if apply_post:
-        cols = [_csd_apply_array(c, s, fit, counter) for c, s in zip(cols, engine._csd_post)]
+    cols[1] = fit(a0 + b0)
+    cols[7] = fit(b1 - a1)
+    cols[3] = fit(fit(a0 - a1) - fit(b0 + b1))
+    cols[5] = fit(fit(a0 + a1) - fit(b0 - b1))
+    if not engine.fold_into_quantizer:
+        cols = [scale(c, csd) for c, csd in zip(cols, engine._csd_post)]
     return cols
 
 
-def _transform8_fixed(
-    engine: DctEngine, X: np.ndarray, mode: ArithmeticMode, apply_post: bool
-) -> np.ndarray:
+def _transform8_fixed(engine: DctEngine, X: np.ndarray) -> np.ndarray:
+    mode = engine.mode
     raw, peak = _to_raw_array(np.asarray(X, dtype=np.float64), mode)
     if peak <= engine.safe_input_bound(mode.fmt):
         fit = _unchecked  # no node can leave the word: every check is a no-op
     else:
         def fit(a):
             return _fit_array(a, mode)
-    cols = _flow_raw(engine, list(raw.T), fit, mode.counter, apply_post)
+    cols = _flow_raw(engine, list(raw.T), fit)
+    adds, shifts = engine._row_cost
+    tally(mode, adds * len(raw), shifts * len(raw))
     return np.stack(cols, axis=1) * mode.fmt.lsb
 
 
@@ -444,11 +401,10 @@ def transform8(engine: DctEngine, X) -> np.ndarray:
         raise ValueError(f"expected rows of 8 samples, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("non-finite sample in transform input")
-    apply_post = not engine.fold_into_quantizer
     if engine.mode.is_fixed:
-        out = _transform8_fixed(engine, arr, engine.mode, apply_post)
+        out = _transform8_fixed(engine, arr)
     else:
-        out = _transform8_float(engine, arr, apply_post)
+        out = _transform8_float(engine, arr)
     return out[0] if single else out
 
 

@@ -4,9 +4,13 @@ The rotator core runs either in plain binary64 (``ArithmeticMode.exact``)
 or on raw two's-complement integers with a configurable word length
 (``ArithmeticMode.fixed``).  Fixed-point right shifts round toward
 negative infinity, matching a hardware arithmetic shifter.  Out-of-range
-results either saturate or raise, per the mode's overflow policy, and an
-optional :class:`OpCounter` tallies the adds/shifts/multiplies the
-fixed-point datapath performs.
+results either saturate or raise, per the mode's overflow policy.
+
+An optional :class:`OpCounter` on the mode tallies the datapath's cost:
+saturations where a range check clips, and the adds and shifts of a static
+cost model (2 each per micro-rotation step, 1 each per CSD term applied)
+once per completed call, so a call that raises under ``ERROR`` charges
+none.  No kernel multiplies.
 """
 
 from __future__ import annotations
@@ -75,7 +79,10 @@ class FixedPointFormat:
 
 @dataclass
 class OpCounter:
-    """Running operation tally for the fixed-point datapath."""
+    """Running operation tally for the fixed-point datapath.
+
+    Its fields are written only by :func:`tally`.
+    """
 
     adds: int = 0
     shifts: int = 0
@@ -133,6 +140,16 @@ def fit_raw(raw: int, mode: ArithmeticMode) -> int:
             f"raw value {raw} outside [{fmt.min_raw}, {fmt.max_raw}] "
             f"for {fmt.total_bits}.{fmt.frac_bits} format"
         )
-    if mode.counter is not None:
-        mode.counter.saturations += 1
+    tally(mode, saturations=1)
     return fmt.min_raw if raw < fmt.min_raw else fmt.max_raw
+
+
+def tally(mode: ArithmeticMode, adds: int = 0, shifts: int = 0, saturations: int = 0) -> None:
+    """Charge operations to the mode's counter, if it has one: the adds and
+    shifts of one completed fixed-point call, or the saturations of one
+    range check."""
+    c = mode.counter
+    if c is not None:
+        c.adds += adds
+        c.shifts += shifts
+        c.saturations += saturations

@@ -11,6 +11,11 @@ In fixed-point mode the ``2**-i`` products become arithmetic right
 shifts (floor semantics) on raw integers, and the gain compensation is
 carried out by a canonical-signed-digit expansion so the whole datapath
 stays multiplier-free.
+
+The kernels -- :func:`rotate_float`, :func:`rotate_raw` and
+:meth:`CsdScale.apply_raw` -- are written once, here.  The scalar API runs
+them on Python numbers; the batched DCT in ``dct8`` runs them on NumPy
+columns.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fixedpoint import ArithmeticMode, OpCounter, fit_raw
+from .fixedpoint import ArithmeticMode, fit_raw, tally
 from .planner import MicroRotation, RotationPlan
 
 
@@ -66,21 +71,12 @@ def ideal_rotation_matrix(theta: float) -> Matrix2:
     return Matrix2(c, -s, s, c)
 
 
-def step_matrix(step: MicroRotation) -> Matrix2:
-    t = step.direction * 2.0 ** -step.index
-    return Matrix2(1.0, -t, t, 1.0)
-
-
 def plan_matrix(plan: RotationPlan) -> Matrix2:
-    """Product of the plan's unscaled step matrices, in step order.
-
-    Accumulated as ``M <- step @ M`` so its columns are bit-identical to
-    folding :func:`micro_rotate` over (1,0) and (0,1).
-    """
-    m = Matrix2.identity()
-    for step in plan.steps:
-        m = step_matrix(step).matmul(m)
-    return m
+    """Product of the plan's unscaled step matrices, in step order: its
+    columns are :func:`rotate_float` of (1,0) and (0,1)."""
+    a, c = rotate_float(1.0, 0.0, plan.steps)
+    b, d = rotate_float(0.0, 1.0, plan.steps)
+    return Matrix2(a, b, c, d)
 
 
 def micro_rotate(v: Vector2, step: MicroRotation, mode: ArithmeticMode = ArithmeticMode()) -> Vector2:
@@ -91,15 +87,7 @@ def micro_rotate(v: Vector2, step: MicroRotation, mode: ArithmeticMode = Arithme
     :func:`apply_plan`, which stays in the raw domain throughout.
     Raises ``ValueError`` on a non-finite component, in both modes.
     """
-    _check_finite(v)
-    if not mode.is_fixed:
-        t = step.direction * 2.0 ** -step.index
-        return Vector2(v.x - t * v.y, v.y + t * v.x)
-    fmt = mode.fmt
-    xr = fit_raw(fmt.to_raw(v.x), mode)
-    yr = fit_raw(fmt.to_raw(v.y), mode)
-    xr, yr = _micro_rotate_raw(xr, yr, step.index, step.direction, mode)
-    return Vector2(fmt.from_raw(xr), fmt.from_raw(yr))
+    return _rotate_vector(v, (step,), None, mode)
 
 
 def _check_finite(v: Vector2) -> None:
@@ -107,20 +95,36 @@ def _check_finite(v: Vector2) -> None:
         raise ValueError(f"non-finite vector component in ({v.x!r}, {v.y!r})")
 
 
-def _micro_rotate_raw(xr: int, yr: int, index: int, direction: int, mode: ArithmeticMode):
-    # python's >> on negative ints is an arithmetic (floor) shift, same as
-    # a two's-complement hardware shifter.
-    sx = xr >> index
-    sy = yr >> index
-    if direction > 0:
-        nx, ny = xr - sy, yr + sx
-    else:
-        nx, ny = xr + sy, yr - sx
-    c = mode.counter
-    if c is not None:
-        c.shifts += 2
-        c.adds += 2
-    return fit_raw(nx, mode), fit_raw(ny, mode)
+def rotate_float(x, y, steps, gain: float | None = None):
+    """Fold unscaled micro-rotations over ``(x, y)`` in binary64, then
+    scale both by ``gain`` if one is given.
+
+    ``x`` and ``y`` are floats or NumPy arrays of them alike.
+    """
+    for step in steps:
+        t = step.direction * 2.0 ** -step.index
+        x, y = x - t * y, y + t * x
+    if gain is not None:
+        x, y = x * gain, y * gain
+    return x, y
+
+
+def rotate_raw(x, y, steps, fit):
+    """Fold unscaled micro-rotations over raw two's-complement ``(x, y)``,
+    shift-add only: 2 shifts and 2 adds per step, each new value passed
+    through ``fit`` (the word's range check) before the next step.
+
+    ``x`` and ``y`` are Python ints or int64 NumPy arrays alike; ``>>`` on
+    either is an arithmetic (floor) shift, like a hardware shifter.
+    """
+    for step in steps:
+        sx = x >> step.index
+        sy = y >> step.index
+        if step.direction > 0:
+            x, y = fit(x - sy), fit(y + sx)
+        else:
+            x, y = fit(x + sy), fit(y - sx)
+    return x, y
 
 
 def apply_plan(
@@ -137,26 +141,31 @@ def apply_plan(
     and add only).  Raises ``ValueError`` on a non-finite component, in
     both modes.
     """
+    return _rotate_vector(v, plan.steps, plan.gain if compensate else None, mode)
+
+
+def _rotate_vector(v: Vector2, steps, gain: float | None, mode: ArithmeticMode) -> Vector2:
+    """Rotate one vector by ``steps``, then scale it by ``gain`` if given.
+
+    Fixed point quantizes, stays in the raw domain throughout, compensates
+    via a CSD expansion of the gain, and charges the mode's counter.
+    """
     _check_finite(v)
     if not mode.is_fixed:
-        x, y = v.x, v.y
-        for step in plan.steps:
-            t = step.direction * 2.0 ** -step.index
-            x, y = x - t * y, y + t * x
-        if compensate:
-            x *= plan.gain
-            y *= plan.gain
-        return Vector2(x, y)
+        return Vector2(*rotate_float(v.x, v.y, steps, gain))
 
     fmt = mode.fmt
-    xr = fit_raw(fmt.to_raw(v.x), mode)
-    yr = fit_raw(fmt.to_raw(v.y), mode)
-    for step in plan.steps:
-        xr, yr = _micro_rotate_raw(xr, yr, step.index, step.direction, mode)
-    if compensate and plan.steps:
-        scale = csd_scale(plan.gain, max_terms=16, tolerance=max(fmt.lsb / 2, 2.0 ** -18))
-        xr = fit_raw(scale.apply_raw(xr, mode.counter), mode)
-        yr = fit_raw(scale.apply_raw(yr, mode.counter), mode)
+
+    def fit(raw):
+        return fit_raw(raw, mode)
+
+    xr, yr = rotate_raw(fit(fmt.to_raw(v.x)), fit(fmt.to_raw(v.y)), steps, fit)
+    ops = 2 * len(steps)
+    if gain is not None and steps:
+        scale = csd_scale(gain, max_terms=16, tolerance=max(fmt.lsb / 2, 2.0 ** -18))
+        xr, yr = fit(scale.apply_raw(xr)), fit(scale.apply_raw(yr))
+        ops += 2 * len(scale.terms)
+    tally(mode, ops, ops)
     return Vector2(fmt.from_raw(xr), fmt.from_raw(yr))
 
 
@@ -175,17 +184,23 @@ class CsdScale:
     def value(self) -> float:
         return sum(sign * 2.0 ** -shift for shift, sign in self.terms)
 
-    def apply_raw(self, raw: int, counter: OpCounter | None = None) -> int:
-        """Multiply a raw fixed-point integer by the expansion, shift-add only."""
-        acc = 0
+    def apply_raw(self, raw):
+        """Multiply a raw fixed-point value by the expansion, shift-add only:
+        one shift per term, and one add per term after the first, which
+        seeds the sum.
+
+        ``raw`` is a Python int or an int64 NumPy array alike.  The seed is
+        negated only for a leading ``-`` term, which :func:`csd_scale`
+        never emits (it expands a positive constant).
+        """
+        acc = None
         for shift, sign in self.terms:
             term = raw >> shift if shift >= 0 else raw << -shift
-            acc = acc + term if sign > 0 else acc - term
-        if counter is not None:
-            counter.shifts += len(self.terms)
-            counter.adds += len(self.terms)
-        return acc
-
+            if acc is None:
+                acc = term if sign > 0 else -term
+            else:
+                acc = acc + term if sign > 0 else acc - term
+        return raw - raw if acc is None else acc
 
 def csd_scale(value: float, max_terms: int = 16, tolerance: float = 1e-6) -> CsdScale:
     """Greedy CSD expansion of ``value`` in (0, 2).

@@ -20,6 +20,8 @@ from cordic_dct.codec import sweep
 from cordic_dct.dct8 import (
     DCT_MATRIX,
     DctEngine,
+    _flow_raw,
+    _unchecked,
     dct2d_oracle,
     idct2d_oracle,
     transform8,
@@ -32,7 +34,14 @@ from cordic_dct.planner import (
     greedy_reference_steps,
     reconstruct_angle,
 )
-from cordic_dct.rotator import Vector2, apply_plan, ideal_rotation_matrix, plan_matrix
+from cordic_dct.rotator import (
+    Vector2,
+    apply_plan,
+    csd_scale,
+    ideal_rotation_matrix,
+    plan_matrix,
+    rotate_raw,
+)
 
 PI = math.pi
 
@@ -236,6 +245,75 @@ def test_criterion_09_shift_add_purity():
         f"{per_transform['adds']} adds, {per_transform['shifts']} shifts "
         f"(rotation steps {per_transform['rotation_steps']})",
     )
+
+
+# Criterion 9 made able to fail: the datapath itself, run on values that
+# refuse anything but shift-add, must do exactly what the cost model charges.
+# The model charges the first term of each CSD sum as an add; the kernel
+# seeds its sum with that term instead, one add fewer per scaled column.
+
+
+class _Traced:
+    """A raw datapath value that counts adds/subtracts and shifts and
+    refuses every other arithmetic operation, so a kernel run on it either
+    proves itself shift-add or fails."""
+
+    __slots__ = ("ops",)
+
+    def __init__(self, ops: dict):
+        self.ops = ops  # tally shared by every value of one trace
+
+    def _add(self, other):
+        if not isinstance(other, _Traced):
+            raise AssertionError(f"add with a non-datapath operand {other!r}")
+        self.ops["adds"] += 1
+        return _Traced(self.ops)
+
+    def _shift(self, k):
+        if type(k) is not int:
+            raise AssertionError(f"shift by a non-constant amount {k!r}")
+        self.ops["shifts"] += 1
+        return _Traced(self.ops)
+
+    __add__ = __sub__ = _add
+    __lshift__ = __rshift__ = _shift
+
+    def _refuse(self, *args):
+        raise AssertionError("a non shift-add operation ran in the datapath")
+
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _refuse
+    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = _refuse
+    __pow__ = __rpow__ = __matmul__ = __rmatmul__ = _refuse
+    __neg__ = __pos__ = __abs__ = __float__ = __int__ = __index__ = _refuse
+
+
+@pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+@pytest.mark.parametrize("fold", [False, True])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-6])
+def test_criterion_09_traced_flow_graph(compensation, fold, eps):
+    engine = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold)
+    ops = {"adds": 0, "shifts": 0}
+    _flow_raw(engine, [_Traced(ops) for _ in range(8)], _unchecked)
+    counts = engine.operation_counts()
+    scaled_columns = (8 if compensation == "per_rotator" else 2) + (0 if fold else 8)
+    assert ops["shifts"] == counts["shifts"]
+    assert ops["adds"] == counts["adds"] - scaled_columns
+
+
+@pytest.mark.parametrize("theta", [PI / 16, -PI / 3, 0.2])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_criterion_09_traced_rotator(theta, eps):
+    plan = decompose(theta, eps)
+    counter = OpCounter()
+    mode = ArithmeticMode.fixed(16, 12, OverflowPolicy.ERROR, counter)
+    apply_plan(Vector2(0.5, -0.25), plan, mode, compensate=True)
+    # the kernels apply_plan runs: the rotation, then the gain's CSD sum per component
+    gain = csd_scale(plan.gain, max_terms=16, tolerance=max(mode.fmt.lsb / 2, 2.0**-18))
+    ops = {"adds": 0, "shifts": 0}
+    x, y = rotate_raw(_Traced(ops), _Traced(ops), plan.steps, _unchecked)
+    gain.apply_raw(x), gain.apply_raw(y)
+    assert ops["shifts"] == counter.shifts
+    assert ops["adds"] == counter.adds - 2
 
 
 def test_criterion_10_determinism(tmp_path):

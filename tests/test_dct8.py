@@ -1,10 +1,10 @@
 """DCT tests: exact-matrix oracle properties, flow-graph equivalence,
 fixed-point behaviour and the separable 2-D transform."""
 
+import itertools
 import json
 import math
-
-import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +31,9 @@ from cordic_dct.fixedpoint import (
     OverflowPolicy,
     fit_raw,
 )
-from cordic_dct.rotator import _micro_rotate_raw
 
 RNG = np.random.default_rng(20240601)
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 # Expected impulse response of the reference transform, frozen from direct
 # evaluation of 0.5*C(k)*cos(k*pi/16).
@@ -283,6 +283,26 @@ class TestFixedPointPath:
         assert counts["rotation_steps"]["pi/4"] == 1
         json.dumps(counts)  # must be serializable
 
+    def test_operation_counts_match_benchmark_golden(self):
+        golden = json.loads((GOLDEN_DIR / "op_counts.json").read_text())
+        assert len(golden) == 6
+        for key, counts in golden.items():
+            compensation, eps = key.split("/")
+            assert DctEngine(float(eps), compensation=compensation).operation_counts() == counts
+
+    def test_counts_charged_once_per_completed_call(self):
+        counter = OpCounter()
+        mode = ArithmeticMode.fixed(12, 2, OverflowPolicy.ERROR, counter)
+        eng = DctEngine(epsilon=1e-3, mode=mode, fold_into_quantizer=True)
+        per_row = eng.operation_counts()
+        transform8(eng, RNG.integers(-8, 8, size=(5, 8)).astype(np.float64))
+        expected = {"adds": 5 * per_row["adds"], "shifts": 5 * per_row["shifts"],
+                    "multiplies": 0, "saturations": 0}
+        assert counter.as_dict() == expected
+        with pytest.raises(FixedPointOverflowError):
+            transform8(eng, np.full((3, 8), 250.0))
+        assert counter.as_dict() == expected  # a refused call charges nothing
+
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("bits", [None, (24, 8)])
@@ -302,9 +322,10 @@ def test_non_finite_input_refused(value, bits):
 
 
 def scalar_transform8(engine: DctEngine, row, mode: ArithmeticMode) -> list[float]:
-    """One row through the fixed-point flow graph on Python ints, every
-    node range-checked by the scalar kernels of ``rotator``/``fixedpoint``.
-    ``mode`` must carry a counter; it is ticked like the array path's."""
+    """One row through the fixed-point flow graph on Python ints, written
+    out here rather than taken from the library kernels: floor-shift
+    micro-rotations and CSD sums, every node range-checked by ``fit_raw``.
+    ``mode`` must carry a counter; adds and shifts are ticked per node."""
     fmt, counter = mode.fmt, mode.counter
 
     def add(a, b):
@@ -317,11 +338,17 @@ def scalar_transform8(engine: DctEngine, row, mode: ArithmeticMode) -> list[floa
 
     def rotate(x, y, name):
         for step in engine.plans[name].steps:
-            x, y = _micro_rotate_raw(x, y, step.index, step.direction, mode)
+            sx, sy = x >> step.index, y >> step.index
+            x, y = fit_raw(x - step.direction * sy, mode), fit_raw(y + step.direction * sx, mode)
+            counter.adds += 2
+            counter.shifts += 2
         return x, y
 
     def scale(raw, csd):
-        return fit_raw(csd.apply_raw(raw, counter), mode)
+        counter.adds += len(csd.terms)
+        counter.shifts += len(csd.terms)
+        terms = (sign * (raw >> k if k >= 0 else raw << -k) for k, sign in csd.terms)
+        return fit_raw(sum(terms), mode)
 
     x = [fit_raw(fmt.to_raw(float(v)), mode) for v in row]
     u = [add(x[k], x[7 - k]) for k in range(4)]

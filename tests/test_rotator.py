@@ -254,9 +254,11 @@ class TestFixedPointRotation:
         mode = ArithmeticMode.fixed(16, 12, OverflowPolicy.ERROR, counter)
         apply_plan(Vector2(0.5, 0.25), plan, mode, compensate=True)
         assert counter.multiplies == 0
-        # 2 adds + 2 shifts per micro-rotation, plus the CSD compensation
-        assert counter.adds >= 2 * len(plan.steps)
-        assert counter.shifts >= 2 * len(plan.steps)
+        # 2 adds + 2 shifts per micro-rotation, plus 1 of each per CSD term
+        # of the gain compensation, applied to both components
+        terms = csd_scale(plan.gain, max_terms=16, tolerance=max(mode.fmt.lsb / 2, 2.0**-18)).terms
+        assert counter.adds == 2 * len(plan.steps) + 2 * len(terms)
+        assert counter.shifts == 2 * len(plan.steps) + 2 * len(terms)
 
     def test_fixed_tracks_exact_float(self):
         import random
