@@ -37,6 +37,7 @@ from .fixedpoint import (
     FixedPointFormat,
     FixedPointOverflowError,
     OverflowPolicy,
+    fit_raw,
     tally,
 )
 from .planner import IndexPolicy, RotationPlan, decompose
@@ -160,12 +161,20 @@ class DctEngine:
                 [half, half, half, eighth_norm, half, eighth_norm, half, half]
             )
 
-        # Shift-add expansions of every constant the fixed-point path needs.
-        self._csd_post: list[CsdScale] = [
-            csd_scale(s, max_terms=16, tolerance=_CSD_TOLERANCE) for s in self.post_scales
-        ]
-        self._csd_equalizer = csd_scale(self.equalizer, max_terms=16, tolerance=_CSD_TOLERANCE)
-        self._csd_gains = {
+    # Shift-add expansions of every constant the fixed-point flow graph
+    # needs, built on first use: a float engine never reads them.
+
+    @cached_property
+    def _csd_post(self) -> list[CsdScale]:
+        return [csd_scale(s, max_terms=16, tolerance=_CSD_TOLERANCE) for s in self.post_scales]
+
+    @cached_property
+    def _csd_equalizer(self) -> CsdScale:
+        return csd_scale(self.equalizer, max_terms=16, tolerance=_CSD_TOLERANCE)
+
+    @cached_property
+    def _csd_gains(self) -> dict[str, CsdScale]:
+        return {
             name: csd_scale(plan.gain, max_terms=16, tolerance=_CSD_TOLERANCE)
             for name, plan in self.plans.items()
         }
@@ -255,15 +264,19 @@ class _NodeBound:
         return _NodeBound(-(-self.gain >> i), -(-self.offset >> i) + (1 << _BOUND_FRAC_BITS))
 
 
-def _transform8_float(engine: DctEngine, X: np.ndarray) -> np.ndarray:
+def _flow_float(engine: DctEngine, x: list) -> list:
+    """The float flow graph on eight input columns, before the post-scales.
+
+    The columns are Python floats (one sample vector) or NumPy arrays (a
+    batch of rows) alike; the same operations in the same order give the
+    same bits either way.
+    """
     per_rot = engine.compensation == "per_rotator"
+    x0, x1, x2, x3, x4, x5, x6, x7 = x
 
     def rotate(x, y, name):
         plan = engine.plans[name]
         return rotate_float(x, y, plan.steps, plan.gain if per_rot else None)
-
-    x0, x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
-    x4, x5, x6, x7 = X[:, 4], X[:, 5], X[:, 6], X[:, 7]
 
     u0, u1, u2, u3 = x0 + x7, x1 + x6, x2 + x5, x3 + x4
     v0, v1, v2, v3 = x0 - x7, x1 - x6, x2 - x5, x3 - x4
@@ -279,15 +292,23 @@ def _transform8_float(engine: DctEngine, X: np.ndarray) -> np.ndarray:
         a0 = a0 * engine.equalizer
         a1 = a1 * engine.equalizer
 
-    F = np.empty_like(X)
-    F[:, 0] = g1
-    F[:, 4] = g0
-    F[:, 2] = h1
-    F[:, 6] = h0
-    F[:, 1] = a0 + b0
-    F[:, 7] = b1 - a1
-    F[:, 3] = (a0 - a1) - (b0 + b1)
-    F[:, 5] = (a0 + a1) - (b0 - b1)
+    return [
+        g1,
+        a0 + b0,
+        h1,
+        (a0 - a1) - (b0 + b1),
+        g0,
+        (a0 + a1) - (b0 - b1),
+        h0,
+        b1 - a1,
+    ]
+
+
+def _transform8_float(engine: DctEngine, X: np.ndarray) -> np.ndarray:
+    if X.ndim == 1:
+        F = np.array(_flow_float(engine, X.tolist()))
+    else:
+        F = np.stack(_flow_float(engine, list(X.T)), axis=1)
     if not engine.fold_into_quantizer:
         F *= engine.post_scales
     return F
@@ -295,7 +316,7 @@ def _transform8_float(engine: DctEngine, X: np.ndarray) -> np.ndarray:
 
 def _to_raw_array(X: np.ndarray, mode: ArithmeticMode) -> tuple[np.ndarray, float]:
     """Quantize to raw integers; also return max|raw| before any clipping."""
-    scaled = X * float(1 << mode.fmt.frac_bits)
+    scaled = X * float(mode.fmt.raw_scale)
     rounded = np.trunc(scaled + np.copysign(0.5, scaled))
     peak = float(np.abs(rounded).max(initial=0.0))
     if peak > mode.fmt.max_raw:
@@ -374,38 +395,47 @@ def _flow_raw(engine: DctEngine, x: list, fit) -> list:
 
 
 def _transform8_fixed(engine: DctEngine, X: np.ndarray) -> np.ndarray:
-    mode = engine.mode
-    raw, peak = _to_raw_array(np.asarray(X, dtype=np.float64), mode)
-    if peak <= engine.safe_input_bound(mode.fmt):
-        fit = _unchecked  # no node can leave the word: every check is a no-op
+    mode, fmt = engine.mode, engine.mode.fmt
+    if X.ndim == 1:  # Python ints, through the scalar boundary converters
+        cols = [fmt.to_raw(v) for v in X.tolist()]
+        peak = max(map(abs, cols))
+        if peak > fmt.max_raw:
+            cols = [fit_raw(r, mode) for r in cols]
+        rows = 1
+
+        def check(r):
+            return fit_raw(r, mode)
     else:
-        def fit(a):
+        raw, peak = _to_raw_array(X, mode)
+        cols, rows = list(raw.T), len(raw)
+
+        def check(a):
             return _fit_array(a, mode)
-    cols = _flow_raw(engine, list(raw.T), fit)
+    # Below the bound no node can leave the word: every check is a no-op.
+    fit = _unchecked if peak <= engine.safe_input_bound(fmt) else check
+    cols = _flow_raw(engine, cols, fit)
     adds, shifts = engine._row_cost
-    tally(mode, adds * len(raw), shifts * len(raw))
-    return np.stack(cols, axis=1) * mode.fmt.lsb
+    tally(mode, adds * rows, shifts * rows)
+    F = np.array(cols) if X.ndim == 1 else np.stack(cols, axis=1)
+    return F * fmt.lsb
 
 
 def transform8(engine: DctEngine, X) -> np.ndarray:
-    """Run the flow graph on each row of an (n, 8) array (or a single vec).
+    """Run the flow graph on each row of an (n, 8) array, or on one vector.
 
-    Raises ``ValueError`` on any other shape (a block stack goes through
+    One ``(8,)`` vector runs the flow graph on Python numbers; a batch
+    runs the same graph on NumPy columns, for the same bits.  Raises
+    ``ValueError`` on any other shape (a block stack goes through
     :func:`dct2d`) and on non-finite samples, in both arithmetic modes.
     """
     arr = np.asarray(X, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr.reshape(1, 8)
-    if arr.ndim != 2 or arr.shape[1] != 8:
+    if arr.shape != (8,) and (arr.ndim != 2 or arr.shape[1] != 8):
         raise ValueError(f"expected rows of 8 samples, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("non-finite sample in transform input")
     if engine.mode.is_fixed:
-        out = _transform8_fixed(engine, arr)
-    else:
-        out = _transform8_float(engine, arr)
-    return out[0] if single else out
+        return _transform8_fixed(engine, arr)
+    return _transform8_float(engine, arr)
 
 
 def dct8_cordic(x, engine: DctEngine) -> np.ndarray:

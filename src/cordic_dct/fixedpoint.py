@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 class FixedPointOverflowError(OverflowError):
@@ -31,7 +32,11 @@ class OverflowPolicy(Enum):
 
 @dataclass(frozen=True)
 class FixedPointFormat:
-    """Signed fixed-point layout: ``total_bits`` wide, ``frac_bits`` fractional."""
+    """Signed fixed-point layout: ``total_bits`` wide, ``frac_bits`` fractional.
+
+    The derived constants (rails, LSB, raw scale) are computed once per
+    format, on first use: the scalar range check reads them on every call.
+    """
 
     total_bits: int = 16
     frac_bits: int = 12
@@ -44,15 +49,20 @@ class FixedPointFormat:
                 f"frac_bits {self.frac_bits} outside [0, {self.total_bits - 2}]"
             )
 
-    @property
+    @cached_property
     def lsb(self) -> float:
         return 2.0 ** -self.frac_bits
 
-    @property
+    @cached_property
+    def raw_scale(self) -> int:
+        """Raw integers per unit, ``2**frac_bits``."""
+        return 1 << self.frac_bits
+
+    @cached_property
     def min_raw(self) -> int:
         return -(1 << (self.total_bits - 1))
 
-    @property
+    @cached_property
     def max_raw(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
@@ -70,7 +80,7 @@ class FixedPointFormat:
         Range checking is left to the call site so the caller can apply
         its overflow policy.
         """
-        scaled = x * (1 << self.frac_bits)
+        scaled = x * self.raw_scale
         return int(math.floor(scaled + 0.5)) if scaled >= 0 else int(math.ceil(scaled - 0.5))
 
     def from_raw(self, raw: int) -> float:

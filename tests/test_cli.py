@@ -1,13 +1,19 @@
 """CLI tests: argument parsing, output shapes, status lines, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cordic_dct.cli import format_angle, main, parse_angle
 from cordic_dct.codec import GrayImage
+from cordic_dct.fixedpoint import FixedPointFormat
 from cordic_dct.pgm import write_pgm
 
 
@@ -15,6 +21,83 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+def run_quiet(argv, stdin=""):
+    """``main(argv)`` with ``stdin`` as standard input; (exit code, stdout)."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(out):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+# Tokens that parse as a non-finite float ("1e999" overflows to inf).
+NON_FINITE = st.sampled_from(["inf", "-inf", "nan", "-nan", "Infinity", "1e999", "-1e999"])
+
+
+def beyond_word(fmt: FixedPointFormat):
+    """Finite values that quantize outside the word, as text."""
+    magnitude = st.floats(fmt.max_value + 1, 1e300)
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda t: repr(t[0] * t[1]))
+
+
+def mode_args(mode: str, bits: tuple[int, int]) -> list[str]:
+    return ["--mode=float"] if mode == "float" else ["--mode=fixed", f"--bits={bits[0]}",
+                                                     f"--frac={bits[1]}"]
+
+
+def assert_refused(rc: int, out: str, result_label: str) -> None:
+    assert rc == 1
+    assert out.strip().split("\n")[-1].startswith("status: error:")
+    assert result_label not in out
+
+
+@given(
+    data=st.data(),
+    mode=st.sampled_from(["float", "fixed"]),
+    bits=st.sampled_from([(24, 8), (16, 5), (32, 16)]),
+    count=st.sampled_from([8, 64]),
+)
+def test_dct_non_finite_or_out_of_range_input_fails(data, mode, bits, count):
+    fmt = FixedPointFormat(*bits)
+    bad = NON_FINITE if mode == "float" else st.one_of(NON_FINITE, beyond_word(fmt))
+    values = data.draw(st.lists(st.floats(-255, 255).map(repr), min_size=count, max_size=count))
+    for k in data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=3, unique=True)):
+        values[k] = data.draw(bad)
+    eps = data.draw(st.floats(1e-6, 1e-2))
+    rc, out = run_quiet(["dct", "--input=-", f"--eps={eps!r}", *mode_args(mode, bits)],
+                        " ".join(values))
+    assert_refused(rc, out, "coefficients")
+
+
+@given(
+    data=st.data(),
+    mode=st.sampled_from(["float", "fixed"]),
+    bits=st.sampled_from([(16, 12), (24, 8), (12, 3)]),
+    which=st.sampled_from(["x", "y", "angle", "eps"]),
+    compensate=st.booleans(),
+)
+def test_rotate_non_finite_or_out_of_range_input_fails(data, mode, bits, which, compensate):
+    fmt = FixedPointFormat(*bits)
+    args = {
+        "angle": repr(data.draw(st.floats(-math.pi / 2, math.pi / 2))),
+        "eps": repr(data.draw(st.floats(1e-6, 1e-2))),
+        "x": repr(data.draw(st.floats(-2, 2))),
+        "y": repr(data.draw(st.floats(-2, 2))),
+    }
+    if which in ("x", "y"):
+        bad = NON_FINITE if mode == "float" else st.one_of(NON_FINITE, beyond_word(fmt))
+    elif which == "angle":  # outside [-pi/2, pi/2]
+        beyond = st.floats(math.pi / 2, 1e300, exclude_min=True)
+        bad = st.one_of(NON_FINITE, beyond.map(repr), beyond.map(lambda a: repr(-a)))
+    else:  # outside [1e-9, 1e-1]
+        bad = st.one_of(NON_FINITE, st.floats(-1.0, 1e-9, exclude_max=True).map(repr),
+                        st.floats(0.1, 1e300, exclude_min=True).map(repr))
+    args[which] = data.draw(bad)
+    argv = ["rotate", *(f"--{k}={v}" for k, v in args.items()), *mode_args(mode, bits)]
+    if not compensate:
+        argv.append("--no-compensate")
+    assert_refused(*run_quiet(argv), "rotated")
 
 
 class TestAngleParsing:

@@ -303,6 +303,29 @@ class TestFixedPointPath:
             transform8(eng, np.full((3, 8), 250.0))
         assert counter.as_dict() == expected  # a refused call charges nothing
 
+    def test_float_engine_builds_no_csd_constants(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csd_scale called")
+
+        monkeypatch.setattr(dct8, "csd_scale", refuse)
+        X = RNG.integers(-128, 128, size=(4, 8, 8)).astype(np.float64)
+        for compensation in ("folded", "per_rotator"):
+            for fold in (False, True):
+                eng = DctEngine(1e-4, compensation=compensation, fold_into_quantizer=fold)
+                transform8(eng, X[0])
+                dct8_cordic(X[0, 0], eng)
+                dct2d(X, eng)
+        with pytest.raises(AssertionError, match="csd_scale called"):
+            DctEngine(1e-4).operation_counts()  # the cost model reads the expansions
+
+    def test_fixed_engine_operation_counts_match_benchmark_golden(self):
+        golden = json.loads((GOLDEN_DIR / "op_counts.json").read_text())
+        mode = ArithmeticMode.fixed(24, 8)
+        for key, counts in golden.items():
+            compensation, eps = key.split("/")
+            eng = DctEngine(float(eps), mode=mode, compensation=compensation)
+            assert eng.operation_counts() == counts
+
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("bits", [None, (24, 8)])
@@ -430,6 +453,42 @@ class TestSafeInputBound:
         if not above:
             assert counts_a["saturations"] == 0
 
+    @given(
+        data=st.data(),
+        eps=st.floats(1e-6, 1e-2),
+        bits=st.sampled_from([None] + WORD_FORMATS),
+        compensation=st.sampled_from(["folded", "per_rotator"]),
+        fold=st.booleans(),
+        policy=st.sampled_from([OverflowPolicy.SATURATE, OverflowPolicy.ERROR]),
+        above=st.booleans(),
+    )
+    def test_single_vector_equals_one_row_batch(
+        self, data, eps, bits, compensation, fold, policy, above
+    ):
+        # One vector runs the flow graph on Python numbers, a batch on NumPy
+        # columns; both must give the same bytes, counts and refusals.
+        fmt = FixedPointFormat(*(bits or (24, 8)))  # float draws from the 24.8 ranges
+        bound = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold
+                          ).safe_input_bound(fmt)
+        if above:
+            values = st.floats(-4 * fmt.max_value, 4 * fmt.max_value)
+        else:
+            values = st.integers(-bound, bound).map(lambda r: r * fmt.lsb)
+        x = np.array(data.draw(st.lists(values, min_size=8, max_size=8)), dtype=np.float64)
+
+        results = []
+        for single in (True, False):
+            counter = OpCounter()
+            mode = ArithmeticMode() if bits is None else ArithmeticMode(fmt, policy, counter)
+            engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+            try:
+                out = dct8_cordic(x, engine) if single else transform8(engine, x[None])[0]
+            except Exception as exc:
+                results.append(type(exc))
+            else:
+                results.append((out.shape, out.tobytes(), counter.as_dict()))
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("bits", [(24, 8), (16, 5)])
     @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
     @pytest.mark.parametrize("fold", [False, True])
@@ -467,4 +526,23 @@ class TestSafeInputBound:
         dct2d(RNG.integers(-128, 128, size=(16, 8, 8)).astype(np.float64), engine)
         dct2d(np.full((8, 8), -128.0), engine)
         with pytest.raises(AssertionError, match="range check ran"):
-            transform8(engine, np.full(8, 3000.0))
+            transform8(engine, np.full((1, 8), 3000.0))
+
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_8_bit_vector_skips_the_checks(self, compensation, fold, monkeypatch):
+        checked = []
+
+        def counting_fit_raw(raw, mode):
+            checked.append(raw)
+            return fit_raw(raw, mode)
+
+        monkeypatch.setattr(dct8, "fit_raw", counting_fit_raw)
+        mode = ArithmeticMode(FixedPointFormat(24, 8), OverflowPolicy.SATURATE)
+        engine = DctEngine(1e-4, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+        for row in RNG.integers(-128, 128, size=(16, 8)).astype(np.float64):
+            dct8_cordic(row, engine)
+        dct8_cordic(np.full(8, -128.0), engine)
+        assert checked == []
+        dct8_cordic(np.full(8, 3000.0), engine)
+        assert checked  # above the bound every node is range-checked
