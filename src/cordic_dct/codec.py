@@ -17,7 +17,7 @@ from io import StringIO
 
 import numpy as np
 
-from .dct8 import DctEngine, dct2d, dct2d_oracle, idct2d_oracle
+from .dct8 import DCT_MATRIX, DctEngine, _as_blocks, dct2d, dct2d_oracle
 from .fixedpoint import ArithmeticMode, OpCounter
 from .planner import IndexPolicy
 
@@ -83,25 +83,72 @@ def quant_table_for_quality(quality: int) -> np.ndarray:
     return np.clip(q, 1, 255).astype(np.int64)
 
 
-def _round_half_away(v: np.ndarray) -> np.ndarray:
-    return np.trunc(v + np.copysign(0.5, v))
+def _round_half_away(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to the nearest integer, ties away from zero.
+
+    With ``out`` (an array other than ``v``) the result is written there
+    and no temporary is made.
+    """
+    out = np.copysign(0.5, v, out=out)
+    np.add(v, out, out=out)
+    return np.trunc(out, out=out)
+
+
+# The per-quality chain works on (N, 64) stacks: one row per 8x8 block,
+# in raster order within the block, against (64,) tables.  Quantized
+# coefficients stay integer-valued float64, exact at these magnitudes.
+# Every step writes into a buffer it is given, so a sweep reuses two
+# buffers for all qualities: a fresh allocation of that size per step is
+# returned to the system when freed and costs its page faults again.
+
+
+def _flat(blocks: np.ndarray) -> np.ndarray:
+    """An (..., 8, 8) stack as a C-ordered (N, 64) one (a view if it already is)."""
+    return np.ascontiguousarray(blocks).reshape(-1, 64)
+
+
+def _step(q: np.ndarray) -> np.ndarray:
+    """A quantizer table as a (64,) float64 row."""
+    return np.asarray(q, dtype=np.float64).reshape(64)
+
+
+def _divisor(engine: DctEngine, step: np.ndarray) -> np.ndarray:
+    """The (64,) quantizer divisor for the engine's coefficients."""
+    if engine.fold_into_quantizer:
+        # Transform skipped its per-output scales; divide them into the
+        # quantizer steps (separable, so the 2-D factor is an outer product).
+        ps = engine.post_scales
+        return step / np.outer(ps, ps).reshape(64)
+    return step
+
+
+def _quantize(coefs: np.ndarray, divisor: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Levels of an (N, 64) coefficient stack, rounded half away from zero,
+    into ``out``; the quotient goes through ``scratch``."""
+    return _round_half_away(np.divide(coefs, divisor, out=scratch), out=out)
+
+
+def _decode(levels: np.ndarray, step: np.ndarray, out=None) -> np.ndarray:
+    """Dequantize a C-ordered (N, 64) level stack, exact inverse transform,
+    de-level-shift, round and clamp to [0, 255]: integer-valued pixels in
+    ``out``.  ``levels`` is overwritten with the inverse's row pass."""
+    coefs = np.multiply(levels, step, out=out).reshape(-1, 8, 8)
+    # idct2d_oracle's two products, into the two buffers.
+    rows = np.matmul(DCT_MATRIX.T, coefs, out=levels.reshape(-1, 8, 8))
+    pixels = np.matmul(rows, DCT_MATRIX, out=coefs).reshape(-1, 64)
+    np.add(pixels, 128.0, out=pixels)
+    # Round half away from zero, then clamp.  At or above zero that is
+    # floor(v + 0.5), the same addition; below zero both clamp to 0.
+    np.add(pixels, 0.5, out=pixels)
+    return np.clip(np.floor(pixels, out=pixels), 0.0, 255.0, out=pixels)
 
 
 def encode_block(block, engine: DctEngine, q: np.ndarray) -> np.ndarray:
     """Level-shift, transform, quantize one 8x8 pixel block (or an
     (..., 8, 8) stack of them) -> int coefs."""
     coefs = dct2d(np.asarray(block, dtype=np.float64) - 128.0, engine)
-    return _quantize(coefs, engine, q)
-
-
-def _quantize(coefs: np.ndarray, engine: DctEngine, q: np.ndarray) -> np.ndarray:
-    divisor = q.astype(np.float64)
-    if engine.fold_into_quantizer:
-        # Transform skipped its per-output scales; divide them into the
-        # quantizer steps (separable, so the 2-D factor is an outer product).
-        ps = engine.post_scales
-        divisor = divisor / np.outer(ps, ps)
-    return _round_half_away(coefs / divisor).astype(np.int64)
+    levels = _quantize(_flat(coefs), _divisor(engine, _step(q)))
+    return levels.astype(np.int64).reshape(coefs.shape)
 
 
 def decode_block(coefs, q: np.ndarray) -> np.ndarray:
@@ -109,9 +156,9 @@ def decode_block(coefs, q: np.ndarray) -> np.ndarray:
 
     Works on one 8x8 block of coefficients or an (..., 8, 8) stack.
     """
-    c = np.asarray(coefs, dtype=np.float64) * q.astype(np.float64)
-    pixels = idct2d_oracle(c) + 128.0
-    return np.clip(_round_half_away(pixels), 0, 255).astype(np.int64)
+    levels = _as_blocks(coefs)
+    flat = np.array(levels, order="C").reshape(-1, 64)  # a copy: _decode overwrites it
+    return _decode(flat, _step(q)).astype(np.int64).reshape(levels.shape)
 
 
 def psnr(a: GrayImage, b: GrayImage) -> float:
@@ -121,7 +168,17 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
             f"image sizes differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
     diff = a.samples.astype(np.float64) - b.samples.astype(np.float64)
-    mse = float(np.mean(diff * diff))
+    return _psnr_db(diff.reshape(-1))
+
+
+def _psnr_db(diff: np.ndarray, count: int | None = None) -> float:
+    """PSNR of a flat array of 8-bit sample differences, over ``count``
+    samples (default: all of them).
+
+    Every squared difference is an integer <= 255**2, so the sum is exact
+    in any order below 2**53 and equals the one ``np.mean`` would take.
+    """
+    mse = float(np.dot(diff, diff)) / (diff.size if count is None else count)
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(PEAK * PEAK / mse)
@@ -132,11 +189,32 @@ def _pad_to_blocks(samples: np.ndarray) -> np.ndarray:
     return np.pad(samples, ((0, -h % 8), (0, -w % 8)), mode="edge")
 
 
-def _to_blocks(samples: np.ndarray) -> np.ndarray:
-    """Edge-pad to whole blocks; an (N, 8, 8) float stack in raster block order."""
-    padded = _pad_to_blocks(samples).astype(np.float64)
+def _blocks_of(padded: np.ndarray) -> np.ndarray:
+    """A block-aligned 2-D array as an (N, 8, 8) stack in raster block order."""
     ph, pw = padded.shape
     return padded.reshape(ph // 8, 8, pw // 8, 8).swapaxes(1, 2).reshape(-1, 8, 8)
+
+
+def _to_blocks(samples: np.ndarray) -> np.ndarray:
+    """Edge-pad to whole blocks; an (N, 8, 8) float stack in raster block order."""
+    return _blocks_of(_pad_to_blocks(samples)).astype(np.float64)
+
+
+def _padding_index(img: GrayImage) -> np.ndarray:
+    """Flat indices of the edge padding in the (N, 64) block stack of ``img``."""
+    padding = np.ones((-(-img.height // 8) * 8, -(-img.width // 8) * 8), dtype=bool)
+    padding[: img.height, : img.width] = False
+    return np.flatnonzero(_blocks_of(padding))
+
+
+def _stack_psnr(decoded: np.ndarray, pixels: np.ndarray, padding: np.ndarray,
+                scratch: np.ndarray) -> float:
+    """PSNR of a decoded (N, 64) pixel stack against the original one,
+    over the image's samples only: the differences at the flat indices
+    ``padding`` are zeroed, and the mean is over the rest."""
+    diff = np.subtract(decoded, pixels, out=scratch).reshape(-1)
+    diff[padding] = 0.0
+    return _psnr_db(diff, diff.size - padding.size)
 
 
 def _from_blocks(blocks: np.ndarray, like: GrayImage) -> GrayImage:
@@ -149,8 +227,9 @@ def _from_blocks(blocks: np.ndarray, like: GrayImage) -> GrayImage:
 
 def roundtrip_image(img: GrayImage, engine: DctEngine, quality: int) -> GrayImage:
     """Encode and decode every 8x8 block; crop away the replication padding."""
-    q = quant_table_for_quality(quality)
-    return _from_blocks(decode_block(encode_block(_to_blocks(img.samples), engine, q), q), img)
+    step = _step(quant_table_for_quality(quality))
+    coefs = dct2d(_to_blocks(img.samples) - 128.0, engine)
+    return _from_blocks(_decode(_quantize(_flat(coefs), _divisor(engine, step)), step), img)
 
 
 @dataclass(frozen=True)
@@ -198,12 +277,15 @@ def _fmt_db(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.3f}"
 
 
-def _mean_coef_error(blocks: np.ndarray, coefs: np.ndarray, engine: DctEngine) -> float:
+def _mean_coef_error(coefs: np.ndarray, oracle: np.ndarray, engine: DctEngine,
+                     scratch: np.ndarray) -> float:
     """Mean |cordic - oracle| discrepancy of the forward coefficients
-    ``coefs = dct2d(blocks, engine)`` of a level-shifted block stack."""
+    ``coefs`` of a level-shifted block stack, from ``dct2d`` with
+    ``engine``, and its exact transform ``oracle``; all three (N, 64)."""
     if engine.fold_into_quantizer:
-        coefs = coefs * np.outer(engine.post_scales, engine.post_scales)
-    per_block = np.abs(coefs - dct2d_oracle(blocks)).reshape(-1, 64).sum(axis=1)
+        ps = engine.post_scales
+        coefs = np.multiply(coefs, np.outer(ps, ps).reshape(64), out=scratch)
+    per_block = np.abs(np.subtract(coefs, oracle, out=scratch), out=scratch).sum(axis=1)
     # Block sums added one after another in raster order (cumsum, not a
     # pairwise sum), so the total's last bits are those of a block loop.
     return float(np.cumsum(per_block)[-1]) / (64 * len(per_block))
@@ -219,16 +301,26 @@ def sweep(
 ) -> PsnrReport:
     """Round-trip the image for every (epsilon, quality) pair.
 
-    The image is cut into an (N, 8, 8) block stack once; per epsilon the
-    forward transform runs once over the whole stack and every quality
-    quantizes and decodes those same coefficients.  A row's
-    ``saturations`` is the saturation count of that one forward pass.
+    The image is cut into an (N, 8, 8) block stack, and the stack's exact
+    oracle transform taken, once; per epsilon the forward transform runs
+    once over the whole stack and every quality quantizes and decodes
+    those same coefficients, in two buffers that every quality reuses.
+    PSNR is taken on the decoded block stack against the original blocks,
+    with the edge padding masked out; the decoded image is never
+    assembled.  A row's ``saturations`` is the saturation count of that
+    one forward pass.
 
     Rows come out sorted by epsilon then quality (descending quality, the
     high-to-low presentation order) and the whole computation is
     deterministic for fixed inputs.
     """
-    blocks = _to_blocks(img.samples) - 128.0
+    pixels = _flat(_to_blocks(img.samples))
+    blocks = (pixels - 128.0).reshape(-1, 8, 8)
+    oracle = _flat(dct2d_oracle(blocks))
+    padding = _padding_index(img)
+    qualities = sorted(qualities, reverse=True)
+    steps = {quality: _step(quant_table_for_quality(quality)) for quality in qualities}
+    levels = decoded = None
     rows = []
     for eps in sorted(epsilons):
         counter = OpCounter()
@@ -241,16 +333,23 @@ def sweep(
             mode=eng_mode,
             fold_into_quantizer=fold_into_quantizer,
         )
-        coefs = dct2d(blocks, engine)
-        coef_err = _mean_coef_error(blocks, coefs, engine)
-        for quality in sorted(qualities, reverse=True):
-            q = quant_table_for_quality(quality)
-            decoded = _from_blocks(decode_block(_quantize(coefs, engine, q), q), img)
+        coefs = _flat(dct2d(blocks, engine))
+        if levels is None:
+            # Taken after the first transform, so they sit above the space
+            # its temporaries freed and the next transform reuses that
+            # space; below it, the freed top of the heap goes back to the
+            # system and every transform pays its page faults again.
+            levels, decoded = np.empty_like(coefs), np.empty_like(coefs)
+        coef_err = _mean_coef_error(coefs, oracle, engine, levels)
+        for quality in qualities:
+            step = steps[quality]
+            _quantize(coefs, _divisor(engine, step), out=levels, scratch=decoded)
+            _decode(levels, step, out=decoded)
             rows.append(
                 PsnrRow(
                     epsilon=eps,
                     quality=quality,
-                    psnr_db=psnr(img, decoded),
+                    psnr_db=_stack_psnr(decoded, pixels, padding, levels),
                     mean_abs_coef_err=coef_err,
                     saturations=counter.saturations,
                 )

@@ -41,7 +41,7 @@ from .fixedpoint import (
     tally,
 )
 from .planner import IndexPolicy, RotationPlan, decompose
-from .rotator import CsdScale, csd_scale, rotate_float, rotate_raw
+from .rotator import CsdScale, csd_scale, overflow_limit, rotate_float, rotate_raw
 
 # The four rotation angles the flow graph needs, keyed for readability.
 DCT_ANGLES = {
@@ -221,6 +221,22 @@ class DctEngine:
         return max(0, ((fmt.max_raw << _BOUND_FRAC_BITS) - offset) // gain)
 
     @cached_property
+    def input_limit(self) -> float:
+        """Largest sample magnitude :func:`transform8` accepts.
+
+        It is :func:`~cordic_dct.rotator.overflow_limit` of the largest
+        factor by which a float value the transform computes can exceed
+        ``max|x|``: the float flow graph's growth (see :class:`_Magnitude`),
+        or in fixed point the quantizing multiply by ``2**frac_bits``, after
+        which the graph runs on range-checked integers.
+        """
+        if self.mode.is_fixed:
+            return overflow_limit(float(self.mode.fmt.raw_scale))
+        # The post-scales (at most 1/2) only shrink the graph's outputs.
+        unit = _Magnitude(1.0)
+        return overflow_limit(max(node.peak for node in _flow_float(self, [unit] * 8)))
+
+    @cached_property
     def _node_growth(self) -> tuple[int, int]:
         """(gain, offset) with |node| <= (gain*M + offset) / 2**_BOUND_FRAC_BITS
         at every range-checked node, for inputs with max|raw| <= M."""
@@ -262,6 +278,33 @@ class _NodeBound:
 
     def __rshift__(self, i: int) -> "_NodeBound":
         return _NodeBound(-(-self.gain >> i), -(-self.offset >> i) + (1 << _BOUND_FRAC_BITS))
+
+
+class _Magnitude:
+    """Upper bound ``bound * max|x|`` on the magnitude of one float
+    flow-graph node, and ``peak``, the largest bound of any node on the
+    way to it.
+
+    It supports what :func:`_flow_float` does to its columns:
+    ``|a +- b| <= A + B`` and ``|c * a| = |c| * A`` for a constant ``c``.
+    The bounds are rounded floats; the overflow margin covers that.
+    """
+
+    __slots__ = ("bound", "peak")
+
+    def __init__(self, bound: float, peak: float = 0.0):
+        self.bound = bound
+        self.peak = max(peak, bound)
+
+    def __add__(self, other: "_Magnitude") -> "_Magnitude":
+        return _Magnitude(self.bound + other.bound, max(self.peak, other.peak))
+
+    __sub__ = __add__
+
+    def __mul__(self, c: float) -> "_Magnitude":
+        return _Magnitude(self.bound * abs(c), self.peak)
+
+    __rmul__ = __mul__
 
 
 def _flow_float(engine: DctEngine, x: list) -> list:
@@ -426,13 +469,22 @@ def transform8(engine: DctEngine, X) -> np.ndarray:
     One ``(8,)`` vector runs the flow graph on Python numbers; a batch
     runs the same graph on NumPy columns, for the same bits.  Raises
     ``ValueError`` on any other shape (a block stack goes through
-    :func:`dct2d`) and on non-finite samples, in both arithmetic modes.
+    :func:`dct2d`) and on a sample that is non-finite or beyond the
+    engine's :attr:`DctEngine.input_limit`, in both arithmetic modes.
     """
     arr = np.asarray(X, dtype=np.float64)
     if arr.shape != (8,) and (arr.ndim != 2 or arr.shape[1] != 8):
         raise ValueError(f"expected rows of 8 samples, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite sample in transform input")
+    limit = engine.input_limit
+    if arr.ndim == 1:  # on Python floats, cheaper than two NumPy reductions
+        within = all(-limit <= v <= limit for v in arr.tolist())
+    else:  # two reductions and no temporary
+        within = -limit <= arr.min(initial=limit) and arr.max(initial=-limit) <= limit
+    if not within:  # NaN fails every comparison
+        raise ValueError(
+            f"transform input non-finite or beyond {limit:.4g}, where the "
+            "transform could overflow binary64"
+        )
     if engine.mode.is_fixed:
         return _transform8_fixed(engine, arr)
     return _transform8_float(engine, arr)

@@ -21,6 +21,7 @@ columns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .fixedpoint import ArithmeticMode, fit_raw, tally
@@ -85,14 +86,36 @@ def micro_rotate(v: Vector2, step: MicroRotation, mode: ArithmeticMode = Arithme
     Fixed-point mode quantizes, runs the raw shift-add kernel, and
     converts back; chained fixed-point steps should go through
     :func:`apply_plan`, which stays in the raw domain throughout.
-    Raises ``ValueError`` on a non-finite component, in both modes.
+    Raises ``ValueError`` on a component that is non-finite or beyond
+    :func:`overflow_limit` of the growth ``sqrt2 * hypot(1, 2**-i)``, in
+    both modes.
     """
-    return _rotate_vector(v, (step,), None, mode)
+    return _rotate_vector(v, (step,), math.hypot(1.0, 2.0 ** -step.index), None, mode)
 
 
-def _check_finite(v: Vector2) -> None:
-    if not (math.isfinite(v.x) and math.isfinite(v.y)):
-        raise ValueError(f"non-finite vector component in ({v.x!r}, {v.y!r})")
+# Headroom the input limits leave below binary64 overflow: it covers the
+# rounding of a growth bound and of the values it bounds, and keeps the
+# outputs small enough for a caller to subtract a reference from them.
+OVERFLOW_MARGIN = 2.0
+
+
+def overflow_limit(growth: float) -> float:
+    """Largest input magnitude for a computation whose values are at most
+    ``growth`` times its largest input: ``DBL_MAX / (OVERFLOW_MARGIN * growth)``."""
+    return sys.float_info.max / (OVERFLOW_MARGIN * growth)
+
+
+def _check_input(v: Vector2, growth: float) -> None:
+    """Refuse a component that is non-finite or beyond the limit of
+    unscaled steps that grow a vector's norm ``growth`` times: the norm is
+    at most sqrt2 times the larger component, and each step only grows it,
+    so ``sqrt2 * growth`` bounds every component on the way."""
+    limit = overflow_limit(math.sqrt(2.0) * growth)
+    if not (abs(v.x) <= limit and abs(v.y) <= limit):
+        raise ValueError(
+            f"vector component in ({v.x!r}, {v.y!r}) is non-finite or beyond "
+            f"{limit:.4g}, where the rotation could overflow binary64"
+        )
 
 
 def rotate_float(x, y, steps, gain: float | None = None):
@@ -138,19 +161,23 @@ def apply_plan(
     With ``compensate`` the result approximates the ideal rotation of
     ``v`` by ``plan.target`` to within the plan tolerance.  The
     fixed-point path compensates via a CSD expansion of the gain (shift
-    and add only).  Raises ``ValueError`` on a non-finite component, in
-    both modes.
+    and add only).  Raises ``ValueError`` on a component that is
+    non-finite or beyond :func:`overflow_limit` of the growth
+    ``sqrt2 / plan.gain``, in both modes.
     """
-    return _rotate_vector(v, plan.steps, plan.gain if compensate else None, mode)
+    return _rotate_vector(v, plan.steps, 1.0 / plan.gain, plan.gain if compensate else None, mode)
 
 
-def _rotate_vector(v: Vector2, steps, gain: float | None, mode: ArithmeticMode) -> Vector2:
-    """Rotate one vector by ``steps``, then scale it by ``gain`` if given.
+def _rotate_vector(
+    v: Vector2, steps, growth: float, gain: float | None, mode: ArithmeticMode
+) -> Vector2:
+    """Rotate one vector by ``steps``, which grow its norm ``growth``
+    times, then scale it by ``gain`` if given.
 
     Fixed point quantizes, stays in the raw domain throughout, compensates
     via a CSD expansion of the gain, and charges the mode's counter.
     """
-    _check_finite(v)
+    _check_input(v, growth)
     if not mode.is_fixed:
         return Vector2(*rotate_float(v.x, v.y, steps, gain))
 

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 
 from cordic_dct.cli import format_angle, main, parse_angle
 from cordic_dct.codec import GrayImage
+from cordic_dct.dct8 import DctEngine, _flow_float, _Magnitude
 from cordic_dct.fixedpoint import FixedPointFormat
+from cordic_dct.planner import decompose
 from cordic_dct.pgm import write_pgm
 
 
@@ -98,6 +102,72 @@ def test_rotate_non_finite_or_out_of_range_input_fails(data, mode, bits, which, 
     if not compensate:
         argv.append("--no-compensate")
     assert_refused(*run_quiet(argv), "rotated")
+
+
+def beyond(limit: float):
+    """Finite values of either sign over ``limit``, as text."""
+    magnitude = st.floats(limit, sys.float_info.max, exclude_min=True)
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda t: repr(t[0] * t[1]))
+
+
+def run_strict(argv, stdin=""):
+    """``run_quiet`` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_quiet(argv, stdin)
+
+
+@given(
+    data=st.data(),
+    mode=st.sampled_from(["float", "fixed"]),
+    bits=st.sampled_from([(24, 8), (16, 5), (32, 16)]),
+    count=st.sampled_from([8, 64]),
+)
+def test_dct_input_beyond_the_overflow_limit_fails(data, mode, bits, count):
+    # Half of DBL_MAX over the largest factor by which a value the transform
+    # computes can exceed its input: the float flow graph's growth, or the
+    # fixed-point quantizer's 2**frac.
+    eps = data.draw(st.floats(1e-6, 1e-2))
+    if mode == "float":
+        growth = max(node.peak for node in _flow_float(DctEngine(eps), [_Magnitude(1.0)] * 8))
+    else:
+        growth = 2.0 ** bits[1]
+    values = data.draw(st.lists(st.floats(-255, 255).map(repr), min_size=count, max_size=count))
+    values[data.draw(st.integers(0, count - 1))] = data.draw(
+        beyond(sys.float_info.max / (2.0 * growth)))
+    rc, out = run_strict(["dct", "--input=-", f"--eps={eps!r}", *mode_args(mode, bits)],
+                         " ".join(values))
+    assert_refused(rc, out, "coefficients")
+
+
+@given(
+    data=st.data(),
+    mode=st.sampled_from(["float", "fixed"]),
+    which=st.sampled_from(["x", "y"]),
+    compensate=st.booleans(),
+)
+def test_rotate_input_beyond_the_overflow_limit_fails(data, mode, which, compensate):
+    args = {
+        "angle": repr(data.draw(st.floats(-math.pi / 2, math.pi / 2))),
+        "eps": repr(data.draw(st.floats(1e-6, 1e-2))),
+        "x": repr(data.draw(st.floats(-2, 2))),
+        "y": repr(data.draw(st.floats(-2, 2))),
+    }
+    plan = decompose(float(args["angle"]), float(args["eps"]))
+    # Half of DBL_MAX over the rotation's growth: sqrt2 times the norm growth 1 / plan.gain.
+    growth = math.sqrt(2.0) * (1.0 / plan.gain)
+    args[which] = data.draw(beyond(sys.float_info.max / (2.0 * growth)))
+    argv = ["rotate", *(f"--{k}={v}" for k, v in args.items()), *mode_args(mode, (16, 12))]
+    if not compensate:
+        argv.append("--no-compensate")
+    assert_refused(*run_strict(argv), "rotated")
+
+
+def test_binary64_overflow_examples_fail():
+    assert_refused(*run_strict(["dct", "--input=-"], " ".join(["1e308"] * 8)), "coefficients")
+    assert_refused(*run_strict(["rotate", "--angle=pi/4", "--x=1e308", "--y=1e308"]), "rotated")
+    rc, out = run_strict(["dct", "--input=-"], " ".join(["1e300"] + ["0"] * 7))
+    assert rc == 0 and "coefficients" in out
 
 
 class TestAngleParsing:

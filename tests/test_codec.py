@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cordic_dct.codec import (
     BASE_LUMA_QUANT,
@@ -325,6 +327,93 @@ class TestBatchedCodecMatchesBlockLoop:
             assert row.psnr_db == psnr(img, ref_images[row.quality])
             assert row.mean_abs_coef_err == ref_err
             assert row.saturations == ref_sats
+
+
+@settings(max_examples=40)
+@given(
+    size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    qualities=st.lists(st.integers(1, 100), min_size=1, max_size=3),
+    bits=st.sampled_from([None, (16, 5)]),
+    fold=st.booleans(),
+    flat=st.one_of(st.none(), st.just(128), st.integers(0, 255)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_equals_the_reference_chain(size, qualities, bits, fold, flat, seed):
+    """Every sweep row equals PSNR of ``roundtrip_image`` (exactly, inf
+    included) and the block loop's coefficient error and saturations, on
+    sizes that are mostly padded."""
+    if flat is None:
+        samples = np.random.default_rng(seed).integers(0, 256, size=size).astype(np.uint8)
+    else:
+        samples = np.full(size, flat, dtype=np.uint8)
+    img = GrayImage.from_array(samples)
+
+    def engine():
+        mode = None
+        if bits is not None:
+            mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE, OpCounter())
+        return DctEngine(epsilon=1e-3, mode=mode, fold_into_quantizer=fold)
+
+    ref_images, ref_err, ref_sats = _blockwise_reference(img, engine(), set(qualities))
+    mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+    rows = sweep(img, [1e-3], qualities, mode=mode, fold_into_quantizer=fold).rows
+    assert [r.quality for r in rows] == sorted(qualities, reverse=True)
+    for row in rows:
+        decoded = roundtrip_image(img, engine(), row.quality)
+        assert np.array_equal(decoded.samples, ref_images[row.quality].samples)
+        assert row.psnr_db == psnr(img, decoded)
+        assert row.mean_abs_coef_err == ref_err
+        assert row.saturations == ref_sats
+        if flat == 128:  # an all-zero transform is lossless at every quality
+            assert row.psnr_db == math.inf
+
+
+class TestSweepMechanism:
+    """``sweep`` scores the decoded block stack, hoists its per-image work
+    out of the epsilon loop, and leaves the public dtypes as they were."""
+
+    def test_no_image_is_assembled(self, monkeypatch):
+        from cordic_dct import codec
+
+        img = GrayImage.from_array(RNG.integers(0, 256, size=(21, 30)).astype(np.uint8))
+        want = sweep(img, [1e-3, 1e-4], [90, 40]).to_json()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called inside sweep")
+
+        monkeypatch.setattr(codec, "_from_blocks", refuse)
+        monkeypatch.setattr(codec, "psnr", refuse)
+        assert sweep(img, [1e-3, 1e-4], [90, 40]).to_json() == want
+
+    def test_one_oracle_transform_per_sweep(self, monkeypatch):
+        from cordic_dct import codec
+
+        calls = []
+
+        def counting(block):
+            calls.append(np.shape(block))
+            return dct2d_oracle(block)
+
+        monkeypatch.setattr(codec, "dct2d_oracle", counting)
+        img = GrayImage.from_array(RNG.integers(0, 256, size=(24, 17)).astype(np.uint8))
+        sweep(img, [1e-3, 1e-4, 1e-6], [95, 75])
+        assert calls == [(9, 8, 8)]
+
+    def test_public_dtypes(self):
+        eng = DctEngine(epsilon=1e-4)
+        q = quant_table_for_quality(75)
+        img = GrayImage.from_array(RNG.integers(0, 256, size=(13, 9)).astype(np.uint8))
+        assert roundtrip_image(img, eng, 75).samples.dtype == np.uint8
+        block = RNG.integers(0, 256, size=(8, 8)).astype(np.float64)
+        for x in (block, np.stack([block, block[::-1]])):
+            coefs = encode_block(x, eng, q)
+            assert coefs.dtype == np.int64 and coefs.shape == x.shape
+            pixels = decode_block(coefs, q)
+            assert pixels.dtype == np.int64 and pixels.shape == x.shape
+
+    def test_decode_block_refuses_a_bad_shape(self):
+        with pytest.raises(ValueError):
+            decode_block(np.zeros((4, 16)), quant_table_for_quality(50))
 
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"

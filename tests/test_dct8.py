@@ -4,6 +4,8 @@ fixed-point behaviour and the separable 2-D transform."""
 import itertools
 import json
 import math
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -546,3 +548,73 @@ class TestSafeInputBound:
         assert checked == []
         dct8_cordic(np.full(8, 3000.0), engine)
         assert checked  # above the bound every node is range-checked
+
+
+DBL_MAX = sys.float_info.max
+LIMIT_MODES = [None, (24, 8), (16, 5), (32, 30)]
+
+
+def _limit_engine(eps, compensation, fold, bits):
+    mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+    return DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+
+
+class TestInputLimit:
+    """``transform8`` refuses samples beyond ``input_limit``; below it no
+    float value the transform computes overflows binary64."""
+
+    @given(
+        eps=st.floats(1e-6, 1e-2),
+        compensation=st.sampled_from(["folded", "per_rotator"]),
+        fold=st.booleans(),
+        bits=st.sampled_from(LIMIT_MODES),
+        rows=st.lists(
+            st.lists(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+                     min_size=8, max_size=8),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_inputs_up_to_the_limit_stay_finite(self, eps, compensation, fold, bits, rows):
+        engine = _limit_engine(eps, compensation, fold, bits)
+        x = np.array(rows) * engine.input_limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the test
+            batch = transform8(engine, x)
+            single = dct8_cordic(x[0], engine)
+            assert np.isfinite(batch).all() and np.isfinite(single).all()
+            if bits is None:  # what the CLI computes next
+                assert np.isfinite(single - dct8_oracle(x[0])).all()
+
+    @pytest.mark.parametrize("bits", LIMIT_MODES)
+    def test_inputs_beyond_the_limit_are_refused(self, bits):
+        engine = _limit_engine(1e-4, "folded", False, bits)
+        beyond = np.nextafter(engine.input_limit, math.inf)
+        for value in (beyond, -beyond, DBL_MAX, 1e308):
+            x = np.zeros((2, 8))
+            x[1, 3] = value
+            with pytest.raises(ValueError, match="beyond"):
+                transform8(engine, x)
+            with pytest.raises(ValueError, match="beyond"):
+                dct8_cordic(x[1], engine)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-6])
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    def test_limit_keeps_the_graph_within_half_of_dbl_max(self, eps, compensation):
+        # At the limit, no sign vertex drives an unscaled output past
+        # DBL_MAX / 2, so a caller can still subtract a reference from it.
+        engine = DctEngine(eps, compensation=compensation)
+        vertices = np.array(list(itertools.product((-1.0, 1.0), repeat=8)))
+        cols = dct8._flow_float(engine, list((vertices * engine.input_limit).T))
+        assert np.abs(np.stack(cols, axis=1)).max() <= DBL_MAX / 2
+
+    def test_1e300_is_answered(self):
+        for bits in (None, (24, 8)):
+            out = dct8_cordic([1e300] + [0.0] * 7, _limit_engine(1e-4, "folded", False, bits))
+            assert np.isfinite(out).all()
+
+    def test_float_limit_builds_no_csd_constants(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csd_scale called")
+
+        monkeypatch.setattr(dct8, "csd_scale", refuse)
+        assert 6e306 < DctEngine(1e-4).input_limit < 8e306

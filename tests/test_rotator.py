@@ -2,6 +2,7 @@
 fixed-point arithmetic semantics and instrumentation."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from cordic_dct.rotator import (
     csd_scale,
     ideal_rotation_matrix,
     micro_rotate,
+    overflow_limit,
     plan_matrix,
 )
 
@@ -275,3 +277,47 @@ class TestFixedPointRotation:
             bound = (len(plan.steps) + 2) * 2.0 ** (-fmt.frac_bits + 1)
             assert abs(fixed.x - exact.x) <= bound
             assert abs(fixed.y - exact.y) <= bound
+
+
+class TestOverflowLimit:
+    """Float and fixed rotations refuse a component beyond
+    ``overflow_limit(sqrt2 * growth)``, the steps' norm growth being
+    ``1 / plan.gain``; below it nothing overflows binary64."""
+
+    @given(
+        theta=st.floats(-PI / 2, PI / 2),
+        eps=st.floats(1e-6, 1e-2),
+        xs=st.tuples(*[st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))] * 2),
+        compensate=st.booleans(),
+    )
+    def test_components_up_to_the_limit_stay_finite(self, theta, eps, xs, compensate):
+        plan = decompose(theta, eps)
+        limit = overflow_limit(math.sqrt(2.0) * (1.0 / plan.gain))
+        v = Vector2(xs[0] * limit, xs[1] * limit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_plan(v, plan, compensate=compensate)
+            ideal = ideal_rotation_matrix(theta).apply(v)  # what the CLI computes next
+            assert math.isfinite(math.hypot(out.x - ideal.x, out.y - ideal.y))
+            for step in plan.steps[:1]:
+                step_limit = overflow_limit(math.sqrt(2.0) * math.hypot(1.0, 2.0 ** -step.index))
+                out = micro_rotate(Vector2(xs[0] * step_limit, xs[1] * step_limit), step)
+                assert math.isfinite(out.x) and math.isfinite(out.y)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_components_beyond_the_limit_are_refused(self, fixed):
+        mode = ArithmeticMode.fixed(16, 12) if fixed else ArithmeticMode.exact()
+        plan = decompose(PI / 4, 1e-4)
+        beyond = math.nextafter(overflow_limit(math.sqrt(2.0) * (1.0 / plan.gain)), math.inf)
+        for value in (beyond, -beyond, 1e308):
+            for v in (Vector2(value, 0.0), Vector2(0.0, value)):
+                with pytest.raises(ValueError, match="beyond"):
+                    apply_plan(v, plan, mode, compensate=True)
+        step = MicroRotation(0, 1)
+        beyond = math.nextafter(overflow_limit(2.0), math.inf)
+        with pytest.raises(ValueError, match="beyond"):
+            micro_rotate(Vector2(beyond, 0.0), step, mode)
+
+    def test_1e300_is_answered(self):
+        out = apply_plan(Vector2(1e300, 1e300), decompose(PI / 4, 1e-4), compensate=True)
+        assert math.isfinite(out.x) and math.isfinite(out.y)
