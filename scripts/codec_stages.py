@@ -1,91 +1,140 @@
 #!/usr/bin/env python3
-"""Per-stage times of one codec sweep epsilon, in milliseconds.
+"""Per-stage times and page faults of the codec sweep, per tile and per op.
 
 Usage:
     PYTHONPATH=src python scripts/codec_stages.py
 
-Times each stage that ``codec.sweep`` runs for one epsilon (1e-4, exact
-float) on the bundled 512x512 ``photo_proxy`` image, through the same
-helpers ``sweep`` calls, and prints the minimum of 5 runs per stage:
-blocking and the oracle transform (once per sweep), the forward
-``dct2d`` and the coefficient error (once per epsilon), and quantize,
-decode and PSNR per quality.  The last line times the whole ``sweep``
-call for that one epsilon and five qualities.
+``codec.sweep`` runs over tiles of ``codec._TILE_BLOCKS`` blocks.  This
+script times each stage it runs on one full tile of the bundled 512x512
+``photo_proxy`` image, through the same helpers, for one epsilon (1e-4,
+exact float): the level shift and the oracle transform (once per tile),
+the forward ``dct2d`` and the coefficient errors (once per tile and
+epsilon), and quantize, decode and the squared-error sum per quality.
+Each line gives the minimum wall time of 5 runs and the median of their
+minor page faults (``resource.getrusage(...).ru_minflt``).
+
+The last lines time benchmark-shaped ops, each a fresh ``read_pgm`` of
+the image, one ``sweep`` and ``to_csv``: one epsilon and five qualities
+on the 512x512 image in float, and two epsilons and two qualities on a
+128x128 one in saturating 24.8 and 16.5 fixed point.
 """
 
+import resource
+import statistics
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from cordic_dct import codec
 from cordic_dct.dct8 import DctEngine, dct2d, dct2d_oracle
+from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy
 from cordic_dct.images import photo_proxy
+from cordic_dct.pgm import read_pgm, write_pgm
 
 EPSILON = 1e-4
 QUALITIES = (95, 90, 85, 80, 75)
 REPEAT = 5
 
 
-def best_ms(fn, setup=None) -> float:
-    """Minimum wall time of ``REPEAT`` calls of ``fn``, in ms; ``setup``,
-    if given, runs untimed before each call."""
-    times = []
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def measure(fn, setup=None) -> tuple[float, float]:
+    """Minimum wall time in ms and median minor page faults of ``REPEAT``
+    calls of ``fn``; ``setup``, if given, runs untimed before each call."""
+    times, faults = [], []
     for _ in range(REPEAT):
         if setup is not None:
             setup()
-        t0 = time.perf_counter()
+        f0, t0 = _minflt(), time.perf_counter()
         fn()
-        times.append(time.perf_counter() - t0)
-    return 1e3 * min(times)
+        t1, f1 = time.perf_counter(), _minflt()
+        times.append(t1 - t0)
+        faults.append(f1 - f0)
+    return 1e3 * min(times), statistics.median(faults)
 
 
-def main():
-    img = photo_proxy(512)
+def tile_stages(img) -> list:
+    """``(name, ms, faults)`` of each stage ``sweep`` runs on the first tile."""
     engine = DctEngine(epsilon=EPSILON)
+    blocks = codec._blocks_of(codec._pad_to_blocks(img.samples)).reshape(-1, 64)
+    tile = blocks[: codec._TILE_BLOCKS]
 
-    def blocking():
-        pixels = codec._flat(codec._to_blocks(img.samples))
-        return pixels, (pixels - 128.0).reshape(-1, 8, 8), codec._padding_index(img)
+    def level_shift():
+        pixels = tile.astype(np.float64)
+        return pixels, (pixels - 128.0).reshape(-1, 8, 8)
 
-    pixels, blocks, padding = blocking()
-    oracle = codec._flat(dct2d_oracle(blocks))
-    coefs = dct2d(blocks, engine)
-    flat = codec._flat(coefs)
-    levels, decoded = np.empty_like(pixels), np.empty_like(pixels)
-
+    pixels, shifted = level_shift()
+    oracle = codec._flat(dct2d_oracle(shifted))
+    coefs = codec._flat(dct2d(shifted, engine))
+    levels, decoded = np.empty_like(coefs), np.empty_like(coefs)
+    errors = np.empty(len(tile))
     rows = [
-        ("blocking (per sweep)", best_ms(blocking)),
-        ("oracle dct2d (per sweep)", best_ms(lambda: dct2d_oracle(blocks))),
-        ("forward dct2d", best_ms(lambda: dct2d(blocks, engine))),
-        ("coefficient stack to (N, 64)", best_ms(lambda: codec._flat(coefs))),
-        ("coefficient error",
-         best_ms(lambda: codec._mean_coef_error(flat, oracle, engine, levels))),
+        ("level shift", *measure(level_shift)),
+        ("oracle dct2d", *measure(lambda: dct2d_oracle(shifted))),
+        ("forward dct2d to (n, 64)", *measure(lambda: codec._flat(dct2d(shifted, engine)))),
+        ("coefficient errors",
+         *measure(lambda: codec._block_coef_errors(coefs, oracle, engine, levels, errors))),
     ]
-    per_quality = {"quantize": 0.0, "decode": 0.0, "psnr": 0.0}
+    per_quality = {"quantize": [0.0, 0.0], "decode": [0.0, 0.0], "sse": [0.0, 0.0]}
     for quality in QUALITIES:
         step = codec._step(codec.quant_table_for_quality(quality))
         divisor = codec._divisor(engine, step)
-        quantized = codec._quantize(flat, divisor)
+        quantized = codec._quantize(coefs, divisor)
         stages = {  # in order: each reads what the one before wrote
-            "quantize": (lambda: codec._quantize(flat, divisor, out=levels, scratch=decoded),
+            "quantize": (lambda: codec._quantize(coefs, divisor, out=levels, scratch=decoded),
                          None),
             # decoding overwrites the levels, so each run starts from a copy
             "decode": (lambda: codec._decode(levels, step, out=decoded),
                        lambda: np.copyto(levels, quantized)),
-            "psnr": (lambda: codec._stack_psnr(decoded, pixels, padding, levels), None),
+            "sse": (lambda: codec._stack_sse(decoded, pixels, 0, img, levels), None),
         }
         for name, (fn, setup) in stages.items():
-            ms = best_ms(fn, setup)
-            per_quality[name] += ms / len(QUALITIES)
-            rows.append((f"Q{quality} {name}", ms))
-    rows += [(f"mean {name} per quality", ms) for name, ms in per_quality.items()]
-    rows.append((f"sweep, 1 eps x {len(QUALITIES)} Q",
-                 best_ms(lambda: codec.sweep(img, [EPSILON], QUALITIES))))
+            ms, faults = measure(fn, setup)
+            per_quality[name][0] += ms / len(QUALITIES)
+            per_quality[name][1] += faults / len(QUALITIES)
+    rows += [(f"mean {name} per quality", ms, faults)
+             for name, (ms, faults) in per_quality.items()]
+    return rows
 
-    print(f"{img.width}x{img.height} photo_proxy, eps {EPSILON:g}, float; "
-          f"min of {REPEAT} runs")
-    for name, ms in rows:
-        print(f"{name:<32} {ms:8.2f} ms")
+
+def op_rows(directory: Path) -> list:
+    """``(name, ms, faults)`` of benchmark-shaped ops: fresh ``read_pgm``,
+    one ``sweep`` and ``to_csv``."""
+    ops = [
+        ("128^2 24.8 op, 2 eps x 2 Q", 128, [1e-3, 1e-4], (90, 75), (24, 8)),
+        ("128^2 16.5 op, 2 eps x 2 Q", 128, [1e-3, 1e-4], (90, 75), (16, 5)),
+        ("512^2 float op, 1 eps x 5 Q", 512, [EPSILON], QUALITIES, None),
+    ]  # smallest first: a larger op's heap growth would hide a smaller one's faults
+    rows = []
+    for name, size, epsilons, qualities, bits in ops:
+        path = directory / f"photo{size}.pgm"
+        write_pgm(photo_proxy(size), path)
+        mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+
+        def op():
+            codec.sweep(read_pgm(path), epsilons, qualities, mode=mode).to_csv()
+
+        op()  # warm-up: the engines' plans and the first heap growth
+        rows.append((name, *measure(op)))
+    return rows
+
+
+def main():
+    img = photo_proxy(512)
+    tiles = -(-len(codec._blocks_of(codec._pad_to_blocks(img.samples))) // codec._TILE_BLOCKS)
+    with tempfile.TemporaryDirectory() as directory:
+        ops = op_rows(Path(directory))  # before the stages, which grow the heap
+    rows = tile_stages(img) + ops
+
+    print(f"{img.width}x{img.height} photo_proxy: {tiles} tiles of {codec._TILE_BLOCKS} "
+          f"blocks; eps {EPSILON:g}, float; min ms and median faults of {REPEAT} runs")
+    print(f"{'per tile':<32} {'ms':>8} {'faults':>8}")
+    for name, ms, faults in rows:
+        print(f"{name:<32} {ms:8.2f} {faults:8.0f}")
 
 
 if __name__ == "__main__":

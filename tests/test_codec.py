@@ -2,11 +2,12 @@
 PGM io."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cordic_dct.codec import (
@@ -338,6 +339,13 @@ class TestBatchedCodecMatchesBlockLoop:
     flat=st.one_of(st.none(), st.just(128), st.integers(0, 255)),
     seed=st.integers(0, 2**32 - 1),
 )
+# Larger than one sweep tile (1024 blocks): edge padding in every tile
+# (257x260), in none (264x264, 8x8200), and in a last tile of one block
+# (8x8199).
+@example(size=(264, 264), qualities=[90, 50], bits=None, fold=False, flat=None, seed=1)
+@example(size=(257, 260), qualities=[95, 10], bits=(16, 5), fold=True, flat=None, seed=3)
+@example(size=(8, 8200), qualities=[75], bits=None, fold=True, flat=None, seed=5)
+@example(size=(8, 8199), qualities=[90], bits=(16, 5), fold=False, flat=None, seed=6)
 def test_sweep_equals_the_reference_chain(size, qualities, bits, fold, flat, seed):
     """Every sweep row equals PSNR of ``roundtrip_image`` (exactly, inf
     included) and the block loop's coefficient error and saturations, on
@@ -385,19 +393,55 @@ class TestSweepMechanism:
         monkeypatch.setattr(codec, "psnr", refuse)
         assert sweep(img, [1e-3, 1e-4], [90, 40]).to_json() == want
 
-    def test_one_oracle_transform_per_sweep(self, monkeypatch):
+    def test_every_block_through_the_oracle_once_per_sweep(self, monkeypatch):
         from cordic_dct import codec
 
         calls = []
 
-        def counting(block):
-            calls.append(np.shape(block))
+        def recording(block):
+            calls.append(np.array(block))
             return dct2d_oracle(block)
 
-        monkeypatch.setattr(codec, "dct2d_oracle", counting)
-        img = GrayImage.from_array(RNG.integers(0, 256, size=(24, 17)).astype(np.uint8))
+        monkeypatch.setattr(codec, "dct2d_oracle", recording)
+        # 3 x 513 blocks: two tiles, with edge padding in both
+        img = GrayImage.from_array(RNG.integers(0, 256, size=(17, 4100)).astype(np.uint8))
         sweep(img, [1e-3, 1e-4, 1e-6], [95, 75])
-        assert calls == [(9, 8, 8)]
+        blocks = codec._to_blocks(img.samples)
+        assert len(blocks) > codec._TILE_BLOCKS
+        assert len(calls) == -(-len(blocks) // codec._TILE_BLOCKS)  # once per tile, not per eps
+        assert np.array_equal(np.concatenate(calls), blocks - 128.0)  # each block once, in order
+
+    def test_psnr_takes_no_blas_dot(self, monkeypatch):
+        img = GrayImage.from_array(RNG.integers(0, 256, size=(40, 33)).astype(np.uint8))
+        other = GrayImage.from_array(255 - img.samples)
+        want = sweep(img, [1e-3], [90, 40]).to_json(), psnr(img, other)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.dot called")
+
+        monkeypatch.setattr(np, "dot", refuse)
+        assert (sweep(img, [1e-3], [90, 40]).to_json(), psnr(img, other)) == want
+
+    def test_working_set_is_bounded_by_the_tile(self):
+        """Quadrupling the image grows the traced peak of a sweep by its
+        per-image inputs only: the uint8 block stack (64 bytes a block) and
+        the per-epsilon block errors (8 bytes a block and epsilon), not by
+        float64 arrays the size of the image (512 bytes a block each)."""
+        epsilons, qualities = [1e-3, 1e-4], [75]
+
+        def traced_peak(img):
+            sweep(img, epsilons, qualities)  # plans and lazy engine state warm
+            tracemalloc.start()
+            try:
+                sweep(img, epsilons, qualities)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = photo_proxy(512), photo_proxy(1024)
+        extra_blocks = (1024**2 - 512**2) // 64
+        inputs = extra_blocks * (64 + 8 * len(epsilons))
+        assert traced_peak(large) - traced_peak(small) <= inputs + 64 * 1024
 
     def test_public_dtypes(self):
         eng = DctEngine(epsilon=1e-4)
