@@ -7,9 +7,11 @@ Usage:
 ``codec.sweep`` runs over tiles of ``codec._TILE_BLOCKS`` blocks.  This
 script times each stage it runs on one full tile of the bundled 512x512
 ``photo_proxy`` image, through the same helpers, for one epsilon (1e-4,
-exact float): the level shift and the oracle transform (once per tile),
-the forward ``dct2d`` and the coefficient errors (once per tile and
-epsilon), and quantize, decode and the squared-error sum per quality.
+exact float): the transpose of the tile into (64, n) planes with the level
+shift, and the oracle transform with its own level shift (once per tile),
+the forward transform on the planes and the coefficient errors (once per
+tile and epsilon), and quantize, decode and the squared-error sum per
+quality.
 Each line gives the minimum wall time of 5 runs and the median of their
 minor page faults (``resource.getrusage(...).ru_minflt``).
 
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from cordic_dct import codec
-from cordic_dct.dct8 import DctEngine, dct2d, dct2d_oracle
+from cordic_dct.dct8 import DctEngine, _dct2d_planes, _planes, dct2d_oracle
 from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy
 from cordic_dct.images import photo_proxy
 from cordic_dct.pgm import read_pgm, write_pgm
@@ -63,21 +65,27 @@ def tile_stages(img) -> list:
     blocks = codec._blocks_of(codec._pad_to_blocks(img.samples)).reshape(-1, 64)
     tile = blocks[: codec._TILE_BLOCKS]
 
-    def level_shift():
-        pixels = tile.astype(np.float64)
-        return pixels, (pixels - 128.0).reshape(-1, 8, 8)
+    def planes_and_shift():
+        pixels = _planes(tile)
+        return pixels, np.subtract(pixels, 128.0, dtype=np.float64)
 
-    pixels, shifted = level_shift()
-    oracle = codec._flat(dct2d_oracle(shifted))
-    coefs = codec._flat(dct2d(shifted, engine))
+    def oracle():
+        return dct2d_oracle(
+            np.subtract(tile, 128.0, dtype=np.float64).reshape(-1, 8, 8)
+        ).reshape(-1, 64)
+
+    pixels, shifted = planes_and_shift()
+    exact = oracle()
+    coefs = _dct2d_planes(engine, shifted)
     levels, decoded = np.empty_like(coefs), np.empty_like(coefs)
     errors = np.empty(len(tile))
+    scratch = levels.reshape(-1, 64)
     rows = [
-        ("level shift", *measure(level_shift)),
-        ("oracle dct2d", *measure(lambda: dct2d_oracle(shifted))),
-        ("forward dct2d to (n, 64)", *measure(lambda: codec._flat(dct2d(shifted, engine)))),
+        ("planes and level shift", *measure(planes_and_shift)),
+        ("oracle dct2d", *measure(oracle)),
+        ("forward dct2d on planes", *measure(lambda: _dct2d_planes(engine, shifted))),
         ("coefficient errors",
-         *measure(lambda: codec._block_coef_errors(coefs, oracle, engine, levels, errors))),
+         *measure(lambda: codec._block_coef_errors(coefs, exact, engine, scratch, errors))),
     ]
     per_quality = {"quantize": [0.0, 0.0], "decode": [0.0, 0.0], "sse": [0.0, 0.0]}
     for quality in QUALITIES:

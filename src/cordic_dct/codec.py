@@ -17,7 +17,7 @@ from io import StringIO
 
 import numpy as np
 
-from .dct8 import DCT_MATRIX, DctEngine, _as_blocks, dct2d, dct2d_oracle
+from .dct8 import DCT_MATRIX, DctEngine, _as_blocks, _dct2d_planes, _planes, dct2d_oracle
 from .fixedpoint import ArithmeticMode, OpCounter
 from .planner import IndexPolicy
 
@@ -60,12 +60,20 @@ class GrayImage:
 
     @classmethod
     def from_array(cls, arr) -> "GrayImage":
+        """An image of a 2-D array of integral sample values in [0, 255].
+
+        Raises ``ValueError`` on an empty array and on a sample that is
+        non-finite, outside that range or not an integer (``12.7``), rather
+        than casting it.
+        """
         a = np.asarray(arr)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-D array")
+        if a.ndim != 2 or a.size == 0:
+            raise ValueError("expected a non-empty 2-D array")
         if a.dtype != np.uint8:
-            if a.min() < 0 or a.max() > 255:
-                raise ValueError("sample values outside [0, 255]")
+            if not np.all((a >= 0) & (a <= 255)):  # NaN fails both
+                raise ValueError("sample values non-finite or outside [0, 255]")
+            if a.dtype.kind not in "biu" and not np.array_equal(a, np.trunc(a)):
+                raise ValueError("sample values must be integers")
             a = a.astype(np.uint8)
         return cls(width=a.shape[1], height=a.shape[0], samples=a)
 
@@ -83,73 +91,105 @@ def quant_table_for_quality(quality: int) -> np.ndarray:
     return np.clip(q, 1, 255).astype(np.int64)
 
 
-def _round_half_away(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Round to the nearest integer, ties away from zero.
+_SIGN_BIT = np.int64(-(1 << 63))  # a float64's sign bit, as int64
+_HALF_BITS = np.float64(0.5).view(np.int64)
 
-    With ``out`` (an array other than ``v``) the result is written there
-    and no temporary is made.
+
+def _round_half_away(v, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to the nearest integer, ties away from zero: ``trunc(v + h)``
+    where ``h`` is 0.5 with the sign bit of ``v``.
+
+    ``h`` is made by masking ``v``'s bits down to the sign bit and or-ing
+    in the bits of 0.5: the bits ``np.copysign(0.5, v)`` gives, for -0.0
+    and NaN too, in two integer passes that cost about what an add does.
+    With ``out`` (a float64 array other than ``v``) the result is written
+    there and no temporary is made.
     """
-    out = np.copysign(0.5, v, out=out)
+    v = np.asarray(v, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(v)
+    half = out.view(np.int64)
+    np.bitwise_and(v.view(np.int64), _SIGN_BIT, out=half)
+    np.bitwise_or(half, _HALF_BITS, out=half)
     np.add(v, out, out=out)
     return np.trunc(out, out=out)
 
 
-# The per-quality chain works on (N, 64) stacks: one row per 8x8 block,
-# in raster order within the block, against (64,) tables.  Quantized
-# coefficients stay integer-valued float64, exact at these magnitudes.
-# Every step writes into a buffer it is given, so a sweep reuses two
-# buffers for all tiles and qualities: a fresh allocation of that size per
-# step can be returned to the system when freed and cost its page faults
-# again.
-
-
-def _flat(blocks: np.ndarray) -> np.ndarray:
-    """An (..., 8, 8) stack as a C-ordered (N, 64) one (a view if it already is)."""
-    return np.ascontiguousarray(blocks).reshape(-1, 64)
+# The codec works on (64, n) planes: row p holds in-block position p
+# (raster order) of n blocks, against (64, 1) tables, so every step runs
+# over long contiguous rows and the inverse transform is a few large
+# matrix products.  Quantized coefficients stay integer-valued float64,
+# exact at these magnitudes.  Every step writes into a buffer it is given,
+# so a sweep reuses two buffers for all tiles and qualities: a fresh
+# allocation of that size per step can be returned to the system when
+# freed and cost its page faults again.
 
 
 def _step(q: np.ndarray) -> np.ndarray:
-    """A quantizer table as a (64,) float64 row."""
-    return np.asarray(q, dtype=np.float64).reshape(64)
+    """A quantizer table as a (64, 1) float64 column."""
+    return np.asarray(q, dtype=np.float64).reshape(64, 1)
 
 
 def _divisor(engine: DctEngine, step: np.ndarray) -> np.ndarray:
-    """The (64,) quantizer divisor for the engine's coefficients."""
+    """The (64, 1) quantizer divisor for the engine's coefficients."""
     if engine.fold_into_quantizer:
         # Transform skipped its per-output scales; divide them into the
         # quantizer steps (separable, so the 2-D factor is an outer product).
-        ps = engine.post_scales
-        return step / np.outer(ps, ps).reshape(64)
+        return step / _fold_scales(engine)
     return step
 
 
+def _fold_scales(engine: DctEngine) -> np.ndarray:
+    """The (64, 1) 2-D post-scales a folding engine leaves out."""
+    ps = engine.post_scales
+    return np.outer(ps, ps).reshape(64, 1)
+
+
 def _quantize(coefs: np.ndarray, divisor: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """Levels of an (N, 64) coefficient stack, rounded half away from zero,
+    """Levels of (64, n) coefficient planes, rounded half away from zero,
     into ``out``; the quotient goes through ``scratch``."""
     return _round_half_away(np.divide(coefs, divisor, out=scratch), out=out)
 
 
 def _decode(levels: np.ndarray, step: np.ndarray, out=None) -> np.ndarray:
-    """Dequantize a C-ordered (N, 64) level stack, exact inverse transform,
-    de-level-shift, round and clamp to [0, 255]: integer-valued pixels in
-    ``out``.  ``levels`` is overwritten with the inverse's row pass."""
-    coefs = np.multiply(levels, step, out=out).reshape(-1, 8, 8)
-    # idct2d_oracle's two products, into the two buffers.
-    rows = np.matmul(DCT_MATRIX.T, coefs, out=levels.reshape(-1, 8, 8))
-    pixels = np.matmul(rows, DCT_MATRIX, out=coefs).reshape(-1, 64)
+    """Dequantize C-ordered (64, n) level planes, exact inverse transform,
+    de-level-shift, round and clamp to [0, 255]: integer-valued pixel
+    planes in ``out``.  ``levels`` is overwritten with the inverse's first
+    product.
+
+    :func:`idct2d_oracle` is ``D.T @ C @ D`` per block.  On planes its
+    first product is one matrix product ``D.T @ (8, 8n)`` over every
+    block at once, and its second one ``D.T @ (8, n)`` per row of the
+    blocks: nine large BLAS products instead of two small ones per
+    block, with the same length-8 sums and so the same bits.
+    """
+    n = levels.shape[1]
+    coefs = np.multiply(levels, step, out=out)
+    rows = np.matmul(DCT_MATRIX.T, coefs.reshape(8, 8 * n), out=levels.reshape(8, 8 * n))
+    pixels = np.matmul(DCT_MATRIX.T, rows.reshape(8, 8, n), out=coefs.reshape(8, 8, n))
+    pixels = pixels.reshape(64, n)
     np.add(pixels, 128.0, out=pixels)
     # Round half away from zero, then clamp.  At or above zero that is
     # floor(v + 0.5), the same addition; below zero both clamp to 0.
     np.add(pixels, 0.5, out=pixels)
-    return np.clip(np.floor(pixels, out=pixels), 0.0, 255.0, out=pixels)
+    np.floor(pixels, out=pixels)
+    np.maximum(pixels, 0.0, out=pixels)
+    return np.minimum(pixels, 255.0, out=pixels)
+
+
+def _unplane(planes: np.ndarray, shape: tuple) -> np.ndarray:
+    """(64, n) planes as an int64 block stack of ``shape``."""
+    return planes.T.astype(np.int64).reshape(shape)
 
 
 def encode_block(block, engine: DctEngine, q: np.ndarray) -> np.ndarray:
     """Level-shift, transform, quantize one 8x8 pixel block (or an
     (..., 8, 8) stack of them) -> int coefs."""
-    coefs = dct2d(np.asarray(block, dtype=np.float64) - 128.0, engine)
-    levels = _quantize(_flat(coefs), _divisor(engine, _step(q)))
-    return levels.astype(np.int64).reshape(coefs.shape)
+    blocks = _as_blocks(block)
+    shifted = _planes(blocks)
+    shifted -= 128.0
+    coefs = _dct2d_planes(engine, shifted)
+    return _unplane(_quantize(coefs, _divisor(engine, _step(q))), blocks.shape)
 
 
 def decode_block(coefs, q: np.ndarray) -> np.ndarray:
@@ -158,8 +198,8 @@ def decode_block(coefs, q: np.ndarray) -> np.ndarray:
     Works on one 8x8 block of coefficients or an (..., 8, 8) stack.
     """
     levels = _as_blocks(coefs)
-    flat = np.array(levels, order="C").reshape(-1, 64)  # a copy: _decode overwrites it
-    return _decode(flat, _step(q)).astype(np.int64).reshape(levels.shape)
+    # _planes copies, and _decode overwrites that copy
+    return _unplane(_decode(_planes(levels), _step(q)), levels.shape)
 
 
 def psnr(a: GrayImage, b: GrayImage) -> float:
@@ -203,36 +243,34 @@ def _blocks_of(padded: np.ndarray) -> np.ndarray:
     return padded.reshape(ph // 8, 8, pw // 8, 8).swapaxes(1, 2).reshape(-1, 8, 8)
 
 
-def _to_blocks(samples: np.ndarray) -> np.ndarray:
-    """Edge-pad to whole blocks; an (N, 8, 8) float stack in raster block order."""
-    return _blocks_of(_pad_to_blocks(samples)).astype(np.float64)
-
-
-def _zero_padding(blocks: np.ndarray, start: int, img: GrayImage) -> None:
-    """Zero the edge padding in ``blocks``, an (n, 8, 8) run of the raster
-    block order of ``img`` that begins at block ``start``: the columns from
-    ``width % 8`` on in the last block column, and the rows from
-    ``height % 8`` on in the last block row."""
+def _zero_padding(planes: np.ndarray, start: int, img: GrayImage) -> None:
+    """Zero the edge padding in ``planes``, the (64, n) planes of a run of
+    the raster block order of ``img`` that begins at block ``start``: the
+    columns from ``width % 8`` on in the last block column, and the rows
+    from ``height % 8`` on in the last block row."""
+    blocks = planes.reshape(8, 8, -1)  # [row, column, block]
     per_row = -(-img.width // 8)
     if img.width % 8:
-        blocks[(per_row - 1 - start) % per_row :: per_row, :, img.width % 8 :] = 0.0
+        blocks[:, img.width % 8 :, (per_row - 1 - start) % per_row :: per_row] = 0.0
     if img.height % 8:
         last_row = (-(-img.height // 8) - 1) * per_row
-        blocks[max(last_row - start, 0) :, img.height % 8 :, :] = 0.0
+        blocks[img.height % 8 :, :, max(last_row - start, 0) :] = 0.0
 
 
 def _stack_sse(decoded: np.ndarray, pixels: np.ndarray, start: int, img: GrayImage,
                scratch: np.ndarray) -> int:
-    """Sum of squared differences of decoded (n, 64) pixel blocks against
-    the original ones, blocks ``start`` on of ``img``, over the image's
+    """Sum of squared differences of decoded (64, n) pixel planes against
+    the original ones ``pixels`` (uint8 or float, subtracted exactly),
+    blocks ``start`` on of ``img``, over the image's
     samples only: the differences in the edge padding are zeroed."""
     diff = np.subtract(decoded, pixels, out=scratch)
-    _zero_padding(diff.reshape(-1, 8, 8), start, img)
+    _zero_padding(diff, start, img)
     return _sum_squares(diff.reshape(-1))
 
 
 def _from_blocks(blocks: np.ndarray, like: GrayImage) -> GrayImage:
-    """Inverse of :func:`_to_blocks` for pixel blocks; crops the padding."""
+    """An image of an (N, 64) or (N, 8, 8) stack of pixel blocks in raster
+    block order, the inverse of :func:`_blocks_of`; crops the padding."""
     bh, bw = -(-like.height // 8), -(-like.width // 8)
     padded = blocks.reshape(bh, bw, 8, 8).swapaxes(1, 2).reshape(bh * 8, bw * 8)
     cropped = padded[: like.height, : like.width].astype(np.uint8)
@@ -242,8 +280,10 @@ def _from_blocks(blocks: np.ndarray, like: GrayImage) -> GrayImage:
 def roundtrip_image(img: GrayImage, engine: DctEngine, quality: int) -> GrayImage:
     """Encode and decode every 8x8 block; crop away the replication padding."""
     step = _step(quant_table_for_quality(quality))
-    coefs = dct2d(_to_blocks(img.samples) - 128.0, engine)
-    return _from_blocks(_decode(_quantize(_flat(coefs), _divisor(engine, step)), step), img)
+    planes = _planes(_blocks_of(_pad_to_blocks(img.samples)))
+    coefs = _dct2d_planes(engine, np.subtract(planes, 128.0, dtype=np.float64))
+    decoded = _decode(_quantize(coefs, _divisor(engine, step)), step)
+    return _from_blocks(decoded.T, img)
 
 
 @dataclass(frozen=True)
@@ -294,11 +334,18 @@ def _fmt_db(value: float) -> str:
 def _block_coef_errors(coefs: np.ndarray, oracle: np.ndarray, engine: DctEngine,
                        scratch: np.ndarray, out: np.ndarray) -> None:
     """Per-block sums of |cordic - oracle| into ``out``, from the forward
-    coefficients ``coefs`` of a level-shifted (n, 64) block stack, from
-    ``dct2d`` with ``engine``, and its exact transform ``oracle``."""
+    coefficient planes ``coefs`` (64, n) of level-shifted blocks, from
+    ``_dct2d_planes`` with ``engine``, and their exact transform
+    ``oracle``, an (n, 64) block stack.
+
+    The differences are written block by block into the (n, 64)
+    ``scratch``, so each block's sum runs over 64 contiguous values, in
+    the order (and with the bits) of a one-block sum.
+    """
     if engine.fold_into_quantizer:
-        ps = engine.post_scales
-        coefs = np.multiply(coefs, np.outer(ps, ps).reshape(64), out=scratch)
+        coefs = np.multiply(coefs.T, _fold_scales(engine).T, out=scratch)
+    else:
+        coefs = coefs.T
     np.abs(np.subtract(coefs, oracle, out=scratch), out=scratch).sum(axis=1, out=out)
 
 
@@ -328,14 +375,17 @@ def sweep(
     The padded image is cut once into a uint8 block stack in raster
     order, and the sweep runs over tiles of ``_TILE_BLOCKS`` blocks of it:
     tiles outside, epsilons inside, qualities innermost.  Per tile the
-    blocks are level-shifted and their exact oracle transform taken once;
-    per epsilon the forward transform runs once over the tile, and every
-    quality quantizes and decodes those same coefficients, in two buffers
-    that every tile and quality reuses.  So no stage allocates a float
-    array the size of the image.  Each epsilon's engine is built once.
+    blocks are transposed once into uint8 (64, n) planes (see
+    ``_planes``), which serve as the reference pixels and, level-shifted
+    into float, as the forward input; the exact oracle transform of the
+    level-shifted block stack is taken once.  Per epsilon the forward transform runs
+    once over the planes, and every quality quantizes and decodes those
+    same coefficient planes, in two buffers that every tile and quality
+    reuses.  So no stage allocates a float array the size of the image.
+    Each epsilon's engine is built once.
 
     A row's PSNR comes from an exact-integer sum of squared differences of
-    the decoded blocks against the original ones, with the edge padding
+    the decoded planes against the original ones, with the edge padding
     masked out, accumulated over the tiles; the decoded image is never
     assembled.  Per-block coefficient errors are kept for the whole image
     and added in raster order at the end, and a row's ``saturations`` is
@@ -365,20 +415,24 @@ def sweep(
     levels = decoded = None
     for start in range(0, len(blocks), _TILE_BLOCKS):
         stop = min(start + _TILE_BLOCKS, len(blocks))
-        pixels = blocks[start:stop].astype(np.float64)
-        shifted = (pixels - 128.0).reshape(-1, 8, 8)
-        oracle = _flat(dct2d_oracle(shifted))
+        tile = blocks[start:stop]
+        pixels = _planes(tile)  # uint8, the reference for the squared errors
+        shifted = np.subtract(pixels, 128.0, dtype=np.float64)
+        oracle = dct2d_oracle(
+            np.subtract(tile, 128.0, dtype=np.float64).reshape(-1, 8, 8)
+        ).reshape(-1, 64)
         for e, engine in enumerate(engines):
-            coefs = _flat(dct2d(shifted, engine))
+            coefs = _dct2d_planes(engine, shifted)
             if levels is None:
                 # Taken after the first transform, so they sit above the
                 # space its temporaries freed and the next transform reuses
                 # that space; below it, the freed top of the heap goes back
                 # to the system and every transform pays its page faults
                 # again.
-                levels, decoded = np.empty_like(coefs), np.empty_like(coefs)
-            tile_levels, tile_decoded = levels[: stop - start], decoded[: stop - start]
-            _block_coef_errors(coefs, oracle, engine, tile_levels,
+                levels, decoded = np.empty(coefs.size), np.empty(coefs.size)
+            tile_levels = levels[: coefs.size].reshape(coefs.shape)
+            tile_decoded = decoded[: coefs.size].reshape(coefs.shape)
+            _block_coef_errors(coefs, oracle, engine, tile_levels.reshape(-1, 64),
                                out=block_errors[e, start:stop])
             for k, step in enumerate(steps):
                 _quantize(coefs, divisors[e][k], out=tile_levels, scratch=tile_decoded)

@@ -347,13 +347,26 @@ def _flow_float(engine: DctEngine, x: list) -> list:
     ]
 
 
-def _transform8_float(engine: DctEngine, X: np.ndarray) -> np.ndarray:
-    if X.ndim == 1:
-        F = np.array(_flow_float(engine, X.tolist()))
-    else:
-        F = np.stack(_flow_float(engine, list(X.T)), axis=1)
+def _columns(X: np.ndarray, axis: int) -> list:
+    """The eight flow-graph inputs of ``X``: its slices along ``axis``."""
+    return list(X.swapaxes(0, axis))
+
+
+def _stack(cols: list, axis: int) -> np.ndarray:
+    """The eight flow-graph outputs stacked along ``axis``; along axis 0
+    through ``np.array``, which costs a few microseconds less per call
+    than ``np.stack``."""
+    return np.array(cols) if axis == 0 else np.stack(cols, axis=axis)
+
+
+def _transform8_float(engine: DctEngine, X: np.ndarray, axis: int) -> np.ndarray:
+    cols = X.tolist() if X.ndim == 1 else _columns(X, axis)
+    F = _stack(_flow_float(engine, cols), axis)
     if not engine.fold_into_quantizer:
-        F *= engine.post_scales
+        scales = engine.post_scales
+        if axis < F.ndim - 1:  # one multiply, the scales broadcast along ``axis``
+            scales = scales.reshape((8,) + (1,) * (F.ndim - 1 - axis))
+        F *= scales
     return F
 
 
@@ -437,7 +450,7 @@ def _flow_raw(engine: DctEngine, x: list, fit) -> list:
     return cols
 
 
-def _transform8_fixed(engine: DctEngine, X: np.ndarray) -> np.ndarray:
+def _transform8_fixed(engine: DctEngine, X: np.ndarray, axis: int) -> np.ndarray:
     mode, fmt = engine.mode, engine.mode.fmt
     if X.ndim == 1:  # Python ints, through the scalar boundary converters
         cols = [fmt.to_raw(v) for v in X.tolist()]
@@ -450,7 +463,7 @@ def _transform8_fixed(engine: DctEngine, X: np.ndarray) -> np.ndarray:
             return fit_raw(r, mode)
     else:
         raw, peak = _to_raw_array(X, mode)
-        cols, rows = list(raw.T), len(raw)
+        cols, rows = _columns(raw, axis), raw.size // 8
 
         def check(a):
             return _fit_array(a, mode)
@@ -459,11 +472,10 @@ def _transform8_fixed(engine: DctEngine, X: np.ndarray) -> np.ndarray:
     cols = _flow_raw(engine, cols, fit)
     adds, shifts = engine._row_cost
     tally(mode, adds * rows, shifts * rows)
-    F = np.array(cols) if X.ndim == 1 else np.stack(cols, axis=1)
-    return F * fmt.lsb
+    return _stack(cols, axis) * fmt.lsb
 
 
-def transform8(engine: DctEngine, X) -> np.ndarray:
+def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> np.ndarray:
     """Run the flow graph on each row of an (n, 8) array, or on one vector.
 
     One ``(8,)`` vector runs the flow graph on Python numbers; a batch
@@ -471,10 +483,16 @@ def transform8(engine: DctEngine, X) -> np.ndarray:
     ``ValueError`` on any other shape (a block stack goes through
     :func:`dct2d`) and on a sample that is non-finite or beyond the
     engine's :attr:`DctEngine.input_limit`, in both arithmetic modes.
+
+    ``_axis`` is internal to :func:`_dct2d_planes`: it runs the graph
+    along that axis of an array of any shape, whose slices along it are
+    the graph's eight input columns, and stacks the outputs back along it.
     """
     arr = np.asarray(X, dtype=np.float64)
-    if arr.shape != (8,) and (arr.ndim != 2 or arr.shape[1] != 8):
-        raise ValueError(f"expected rows of 8 samples, got shape {arr.shape}")
+    if _axis is None:
+        if arr.shape != (8,) and (arr.ndim != 2 or arr.shape[1] != 8):
+            raise ValueError(f"expected rows of 8 samples, got shape {arr.shape}")
+        _axis = arr.ndim - 1
     limit = engine.input_limit
     if arr.ndim == 1:  # on Python floats, cheaper than two NumPy reductions
         within = all(-limit <= v <= limit for v in arr.tolist())
@@ -486,8 +504,8 @@ def transform8(engine: DctEngine, X) -> np.ndarray:
             "transform could overflow binary64"
         )
     if engine.mode.is_fixed:
-        return _transform8_fixed(engine, arr)
-    return _transform8_float(engine, arr)
+        return _transform8_fixed(engine, arr, _axis)
+    return _transform8_float(engine, arr, _axis)
 
 
 def dct8_cordic(x, engine: DctEngine) -> np.ndarray:
@@ -495,13 +513,43 @@ def dct8_cordic(x, engine: DctEngine) -> np.ndarray:
     return transform8(engine, x)
 
 
+def _planes(blocks: np.ndarray) -> np.ndarray:
+    """An (..., 8, 8) or (n, 64) block stack as C-ordered (64, n) planes of
+    its dtype: row ``p`` holds in-block position ``p`` (raster order) of
+    every block.  Always a copy."""
+    return np.array(blocks.reshape(-1, 64).T, order="C")
+
+
+def _dct2d_planes(engine: DctEngine, planes: np.ndarray) -> np.ndarray:
+    """Separable 8x8 transform of a C-ordered (64, n) plane array: row
+    ``p`` holds in-block position ``p`` (raster order) of all ``n``
+    blocks, and so does row ``p`` of the (64, n) result.
+
+    The row pass runs the flow graph on the eight (8, n) column planes
+    and stacks its outputs along axis 1, which leaves each row of every
+    block as one contiguous (8, n) plane; the column pass runs on those
+    and stacks along axis 0, straight into coefficient planes.  Each pass
+    is one :func:`transform8` call over all ``8 n`` rows, its post-scales
+    one multiply, so the planes are never transposed or copied between
+    passes.
+    """
+    n = planes.shape[1]
+    # [row, column, block]; one block as an 8x8 array, whose columns are
+    # 1-D and cheaper per ufunc call
+    blocks = planes.reshape(8, 8) if n == 1 else planes.reshape(8, 8, n)
+    rows = transform8(engine, blocks, _axis=1)  # [row, horizontal frequency, block]
+    return transform8(engine, rows.reshape(8, 8 * n), _axis=0).reshape(64, n)
+
+
 def dct2d(block, engine: DctEngine) -> np.ndarray:
     """Separable 8x8 transform of one block or of each block of an
-    (..., 8, 8) stack: rows, swap the last two axes, rows, swap back.
+    (..., 8, 8) stack: rows, then columns.
 
-    Each pass is one :func:`transform8` call over every row of the stack.
+    The stack is transposed once into (64, n) planes (:func:`_planes`) for
+    :func:`_dct2d_planes`, and the result is a view of its coefficient
+    planes in the stack's shape.  Each pass is one :func:`transform8`
+    call over every row of the stack, with the bits, refusals and counts
+    of a row pass over the stack, then a row pass over the swapped stack.
     """
     b = _as_blocks(block)
-    rows = transform8(engine, b.reshape(-1, 8)).reshape(b.shape)
-    cols = transform8(engine, rows.swapaxes(-1, -2).reshape(-1, 8))
-    return cols.reshape(b.shape).swapaxes(-1, -2)
+    return _dct2d_planes(engine, _planes(b)).T.reshape(b.shape)

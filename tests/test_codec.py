@@ -260,6 +260,59 @@ class TestSweep:
         assert abs(plain - folded) <= 0.2
 
 
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(-1e-300, 1e-300),  # subnormals and signed zeros
+            st.integers(-(2**20), 2**20).map(lambda k: k + 0.5),  # ties
+            st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 5e-324, -5e-324]),
+        ),
+        min_size=1, max_size=40,
+    )
+)
+def test_sign_bit_rounding_equals_copysign(values):
+    """The sign of the 0.5 added before truncating comes from the sign
+    bit: the bits of ``trunc(v + copysign(0.5, v))``, -0.0 and NaN too."""
+    v = np.array(values)
+    want = np.trunc(v + np.copysign(0.5, v))
+    assert _round_half_away(v).tobytes() == want.tobytes()
+    out = np.full_like(v, 3.0)
+    assert _round_half_away(v, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40)
+@given(
+    n=st.one_of(st.integers(1, 9), st.integers(1, 2100)),
+    quality=st.integers(1, 100),
+    spread=st.sampled_from([2, 40, 1024]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plane_decode_equals_per_block_inverse(n, quality, spread, seed):
+    """The plane decode's large matrix products give the pixels of one
+    ``idct2d_oracle`` call per block, rounded half away and clamped.
+
+    Bit for bit up to the sign of zero: the reference rounds a value in
+    (-0.5, 0) to -0.0, which ``np.clip`` keeps, where the decode's
+    ``floor(v + 0.5)`` gives 0.0; adding 0.0 makes both 0.0.
+    """
+    from cordic_dct import codec
+
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(-spread, spread + 1, size=(n, 8, 8)).astype(np.float64)
+    q = quant_table_for_quality(quality)
+    want = np.array([
+        np.clip(_round_half_away(idct2d_oracle(block * q) + 128.0), 0, 255)
+        for block in levels
+    ]) + 0.0
+    planes = codec._planes(levels)
+    got = codec._decode(planes, codec._step(q))
+    assert got.shape == (64, n)
+    assert got.T.reshape(n, 8, 8).tobytes() == want.tobytes()
+    assert np.array_equal(decode_block(levels, q), want)
+
+
 def _blockwise_reference(img: GrayImage, engine: DctEngine, qualities):
     """The codec as a loop over 8x8 blocks, one ``dct2d`` and one
     ``idct2d_oracle`` call per block: decoded samples per quality, the mean
@@ -406,7 +459,7 @@ class TestSweepMechanism:
         # 3 x 513 blocks: two tiles, with edge padding in both
         img = GrayImage.from_array(RNG.integers(0, 256, size=(17, 4100)).astype(np.uint8))
         sweep(img, [1e-3, 1e-4, 1e-6], [95, 75])
-        blocks = codec._to_blocks(img.samples)
+        blocks = codec._blocks_of(codec._pad_to_blocks(img.samples))
         assert len(blocks) > codec._TILE_BLOCKS
         assert len(calls) == -(-len(blocks) // codec._TILE_BLOCKS)  # once per tile, not per eps
         assert np.array_equal(np.concatenate(calls), blocks - 128.0)  # each block once, in order
@@ -478,6 +531,13 @@ def test_sweep_matches_benchmark_golden(golden, size, epsilons, qualities, bits)
     assert report.to_csv() == (GOLDEN_DIR / golden).read_text()
 
 
+def _with_sample(bad):
+    """A 4x4 float image of 7s with ``bad`` at one sample."""
+    samples = np.full((4, 4), 7.0)
+    samples[2, 1] = bad
+    return samples
+
+
 class TestGrayImage:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -490,6 +550,25 @@ class TestGrayImage:
     def test_from_array_range_check(self):
         with pytest.raises(ValueError):
             GrayImage.from_array(np.full((4, 4), 300))
+
+    @pytest.mark.parametrize("samples", [
+        *map(_with_sample, (math.nan, math.inf, -math.inf, 12.7, -0.5)),
+        np.zeros((0, 4)), np.zeros((3, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.uint8),
+    ], ids=["nan", "inf", "-inf", "12.7", "-0.5", "empty-float", "empty-int64", "empty-uint8"])
+    def test_from_array_refuses_malformed(self, samples):
+        with pytest.raises(ValueError):
+            GrayImage.from_array(samples)
+
+    @pytest.mark.parametrize("samples, want", [
+        (np.array([[0.0, 12.0], [255.0, -0.0]]), [[0, 12], [255, 0]]),
+        (np.array([[True, False], [False, True]]), [[1, 0], [0, 1]]),
+        (np.array([[0, 12], [255, 3]], dtype=np.uint8), [[0, 12], [255, 3]]),
+        (np.array([[0, 12], [255, 3]], dtype=np.int64), [[0, 12], [255, 3]]),
+    ])
+    def test_from_array_accepts_integral_samples(self, samples, want):
+        img = GrayImage.from_array(samples)
+        assert img.samples.dtype == np.uint8
+        assert img.samples.tolist() == want
 
 
 class TestPgm:

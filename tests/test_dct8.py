@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cordic_dct import dct8
@@ -35,6 +35,7 @@ from cordic_dct.fixedpoint import (
 )
 
 RNG = np.random.default_rng(20240601)
+WORD_FORMATS = [(24, 8), (16, 5), (20, 10), (32, 16), (12, 3)]
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 # Expected impulse response of the reference transform, frozen from direct
@@ -223,6 +224,50 @@ class TestDct2d:
                 fn(np.zeros(shape))
 
 
+def _dct2d_reference(blocks: np.ndarray, engine: DctEngine) -> np.ndarray:
+    """The separable transform as two row passes of ``transform8`` over a
+    block stack, with the swaps written out: rows, then the rows of the
+    swapped stack, swapped back."""
+    rows = transform8(engine, blocks.reshape(-1, 8)).reshape(blocks.shape)
+    cols = transform8(engine, rows.swapaxes(-1, -2).reshape(-1, 8))
+    return cols.reshape(blocks.shape).swapaxes(-1, -2)
+
+
+@settings(max_examples=80)
+@given(
+    n=st.one_of(st.integers(1, 9), st.integers(1, 2100)),
+    bits=st.sampled_from([None] + WORD_FORMATS),
+    policy=st.sampled_from([OverflowPolicy.SATURATE, OverflowPolicy.ERROR]),
+    compensation=st.sampled_from(["folded", "per_rotator"]),
+    fold=st.booleans(),
+    eps=st.sampled_from([1e-2, 1e-4, 1e-6]),
+    scale=st.sampled_from([1.0, 128.0, 4000.0, 70000.0]),
+    # a sample transform8 refuses, in one example of two
+    poison=st.sampled_from([None, None, None, math.nan, math.inf, 1e308]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dct2d_planes_equal_two_row_passes(n, bits, policy, compensation, fold, eps, scale,
+                                           poison, seed):
+    """``dct2d`` runs both passes on (64, n) planes; it must give the bytes,
+    counts and refusals of two ``transform8`` row passes over the stack."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.uniform(-scale, scale, size=(n, 8, 8))
+    if poison is not None:
+        blocks[rng.integers(n), rng.integers(8), rng.integers(8)] = poison
+    results = []
+    for transform in (dct2d, _dct2d_reference):
+        counter = OpCounter()
+        mode = None if bits is None else ArithmeticMode(FixedPointFormat(*bits), policy, counter)
+        engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+        try:
+            out = transform(blocks, engine)
+        except (ValueError, FixedPointOverflowError) as exc:
+            results.append(type(exc))
+        else:
+            results.append((out.shape, out.tobytes(), counter.as_dict()))
+    assert results[0] == results[1]
+
+
 class TestFixedPointPath:
     def test_tracks_float_path(self):
         mode = ArithmeticMode.fixed(24, 8)
@@ -403,9 +448,6 @@ def scalar_transform8(engine: DctEngine, row, mode: ArithmeticMode) -> list[floa
     if not engine.fold_into_quantizer:
         cols = [scale(c, csd) for c, csd in zip(cols, engine._csd_post)]
     return [fmt.from_raw(c) for c in cols]
-
-
-WORD_FORMATS = [(24, 8), (16, 5), (20, 10), (32, 16), (12, 3)]
 
 
 class TestSafeInputBound:
