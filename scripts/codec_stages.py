@@ -76,7 +76,7 @@ def tile_stages(img) -> list:
 
     pixels, shifted = planes_and_shift()
     exact = oracle()
-    coefs = _dct2d_planes(engine, shifted)
+    coefs, _ = _dct2d_planes(engine, shifted)
     levels, decoded = np.empty_like(coefs), np.empty_like(coefs)
     errors = np.empty(len(tile))
     scratch = levels.reshape(-1, 64)

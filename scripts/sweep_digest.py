@@ -14,15 +14,18 @@ height x width).  Each case covers three epsilons and seven qualities:
 
 * ``sweep``: the ``to_json()`` report;
 * ``dct2d``: the forward transform of the level-shifted block stack per
-  epsilon, and in fixed point the engine's operation counter after it;
+  epsilon, and its operation counts: in fixed point the cost model's adds
+  and shifts over 16 rows per block and the saturations the transform
+  returns, and in float all zero;
 * ``roundtrip``: the ``roundtrip_image`` samples per epsilon and quality;
 * ``blocks``: ``encode_block`` of the pixel block stack and
   ``decode_block`` of those levels, per epsilon and quality.
 
 A performance change that must keep the output byte-identical runs this
 on the parent and on the change and compares the two files with ``cmp``.
-Only the public API is used, so the script runs unchanged on older
-checkouts.
+The saturation count comes from ``dct8._dct2d_planes``, so on a checkout
+whose transform does not return one, run that checkout's own copy of the
+script: it prints the same lines.
 """
 
 import hashlib
@@ -37,8 +40,8 @@ from cordic_dct.codec import (
     roundtrip_image,
     sweep,
 )
-from cordic_dct.dct8 import DctEngine, dct2d
-from cordic_dct.fixedpoint import ArithmeticMode, OpCounter, OverflowPolicy
+from cordic_dct.dct8 import DctEngine, _dct2d_planes, _planes, dct2d
+from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy
 from cordic_dct.images import photo_proxy
 from cordic_dct.planner import IndexPolicy
 
@@ -81,10 +84,24 @@ def images() -> dict:
     }
 
 
-def _mode(bits, counter=None):
+def _mode(bits):
     if bits is None:
         return None
-    return ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE, counter)
+    return ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+
+
+def _forward_counts(engine: DctEngine, blocks: np.ndarray) -> bytes:
+    """The operation counts of one ``dct2d`` of ``blocks``: 16 transform
+    rows per block at the cost model's adds and shifts, and the values it
+    clipped; all zero in float, whose transform runs no shift-add."""
+    counts = {"adds": 0, "shifts": 0, "multiplies": 0, "saturations": 0}
+    if engine.mode.is_fixed:
+        rows = 16 * len(blocks)
+        model = engine.operation_counts()
+        _, saturations = _dct2d_planes(engine, _planes(blocks))
+        counts.update(adds=rows * model["adds"], shifts=rows * model["shifts"],
+                      saturations=saturations)
+    return repr(sorted(counts.items())).encode()
 
 
 def _blocks(img: GrayImage) -> np.ndarray:
@@ -104,12 +121,12 @@ def digests(name: str, img: GrayImage):
     yield "sweep", hashlib.sha256(report.to_json().encode()).hexdigest()
 
     blocks = _blocks(img)
+    shifted = blocks - 128.0
     forward, roundtrip, codec = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for eps in EPSILONS:
-        counter = OpCounter()
-        engine = DctEngine(eps, policy, _mode(bits, counter), fold_into_quantizer=fold)
-        forward.update(np.ascontiguousarray(dct2d(blocks - 128.0, engine)).tobytes())
-        forward.update(repr(sorted(counter.as_dict().items())).encode())
+        engine = DctEngine(eps, policy, _mode(bits), fold_into_quantizer=fold)
+        forward.update(np.ascontiguousarray(dct2d(shifted, engine)).tobytes())
+        forward.update(_forward_counts(engine, shifted))
         for quality in QUALITIES:
             q = quant_table_for_quality(quality)
             roundtrip.update(roundtrip_image(img, engine, quality).samples.tobytes())

@@ -25,7 +25,6 @@ from .fixedpoint import (
     ArithmeticMode,
     FixedPointFormat,
     FixedPointOverflowError,
-    OpCounter,
     OverflowPolicy,
 )
 from .planner import (

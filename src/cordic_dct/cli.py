@@ -34,6 +34,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if m.group(1) == "-" else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0.0:
+            raise ValueError(f"angle {text!r} divides by zero")
         return sign * num * math.pi / den
     return float(s)
 
@@ -183,8 +185,7 @@ def cmd_eval(args) -> int:
     epsilons = [float(e) for e in args.epsilons.split(",")]
     mode = _parse_mode(args, OverflowPolicy.SATURATE)  # the report counts saturations
     report = codec.sweep(
-        img, epsilons, qualities, policy=_parse_policy(args.policy),
-        mode=None if not mode.is_fixed else mode,
+        img, epsilons, qualities, policy=_parse_policy(args.policy), mode=mode,
         fold_into_quantizer=args.fold_into_quantizer,
     )
     if args.format == "json":

@@ -18,7 +18,7 @@ from io import StringIO
 import numpy as np
 
 from .dct8 import DCT_MATRIX, DctEngine, _as_blocks, _dct2d_planes, _planes, dct2d_oracle
-from .fixedpoint import ArithmeticMode, OpCounter
+from .fixedpoint import ArithmeticMode
 from .planner import IndexPolicy
 
 # ITU-T T.81 Annex K luminance quantization table.
@@ -188,7 +188,7 @@ def encode_block(block, engine: DctEngine, q: np.ndarray) -> np.ndarray:
     blocks = _as_blocks(block)
     shifted = _planes(blocks)
     shifted -= 128.0
-    coefs = _dct2d_planes(engine, shifted)
+    coefs, _ = _dct2d_planes(engine, shifted)
     return _unplane(_quantize(coefs, _divisor(engine, _step(q))), blocks.shape)
 
 
@@ -281,7 +281,7 @@ def roundtrip_image(img: GrayImage, engine: DctEngine, quality: int) -> GrayImag
     """Encode and decode every 8x8 block; crop away the replication padding."""
     step = _step(quant_table_for_quality(quality))
     planes = _planes(_blocks_of(_pad_to_blocks(img.samples)))
-    coefs = _dct2d_planes(engine, np.subtract(planes, 128.0, dtype=np.float64))
+    coefs, _ = _dct2d_planes(engine, np.subtract(planes, 128.0, dtype=np.float64))
     decoded = _decode(_quantize(coefs, _divisor(engine, step)), step)
     return _from_blocks(decoded.T, img)
 
@@ -382,15 +382,15 @@ def sweep(
     once over the planes, and every quality quantizes and decodes those
     same coefficient planes, in two buffers that every tile and quality
     reuses.  So no stage allocates a float array the size of the image.
-    Each epsilon's engine is built once.
+    Each epsilon's engine is built once, on the caller's ``mode``.
 
     A row's PSNR comes from an exact-integer sum of squared differences of
     the decoded planes against the original ones, with the edge padding
     masked out, accumulated over the tiles; the decoded image is never
     assembled.  Per-block coefficient errors are kept for the whole image
     and added in raster order at the end, and a row's ``saturations`` is
-    that of the epsilon's forward transform, so every figure has the bits
-    of a whole-image pass.
+    the sum over the tiles of the counts the epsilon's forward transform
+    returns, so every figure has the bits of a whole-image pass.
 
     Rows come out sorted by epsilon then quality (descending quality, the
     high-to-low presentation order) and the whole computation is
@@ -400,15 +400,9 @@ def sweep(
     epsilons = sorted(epsilons)
     qualities = sorted(qualities, reverse=True)
     steps = [_step(quant_table_for_quality(quality)) for quality in qualities]
-    engines, counters = [], []
-    for eps in epsilons:
-        counter = OpCounter()
-        eng_mode = mode
-        if mode is not None and mode.is_fixed:
-            eng_mode = ArithmeticMode(mode.fmt, mode.overflow, counter)
-        engines.append(DctEngine(epsilon=eps, policy=policy, mode=eng_mode,
-                                 fold_into_quantizer=fold_into_quantizer))
-        counters.append(counter)
+    engines = [DctEngine(epsilon=eps, policy=policy, mode=mode,
+                         fold_into_quantizer=fold_into_quantizer) for eps in epsilons]
+    saturations = [0] * len(engines)
     divisors = [[_divisor(engine, step) for step in steps] for engine in engines]
     block_errors = np.empty((len(engines), len(blocks)))
     sse = [[0] * len(steps) for _ in engines]
@@ -422,7 +416,8 @@ def sweep(
             np.subtract(tile, 128.0, dtype=np.float64).reshape(-1, 8, 8)
         ).reshape(-1, 64)
         for e, engine in enumerate(engines):
-            coefs = _dct2d_planes(engine, shifted)
+            coefs, clipped = _dct2d_planes(engine, shifted)
+            saturations[e] += clipped
             if levels is None:
                 # Taken after the first transform, so they sit above the
                 # space its temporaries freed and the next transform reuses
@@ -448,7 +443,7 @@ def sweep(
             quality=quality,
             psnr_db=_psnr_db(sse[e][k], samples),
             mean_abs_coef_err=float(coef_errors[e]),
-            saturations=counters[e].saturations,
+            saturations=saturations[e],
         )
         for e, eps in enumerate(epsilons)
         for k, quality in enumerate(qualities)

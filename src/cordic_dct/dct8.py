@@ -22,7 +22,8 @@ with the exact-matrix oracle to the plan tolerance.
 In fixed point every add, micro-rotation step and constant scale is
 range-checked against the word, unless the quantized input stays within
 the engine's :meth:`DctEngine.safe_input_bound`, below which no node can
-leave the word and the checks are skipped as provable no-ops.
+leave the word and the checks are skipped as provable no-ops.  Under
+``SATURATE`` the transform returns how many values it clipped.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .fixedpoint import (
     FixedPointOverflowError,
     OverflowPolicy,
     fit_raw,
-    tally,
 )
 from .planner import IndexPolicy, RotationPlan, decompose
 from .rotator import CsdScale, csd_scale, overflow_limit, rotate_float, rotate_raw
@@ -370,19 +370,22 @@ def _transform8_float(engine: DctEngine, X: np.ndarray, axis: int) -> np.ndarray
     return F
 
 
-def _to_raw_array(X: np.ndarray, mode: ArithmeticMode) -> tuple[np.ndarray, float]:
-    """Quantize to raw integers; also return max|raw| before any clipping."""
-    scaled = X * float(mode.fmt.raw_scale)
+def _to_raw_array(X: np.ndarray, fmt: FixedPointFormat, check) -> tuple[np.ndarray, float]:
+    """Quantize to raw integers, range-checked by ``check`` if any is out
+    of the word; also return max|raw| before any clipping."""
+    scaled = X * float(fmt.raw_scale)
     rounded = np.trunc(scaled + np.copysign(0.5, scaled))
     peak = float(np.abs(rounded).max(initial=0.0))
-    if peak > mode.fmt.max_raw:
+    if peak > fmt.max_raw:
         # Range-check while still in float: casting a float beyond int64 is
         # undefined (INT64_MIN on x86, whatever the sign).
-        rounded = _fit_array(rounded, mode)
+        rounded = check(rounded)
     return rounded.astype(np.int64), peak
 
 
-def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> np.ndarray:
+def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> tuple[np.ndarray, int]:
+    """Clamp or reject the values of ``raw`` outside the word; also return
+    how many were clamped."""
     fmt = mode.fmt
     low = (raw < fmt.min_raw)
     high = (raw > fmt.max_raw)
@@ -393,8 +396,7 @@ def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> np.ndarray:
                 f"{n_out} value(s) outside {fmt.total_bits}.{fmt.frac_bits} range"
             )
         raw = np.clip(raw, fmt.min_raw, fmt.max_raw)
-        tally(mode, saturations=n_out)
-    return raw
+    return raw, n_out
 
 
 def _unchecked(raw):
@@ -450,33 +452,43 @@ def _flow_raw(engine: DctEngine, x: list, fit) -> list:
     return cols
 
 
-def _transform8_fixed(engine: DctEngine, X: np.ndarray, axis: int) -> np.ndarray:
+def _transform8_fixed(engine: DctEngine, X: np.ndarray, axis: int) -> tuple[np.ndarray, int]:
     mode, fmt = engine.mode, engine.mode.fmt
+    saturations = 0  # values clipped by ``check``, the input's included
     if X.ndim == 1:  # Python ints, through the scalar boundary converters
+        def check(r):
+            nonlocal saturations
+            fitted = fit_raw(r, mode)
+            saturations += fitted != r
+            return fitted
+
         cols = [fmt.to_raw(v) for v in X.tolist()]
         peak = max(map(abs, cols))
         if peak > fmt.max_raw:
-            cols = [fit_raw(r, mode) for r in cols]
-        rows = 1
-
-        def check(r):
-            return fit_raw(r, mode)
+            cols = [check(r) for r in cols]
     else:
-        raw, peak = _to_raw_array(X, mode)
-        cols, rows = _columns(raw, axis), raw.size // 8
-
         def check(a):
-            return _fit_array(a, mode)
+            nonlocal saturations
+            a, clipped = _fit_array(a, mode)
+            saturations += clipped
+            return a
+
+        raw, peak = _to_raw_array(X, fmt, check)
+        cols = _columns(raw, axis)
     # Below the bound no node can leave the word: every check is a no-op.
     fit = _unchecked if peak <= engine.safe_input_bound(fmt) else check
     cols = _flow_raw(engine, cols, fit)
-    adds, shifts = engine._row_cost
-    tally(mode, adds * rows, shifts * rows)
-    return _stack(cols, axis) * fmt.lsb
+    return _stack(cols, axis) * fmt.lsb, saturations
 
 
-def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> np.ndarray:
+def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.ndarray, int]:
     """Run the flow graph on each row of an (n, 8) array, or on one vector.
+
+    Returns the coefficients and the number of values clipped under
+    ``OverflowPolicy.SATURATE``, at input quantization and at every
+    range-checked node; the count is 0 in float, under ``ERROR``, and for
+    input within :meth:`DctEngine.safe_input_bound`.  The cost in adds and
+    shifts is ``rows x DctEngine.operation_counts()``.
 
     One ``(8,)`` vector runs the flow graph on Python numbers; a batch
     runs the same graph on NumPy columns, for the same bits.  Raises
@@ -505,12 +517,12 @@ def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> np.ndarray:
         )
     if engine.mode.is_fixed:
         return _transform8_fixed(engine, arr, _axis)
-    return _transform8_float(engine, arr, _axis)
+    return _transform8_float(engine, arr, _axis), 0
 
 
 def dct8_cordic(x, engine: DctEngine) -> np.ndarray:
     """Shift-add 8-point DCT of one sample vector."""
-    return transform8(engine, x)
+    return transform8(engine, x)[0]
 
 
 def _planes(blocks: np.ndarray) -> np.ndarray:
@@ -520,10 +532,11 @@ def _planes(blocks: np.ndarray) -> np.ndarray:
     return np.array(blocks.reshape(-1, 64).T, order="C")
 
 
-def _dct2d_planes(engine: DctEngine, planes: np.ndarray) -> np.ndarray:
+def _dct2d_planes(engine: DctEngine, planes: np.ndarray) -> tuple[np.ndarray, int]:
     """Separable 8x8 transform of a C-ordered (64, n) plane array: row
     ``p`` holds in-block position ``p`` (raster order) of all ``n``
-    blocks, and so does row ``p`` of the (64, n) result.
+    blocks, and so does row ``p`` of the (64, n) result.  Also returns
+    the values both passes clipped (see :func:`transform8`).
 
     The row pass runs the flow graph on the eight (8, n) column planes
     and stacks its outputs along axis 1, which leaves each row of every
@@ -537,8 +550,9 @@ def _dct2d_planes(engine: DctEngine, planes: np.ndarray) -> np.ndarray:
     # [row, column, block]; one block as an 8x8 array, whose columns are
     # 1-D and cheaper per ufunc call
     blocks = planes.reshape(8, 8) if n == 1 else planes.reshape(8, 8, n)
-    rows = transform8(engine, blocks, _axis=1)  # [row, horizontal frequency, block]
-    return transform8(engine, rows.reshape(8, 8 * n), _axis=0).reshape(64, n)
+    rows, row_sats = transform8(engine, blocks, _axis=1)  # [row, horizontal frequency, block]
+    coefs, col_sats = transform8(engine, rows.reshape(8, 8 * n), _axis=0)
+    return coefs.reshape(64, n), row_sats + col_sats
 
 
 def dct2d(block, engine: DctEngine) -> np.ndarray:
@@ -548,8 +562,10 @@ def dct2d(block, engine: DctEngine) -> np.ndarray:
     The stack is transposed once into (64, n) planes (:func:`_planes`) for
     :func:`_dct2d_planes`, and the result is a view of its coefficient
     planes in the stack's shape.  Each pass is one :func:`transform8`
-    call over every row of the stack, with the bits, refusals and counts
-    of a row pass over the stack, then a row pass over the swapped stack.
+    call over every row of the stack, with the bits, refusals and
+    saturations of a row pass over the stack, then a row pass over the
+    swapped stack.
     """
     b = _as_blocks(block)
-    return _dct2d_planes(engine, _planes(b)).T.reshape(b.shape)
+    coefs, _ = _dct2d_planes(engine, _planes(b))
+    return coefs.T.reshape(b.shape)

@@ -6,17 +6,16 @@ or on raw two's-complement integers with a configurable word length
 negative infinity, matching a hardware arithmetic shifter.  Out-of-range
 results either saturate or raise, per the mode's overflow policy.
 
-An optional :class:`OpCounter` on the mode tallies the datapath's cost:
-saturations where a range check clips, and the adds and shifts of a static
-cost model (2 each per micro-rotation step, 1 each per CSD term applied)
-once per completed call, so a call that raises under ``ERROR`` charges
-none.  No kernel multiplies.
+A mode is a pure value.  The datapath's cost is not kept on it: adds and
+shifts come from a static cost model (``DctEngine.operation_counts``),
+and the fixed-point transform returns the number of values it clipped
+next to its output.  No kernel multiplies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -87,39 +86,16 @@ class FixedPointFormat:
         return raw * self.lsb
 
 
-@dataclass
-class OpCounter:
-    """Running operation tally for the fixed-point datapath.
-
-    Its fields are written only by :func:`tally`.
-    """
-
-    adds: int = 0
-    shifts: int = 0
-    multiplies: int = 0
-    saturations: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "adds": self.adds,
-            "shifts": self.shifts,
-            "multiplies": self.multiplies,
-            "saturations": self.saturations,
-        }
-
-
 @dataclass(frozen=True)
 class ArithmeticMode:
     """Either exact binary64 or fixed point with a format and overflow policy.
 
     ``fmt is None`` selects the exact-float variant; exactly one variant
-    is ever active.  ``counter`` (shared, mutable) is only ticked by the
-    fixed-point paths.
+    is ever active.
     """
 
     fmt: FixedPointFormat | None = None
     overflow: OverflowPolicy = OverflowPolicy.ERROR
-    counter: OpCounter | None = field(default=None, compare=False)
 
     @property
     def is_fixed(self) -> bool:
@@ -135,9 +111,8 @@ class ArithmeticMode:
         total_bits: int = 16,
         frac_bits: int = 12,
         overflow: OverflowPolicy = OverflowPolicy.ERROR,
-        counter: OpCounter | None = None,
     ) -> "ArithmeticMode":
-        return cls(FixedPointFormat(total_bits, frac_bits), overflow, counter)
+        return cls(FixedPointFormat(total_bits, frac_bits), overflow)
 
 
 def fit_raw(raw: int, mode: ArithmeticMode) -> int:
@@ -150,16 +125,4 @@ def fit_raw(raw: int, mode: ArithmeticMode) -> int:
             f"raw value {raw} outside [{fmt.min_raw}, {fmt.max_raw}] "
             f"for {fmt.total_bits}.{fmt.frac_bits} format"
         )
-    tally(mode, saturations=1)
     return fmt.min_raw if raw < fmt.min_raw else fmt.max_raw
-
-
-def tally(mode: ArithmeticMode, adds: int = 0, shifts: int = 0, saturations: int = 0) -> None:
-    """Charge operations to the mode's counter, if it has one: the adds and
-    shifts of one completed fixed-point call, or the saturations of one
-    range check."""
-    c = mode.counter
-    if c is not None:
-        c.adds += adds
-        c.shifts += shifts
-        c.saturations += saturations

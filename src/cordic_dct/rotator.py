@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .fixedpoint import ArithmeticMode, fit_raw, tally
+from .fixedpoint import ArithmeticMode, fit_raw
 from .planner import MicroRotation, RotationPlan
 
 
@@ -174,8 +174,9 @@ def _rotate_vector(
     """Rotate one vector by ``steps``, which grow its norm ``growth``
     times, then scale it by ``gain`` if given.
 
-    Fixed point quantizes, stays in the raw domain throughout, compensates
-    via a CSD expansion of the gain, and charges the mode's counter.
+    Fixed point quantizes, stays in the raw domain throughout, and
+    compensates via a CSD expansion of the gain: 2 adds and 2 shifts per
+    step, and 1 of each per CSD term applied to a component.
     """
     _check_input(v, growth)
     if not mode.is_fixed:
@@ -187,12 +188,9 @@ def _rotate_vector(
         return fit_raw(raw, mode)
 
     xr, yr = rotate_raw(fit(fmt.to_raw(v.x)), fit(fmt.to_raw(v.y)), steps, fit)
-    ops = 2 * len(steps)
     if gain is not None and steps:
         scale = csd_scale(gain, max_terms=16, tolerance=max(fmt.lsb / 2, 2.0 ** -18))
         xr, yr = fit(scale.apply_raw(xr)), fit(scale.apply_raw(yr))
-        ops += 2 * len(scale.terms)
-    tally(mode, ops, ops)
     return Vector2(fmt.from_raw(xr), fmt.from_raw(yr))
 
 

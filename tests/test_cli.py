@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cordic_dct.cli import format_angle, main, parse_angle
+from cordic_dct.cli import _PI_RE, format_angle, main, parse_angle
 from cordic_dct.codec import GrayImage
 from cordic_dct.dct8 import DctEngine, _flow_float, _Magnitude
 from cordic_dct.fixedpoint import FixedPointFormat
@@ -195,6 +195,32 @@ class TestAngleParsing:
     def test_invalid(self):
         with pytest.raises(ValueError):
             parse_angle("two pies")
+
+    @pytest.mark.parametrize("text", ["pi/0", "3pi/0.0", "-pi / 00", "2*pi/0.000"])
+    def test_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="divides by zero"):
+            parse_angle(text)
+
+    @given(text=st.from_regex(_PI_RE, fullmatch=True))
+    def test_pi_expressions_give_a_float_or_a_value_error(self, text):
+        try:
+            value = parse_angle(text)
+        except ValueError:
+            return
+        assert isinstance(value, float)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--angle", "pi/0"],
+            ["table", "--angles", "pi/4,3pi/0.0"],
+            ["rotate", "--angle", "3pi/0.0", "--x", "1", "--y", "0"],
+        ],
+    )
+    def test_zero_denominator_fails_in_every_subcommand(self, argv):
+        rc, out = run_quiet(argv)
+        assert rc == 1
+        assert out.strip().split("\n")[-1].startswith("status: error:")
 
 
 class TestDecompose:

@@ -21,8 +21,15 @@ from cordic_dct.codec import (
     roundtrip_image,
     sweep,
 )
-from cordic_dct.dct8 import DctEngine, dct2d, dct2d_oracle, idct2d_oracle
-from cordic_dct.fixedpoint import ArithmeticMode, OpCounter, OverflowPolicy
+from cordic_dct.dct8 import (
+    DctEngine,
+    _dct2d_planes,
+    _planes,
+    dct2d,
+    dct2d_oracle,
+    idct2d_oracle,
+)
+from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy
 from cordic_dct.images import gradient_image, photo_proxy, seeded_texture, zone_plate
 from cordic_dct.pgm import read_pgm, write_pgm
 
@@ -314,23 +321,24 @@ def test_plane_decode_equals_per_block_inverse(n, quality, spread, seed):
 
 
 def _blockwise_reference(img: GrayImage, engine: DctEngine, qualities):
-    """The codec as a loop over 8x8 blocks, one ``dct2d`` and one
+    """The codec as a loop over 8x8 blocks, one forward transform (the
+    ``dct2d`` of one block, with its saturation count) and one
     ``idct2d_oracle`` call per block: decoded samples per quality, the mean
     |cordic - oracle| coefficient error summed block by block, and the
-    saturations of the forward pass."""
+    saturations of each block's forward transform, in raster block order."""
     h, w = img.height, img.width
     padded = np.pad(img.samples, ((0, -h % 8), (0, -w % 8)), mode="edge")
     padded = padded.astype(np.float64) - 128.0
     scales = np.outer(engine.post_scales, engine.post_scales)
-    counter = engine.mode.counter
-    coefs, total = {}, 0.0
+    coefs, total, saturations = {}, 0.0, []
     for by in range(0, padded.shape[0], 8):
         for bx in range(0, padded.shape[1], 8):
             block = padded[by : by + 8, bx : bx + 8]
-            c = coefs[by, bx] = dct2d(block, engine)
+            planes, clipped = _dct2d_planes(engine, _planes(block))
+            c = coefs[by, bx] = planes.reshape(8, 8)
+            saturations.append(clipped)
             got = c * scales if engine.fold_into_quantizer else c
             total += float(np.sum(np.abs(got - dct2d_oracle(block))))
-    saturations = counter.saturations if counter is not None else 0
     decoded = {}
     for quality in qualities:
         q = quant_table_for_quality(quality).astype(np.float64)
@@ -340,7 +348,7 @@ def _blockwise_reference(img: GrayImage, engine: DctEngine, qualities):
             pixels = idct2d_oracle(_round_half_away(c / divisor) * q) + 128.0
             out[by : by + 8, bx : bx + 8] = np.clip(_round_half_away(pixels), 0, 255)
         decoded[quality] = GrayImage.from_array(out[:h, :w].astype(np.uint8))
-    return decoded, total / (64 * len(coefs)), saturations
+    return decoded, total / (64 * len(coefs)), np.array(saturations)
 
 
 class TestBatchedCodecMatchesBlockLoop:
@@ -362,13 +370,13 @@ class TestBatchedCodecMatchesBlockLoop:
         def engine():
             mode = None
             if bits is not None:
-                mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE, OpCounter())
+                mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
             return DctEngine(epsilon=1e-3, mode=mode, compensation=compensation,
                              fold_into_quantizer=fold)
 
         ref_images, ref_err, ref_sats = _blockwise_reference(img, engine(), self.QUALITIES)
         if bits is not None:
-            assert ref_sats > 0  # the 16.5 case must exercise the saturation count
+            assert ref_sats.sum() > 0  # the 16.5 case must exercise the saturation count
         for quality in self.QUALITIES:
             got = roundtrip_image(img, engine(), quality)
             assert np.array_equal(got.samples, ref_images[quality].samples)
@@ -380,7 +388,7 @@ class TestBatchedCodecMatchesBlockLoop:
         for row in rows:
             assert row.psnr_db == psnr(img, ref_images[row.quality])
             assert row.mean_abs_coef_err == ref_err
-            assert row.saturations == ref_sats
+            assert row.saturations == ref_sats.sum()
 
 
 @settings(max_examples=40)
@@ -412,7 +420,7 @@ def test_sweep_equals_the_reference_chain(size, qualities, bits, fold, flat, see
     def engine():
         mode = None
         if bits is not None:
-            mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE, OpCounter())
+            mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
         return DctEngine(epsilon=1e-3, mode=mode, fold_into_quantizer=fold)
 
     ref_images, ref_err, ref_sats = _blockwise_reference(img, engine(), set(qualities))
@@ -424,7 +432,7 @@ def test_sweep_equals_the_reference_chain(size, qualities, bits, fold, flat, see
         assert np.array_equal(decoded.samples, ref_images[row.quality].samples)
         assert row.psnr_db == psnr(img, decoded)
         assert row.mean_abs_coef_err == ref_err
-        assert row.saturations == ref_sats
+        assert row.saturations == ref_sats.sum()
         if flat == 128:  # an all-zero transform is lossless at every quality
             assert row.psnr_db == math.inf
 
@@ -463,6 +471,20 @@ class TestSweepMechanism:
         assert len(blocks) > codec._TILE_BLOCKS
         assert len(calls) == -(-len(blocks) // codec._TILE_BLOCKS)  # once per tile, not per eps
         assert np.array_equal(np.concatenate(calls), blocks - 128.0)  # each block once, in order
+
+    def test_saturations_add_up_over_tiles(self):
+        from cordic_dct import codec
+
+        # 1089 blocks: two tiles, and 16.5 with fold clips values in both
+        img = photo_proxy(264)
+        mode = ArithmeticMode.fixed(16, 5, OverflowPolicy.SATURATE)
+        rows = sweep(img, [1e-3, 1e-4], [90], mode=mode, fold_into_quantizer=True).rows
+        for row in rows:
+            engine = DctEngine(row.epsilon, mode=mode, fold_into_quantizer=True)
+            _, _, ref_sats = _blockwise_reference(img, engine, [])
+            tiles = np.split(ref_sats, [codec._TILE_BLOCKS])
+            assert len(tiles[1]) and all(tile.sum() > 0 for tile in tiles)
+            assert row.saturations == ref_sats.sum()
 
     def test_psnr_takes_no_blas_dot(self, monkeypatch):
         img = GrayImage.from_array(RNG.integers(0, 256, size=(40, 33)).astype(np.uint8))

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from cordic_dct.fixedpoint import (
     ArithmeticMode,
     FixedPointFormat,
     FixedPointOverflowError,
-    OpCounter,
     OverflowPolicy,
     fit_raw,
 )
@@ -107,7 +107,7 @@ class TestFlowGraph:
     def test_random_equivalence_bound(self, eps, bound):
         eng = DctEngine(epsilon=eps)
         X = RNG.integers(-128, 128, size=(2000, 8)).astype(np.float64)
-        err = np.abs(transform8(eng, X) - X @ DCT_MATRIX.T).max()
+        err = np.abs(transform8(eng, X)[0] - X @ DCT_MATRIX.T).max()
         assert err <= bound
 
     def test_error_monotone_in_epsilon(self):
@@ -116,7 +116,7 @@ class TestFlowGraph:
         means = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-6):
             eng = DctEngine(epsilon=eps)
-            means.append(np.abs(transform8(eng, X) - ref).mean())
+            means.append(np.abs(transform8(eng, X)[0] - ref).mean())
         assert all(a >= b for a, b in zip(means, means[1:]))
 
     @pytest.mark.parametrize("alpha", [-1.0, 2.0])
@@ -132,8 +132,8 @@ class TestFlowGraph:
         ref = X @ DCT_MATRIX.T
         folded = DctEngine(epsilon=1e-4, compensation="folded")
         per_rot = DctEngine(epsilon=1e-4, compensation="per_rotator")
-        assert np.abs(transform8(folded, X) - ref).max() <= 0.15
-        assert np.abs(transform8(per_rot, X) - ref).max() <= 0.15
+        assert np.abs(transform8(folded, X)[0] - ref).max() <= 0.15
+        assert np.abs(transform8(per_rot, X)[0] - ref).max() <= 0.15
 
     def test_even_odd_stage_fidelity(self):
         # the flow's even outputs must realize the exact 4x4 half matrices
@@ -224,13 +224,23 @@ class TestDct2d:
                 fn(np.zeros(shape))
 
 
-def _dct2d_reference(blocks: np.ndarray, engine: DctEngine) -> np.ndarray:
+def _dct2d_reference(blocks: np.ndarray, engine: DctEngine) -> tuple[np.ndarray, int]:
     """The separable transform as two row passes of ``transform8`` over a
     block stack, with the swaps written out: rows, then the rows of the
-    swapped stack, swapped back."""
-    rows = transform8(engine, blocks.reshape(-1, 8)).reshape(blocks.shape)
-    cols = transform8(engine, rows.swapaxes(-1, -2).reshape(-1, 8))
-    return cols.reshape(blocks.shape).swapaxes(-1, -2)
+    swapped stack, swapped back; and the saturations of both passes."""
+    rows, row_sats = transform8(engine, blocks.reshape(-1, 8))
+    swapped = rows.reshape(blocks.shape).swapaxes(-1, -2)
+    cols, col_sats = transform8(engine, swapped.reshape(-1, 8))
+    return cols.reshape(blocks.shape).swapaxes(-1, -2), row_sats + col_sats
+
+
+def _dct2d_counted(blocks: np.ndarray, engine: DctEngine) -> tuple[np.ndarray, int]:
+    """``dct2d`` of a block stack and the saturations ``_dct2d_planes``
+    returns for it."""
+    out = dct2d(blocks, engine)
+    coefs, saturations = dct8._dct2d_planes(engine, dct8._planes(blocks))
+    assert coefs.T.reshape(blocks.shape).tobytes() == out.tobytes()
+    return out, saturations
 
 
 @settings(max_examples=80)
@@ -249,22 +259,22 @@ def _dct2d_reference(blocks: np.ndarray, engine: DctEngine) -> np.ndarray:
 def test_dct2d_planes_equal_two_row_passes(n, bits, policy, compensation, fold, eps, scale,
                                            poison, seed):
     """``dct2d`` runs both passes on (64, n) planes; it must give the bytes,
-    counts and refusals of two ``transform8`` row passes over the stack."""
+    saturation counts and refusals of two ``transform8`` row passes over
+    the stack."""
     rng = np.random.default_rng(seed)
     blocks = rng.uniform(-scale, scale, size=(n, 8, 8))
     if poison is not None:
         blocks[rng.integers(n), rng.integers(8), rng.integers(8)] = poison
     results = []
-    for transform in (dct2d, _dct2d_reference):
-        counter = OpCounter()
-        mode = None if bits is None else ArithmeticMode(FixedPointFormat(*bits), policy, counter)
-        engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+    mode = None if bits is None else ArithmeticMode(FixedPointFormat(*bits), policy)
+    engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+    for transform in (_dct2d_counted, _dct2d_reference):
         try:
-            out = transform(blocks, engine)
+            out, saturations = transform(blocks, engine)
         except (ValueError, FixedPointOverflowError) as exc:
             results.append(type(exc))
         else:
-            results.append((out.shape, out.tobytes(), counter.as_dict()))
+            results.append((out.shape, out.tobytes(), saturations))
     assert results[0] == results[1]
 
 
@@ -274,24 +284,50 @@ class TestFixedPointPath:
         eng_fix = DctEngine(epsilon=1e-4, mode=mode)
         eng_flt = DctEngine(epsilon=1e-4)
         X = RNG.integers(-128, 128, size=(500, 8)).astype(np.float64)
-        err = np.abs(transform8(eng_fix, X) - transform8(eng_flt, X)).max()
+        err = np.abs(transform8(eng_fix, X)[0] - transform8(eng_flt, X)[0]).max()
         assert err <= 0.2  # a few dozen floor-rounded shifts at lsb 2^-8
 
     def test_no_multiplies(self):
-        counter = OpCounter()
-        mode = ArithmeticMode.fixed(24, 8, OverflowPolicy.ERROR, counter)
-        eng = DctEngine(epsilon=1e-3, mode=mode)
-        transform8(eng, RNG.integers(-128, 128, size=(16, 8)).astype(np.float64))
-        assert counter.multiplies == 0
-        assert counter.adds > 0
-        assert counter.shifts > 0
+        # The datapath itself runs on values that refuse multiplication in
+        # criterion 9's traced tests (test_acceptance.py).
+        counts = DctEngine(epsilon=1e-3, mode=ArithmeticMode.fixed(24, 8)).operation_counts()
+        assert counts["multiplies"] == 0
+        assert counts["adds"] > counts["shifts"] > 0
 
     def test_saturation_counted_not_silent(self):
-        counter = OpCounter()
-        mode = ArithmeticMode.fixed(12, 2, OverflowPolicy.SATURATE, counter)
+        mode = ArithmeticMode.fixed(12, 2, OverflowPolicy.SATURATE)
         eng = DctEngine(epsilon=1e-3, mode=mode)
-        transform8(eng, np.full((1, 8), 250.0))
-        assert counter.saturations > 0
+        for x in (np.full((1, 8), 250.0), np.full(8, 250.0)):
+            _, saturations = transform8(eng, x)
+            assert saturations > 0
+        # within the word nothing is clipped, and float never clips
+        assert transform8(eng, np.full((1, 8), 1.0))[1] == 0
+        assert transform8(DctEngine(epsilon=1e-3), np.full((1, 8), 250.0))[1] == 0
+
+    def test_one_engine_shared_across_threads(self):
+        # Each call returns its own count: four threads sharing one
+        # SATURATE engine each get, on every call, a lone call's count.
+        mode = ArithmeticMode.fixed(16, 5, OverflowPolicy.SATURATE)
+        engine = DctEngine(epsilon=1e-3, mode=mode)
+        rng = np.random.default_rng(41)
+        inputs = [rng.uniform(-k, k, size=(256, 8)) for k in (100.0, 1000.0, 3000.0, 9000.0)]
+        alone = [transform8(engine, x) for x in inputs]
+        assert len({sats for _, sats in alone}) == 4  # distinct, so a mixed-up count shows
+
+        def run(k):
+            return [transform8(engine, inputs[k]) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the calls
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for k, calls in enumerate(results):
+            for out, sats in calls:
+                assert sats == alone[k][1]
+                assert np.array_equal(out, alone[k][0])
 
     def test_overflow_error_policy_raises(self):
         from cordic_dct.fixedpoint import FixedPointOverflowError
@@ -306,11 +342,11 @@ class TestFixedPointPath:
         fmt = ArithmeticMode.fixed(16, 5).fmt
         rail = fmt.max_value if sign > 0 else fmt.min_value
         outs, sats = [], []
+        mode = ArithmeticMode.fixed(16, 5, OverflowPolicy.SATURATE)
         for first in (sign * 1e300, rail):
-            counter = OpCounter()
-            mode = ArithmeticMode.fixed(16, 5, OverflowPolicy.SATURATE, counter)
-            outs.append(transform8(DctEngine(epsilon=1e-3, mode=mode), [first] + [0.0] * 7))
-            sats.append(counter.saturations)
+            out, saturations = transform8(DctEngine(epsilon=1e-3, mode=mode), [first] + [0.0] * 7)
+            outs.append(out)
+            sats.append(saturations)
         assert np.array_equal(outs[0], outs[1])
         assert sats[0] == sats[1] + 1
 
@@ -336,19 +372,6 @@ class TestFixedPointPath:
         for key, counts in golden.items():
             compensation, eps = key.split("/")
             assert DctEngine(float(eps), compensation=compensation).operation_counts() == counts
-
-    def test_counts_charged_once_per_completed_call(self):
-        counter = OpCounter()
-        mode = ArithmeticMode.fixed(12, 2, OverflowPolicy.ERROR, counter)
-        eng = DctEngine(epsilon=1e-3, mode=mode, fold_into_quantizer=True)
-        per_row = eng.operation_counts()
-        transform8(eng, RNG.integers(-8, 8, size=(5, 8)).astype(np.float64))
-        expected = {"adds": 5 * per_row["adds"], "shifts": 5 * per_row["shifts"],
-                    "multiplies": 0, "saturations": 0}
-        assert counter.as_dict() == expected
-        with pytest.raises(FixedPointOverflowError):
-            transform8(eng, np.full((3, 8), 250.0))
-        assert counter.as_dict() == expected  # a refused call charges nothing
 
     def test_float_engine_builds_no_csd_constants(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -391,36 +414,43 @@ def test_non_finite_input_refused(value, bits):
         dct2d(block, eng)
 
 
-def scalar_transform8(engine: DctEngine, row, mode: ArithmeticMode) -> list[float]:
-    """One row through the fixed-point flow graph on Python ints, written
-    out here rather than taken from the library kernels: floor-shift
-    micro-rotations and CSD sums, every node range-checked by ``fit_raw``.
-    ``mode`` must carry a counter; adds and shifts are ticked per node."""
-    fmt, counter = mode.fmt, mode.counter
+def scalar_transform8(engine: DctEngine, row) -> tuple[list[float], dict]:
+    """One row through the fixed-point flow graph of ``engine`` on Python
+    ints, written out here rather than taken from the library kernels:
+    floor-shift micro-rotations and CSD sums, every node range-checked by
+    ``fit_raw``.  Also returns its own tally, made per node: adds, shifts
+    and the values ``fit_raw`` clipped."""
+    mode, fmt = engine.mode, engine.mode.fmt
+    ops = {"adds": 0, "shifts": 0, "saturations": 0}
+
+    def fit(raw):
+        fitted = fit_raw(raw, mode)
+        ops["saturations"] += fitted != raw
+        return fitted
 
     def add(a, b):
-        counter.adds += 1
-        return fit_raw(a + b, mode)
+        ops["adds"] += 1
+        return fit(a + b)
 
     def sub(a, b):
-        counter.adds += 1
-        return fit_raw(a - b, mode)
+        ops["adds"] += 1
+        return fit(a - b)
 
     def rotate(x, y, name):
         for step in engine.plans[name].steps:
             sx, sy = x >> step.index, y >> step.index
-            x, y = fit_raw(x - step.direction * sy, mode), fit_raw(y + step.direction * sx, mode)
-            counter.adds += 2
-            counter.shifts += 2
+            x, y = fit(x - step.direction * sy), fit(y + step.direction * sx)
+            ops["adds"] += 2
+            ops["shifts"] += 2
         return x, y
 
     def scale(raw, csd):
-        counter.adds += len(csd.terms)
-        counter.shifts += len(csd.terms)
+        ops["adds"] += len(csd.terms)
+        ops["shifts"] += len(csd.terms)
         terms = (sign * (raw >> k if k >= 0 else raw << -k) for k, sign in csd.terms)
-        return fit_raw(sum(terms), mode)
+        return fit(sum(terms))
 
-    x = [fit_raw(fmt.to_raw(float(v)), mode) for v in row]
+    x = [fit(fmt.to_raw(float(v))) for v in row]
     u = [add(x[k], x[7 - k]) for k in range(4)]
     v = [sub(x[k], x[7 - k]) for k in range(4)]
     g0, g1 = rotate(add(u[0], u[3]), add(u[1], u[2]), "pi/4")
@@ -447,7 +477,20 @@ def scalar_transform8(engine: DctEngine, row, mode: ArithmeticMode) -> list[floa
     ]
     if not engine.fold_into_quantizer:
         cols = [scale(c, csd) for c, csd in zip(cols, engine._csd_post)]
-    return [fmt.from_raw(c) for c in cols]
+    return [fmt.from_raw(c) for c in cols], ops
+
+
+def scalar_transform8_rows(engine: DctEngine, X) -> tuple[np.ndarray, int]:
+    """:func:`scalar_transform8` of each row of ``X``, and the saturations
+    of all of them; the rows' adds and shifts must be the cost model's."""
+    outs, saturations = [], 0
+    model = engine.operation_counts()
+    for row in X:
+        out, ops = scalar_transform8(engine, row)
+        assert (ops["adds"], ops["shifts"]) == (model["adds"], model["shifts"])
+        outs.append(out)
+        saturations += ops["saturations"]
+    return np.array(outs), saturations
 
 
 class TestSafeInputBound:
@@ -473,29 +516,23 @@ class TestSafeInputBound:
         rows = data.draw(st.lists(st.lists(values, min_size=8, max_size=8), min_size=1, max_size=4))
         X = np.array(rows, dtype=np.float64)
 
+        mode = ArithmeticMode(fmt, policy)
+        engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
         results = []
-        for run in ("array", "scalar"):
-            counter = OpCounter()
-            mode = ArithmeticMode(fmt, policy, counter)
-            engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+        for run in (transform8, scalar_transform8_rows):
             try:
-                if run == "array":
-                    out = transform8(engine, X)
-                else:
-                    out = np.array([scalar_transform8(engine, row, mode) for row in X])
+                results.append(run(engine, X))
             except FixedPointOverflowError:
                 results.append(None)
-            else:
-                results.append((out, counter.as_dict()))
         if results[0] is None or results[1] is None:
             assert policy is OverflowPolicy.ERROR
             assert results[0] is results[1] is None
             return
-        (out_a, counts_a), (out_s, counts_s) = results
+        (out_a, sats_a), (out_s, sats_s) = results
         assert np.array_equal(out_a, out_s)
-        assert counts_a == counts_s
+        assert sats_a == sats_s
         if not above:
-            assert counts_a["saturations"] == 0
+            assert sats_a == 0
 
     @given(
         data=st.data(),
@@ -520,17 +557,17 @@ class TestSafeInputBound:
             values = st.integers(-bound, bound).map(lambda r: r * fmt.lsb)
         x = np.array(data.draw(st.lists(values, min_size=8, max_size=8)), dtype=np.float64)
 
+        mode = ArithmeticMode() if bits is None else ArithmeticMode(fmt, policy)
+        engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
         results = []
         for single in (True, False):
-            counter = OpCounter()
-            mode = ArithmeticMode() if bits is None else ArithmeticMode(fmt, policy, counter)
-            engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
             try:
-                out = dct8_cordic(x, engine) if single else transform8(engine, x[None])[0]
+                out, saturations = transform8(engine, x if single else x[None])
             except Exception as exc:
                 results.append(type(exc))
             else:
-                results.append((out.shape, out.tobytes(), counter.as_dict()))
+                out = out if single else out[0]
+                results.append((out.shape, out.tobytes(), saturations))
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("bits", [(24, 8), (16, 5)])
@@ -538,7 +575,7 @@ class TestSafeInputBound:
     @pytest.mark.parametrize("fold", [False, True])
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
     def test_no_node_overflows_at_the_bound(self, bits, compensation, fold, eps):
-        mode = ArithmeticMode(FixedPointFormat(*bits), OverflowPolicy.ERROR, OpCounter())
+        mode = ArithmeticMode(FixedPointFormat(*bits), OverflowPolicy.ERROR)
         engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
         bound = engine.safe_input_bound(mode.fmt)
         signs = np.array(list(itertools.product((-1, 1), repeat=8)))
@@ -546,12 +583,12 @@ class TestSafeInputBound:
         rows = np.concatenate([signs * bound, rng.integers(-bound, bound + 1, size=(64, 8))])
         X = rows * mode.fmt.lsb
         # The scalar reference checks every node, so it raises on any overflow.
-        ref = np.array([scalar_transform8(engine, row, mode) for row in X])
-        assert np.array_equal(transform8(engine, X), ref)
+        ref, _ = scalar_transform8_rows(engine, X)
+        assert np.array_equal(transform8(engine, X)[0], ref)
         # Not vacuous: twice the bound does overflow some node.
         with pytest.raises(FixedPointOverflowError):
             for row in signs * min(2 * bound, mode.fmt.max_raw) * mode.fmt.lsb:
-                scalar_transform8(engine, row, mode)
+                scalar_transform8(engine, row)
 
     @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
     @pytest.mark.parametrize("fold", [False, True])
@@ -621,7 +658,7 @@ class TestInputLimit:
         x = np.array(rows) * engine.input_limit
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning fails the test
-            batch = transform8(engine, x)
+            batch, _ = transform8(engine, x)
             single = dct8_cordic(x[0], engine)
             assert np.isfinite(batch).all() and np.isfinite(single).all()
             if bits is None:  # what the CLI computes next
