@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of every codec output, for byte-identity checks.
+"""SHA-256 digests of every codec, transform and rotator output, for
+byte-identity checks.
 
 Usage:
     PYTHONPATH=src python scripts/sweep_digest.py > digests.txt
@@ -21,6 +22,21 @@ height x width).  Each case covers three epsilons and seven qualities:
 * ``blocks``: ``encode_block`` of the pixel block stack and
   ``decode_block`` of those levels, per epsilon and quality.
 
+Then, per arithmetic, both compensations and every epsilon, on 400
+sample vectors (rows of a photo-like image, and sign vertices at 255
+and at 40000, beyond the 24.8 word):
+
+* ``dct8_cordic``: each vector through the single-vector transform;
+* ``transform8``: the vectors as one batch, and the saturations returned;
+* ``bounds``: ``operation_counts()``, ``input_limit`` and
+  ``safe_input_bound`` in each of five word formats.
+
+Last, the rotator in float and saturating 16.12: ``apply_plan`` of eight
+angles at three epsilons, compensated and not, and ``micro_rotate`` by
+every shift index in both directions, each on seven vectors, one of them
+beyond the overflow limit; a refused call digests its error message.
+These lines read ``vectors`` or ``rotator`` in place of an image name.
+
 A performance change that must keep the output byte-identical runs this
 on the parent and on the change and compares the two files with ``cmp``.
 The saturation count comes from ``dct8._dct2d_planes``, so on a checkout
@@ -29,6 +45,9 @@ script: it prints the same lines.
 """
 
 import hashlib
+import itertools
+import json
+import math
 
 import numpy as np
 
@@ -40,10 +59,11 @@ from cordic_dct.codec import (
     roundtrip_image,
     sweep,
 )
-from cordic_dct.dct8 import DctEngine, _dct2d_planes, _planes, dct2d
-from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy
+from cordic_dct.dct8 import DctEngine, _dct2d_planes, _planes, dct2d, dct8_cordic, transform8
+from cordic_dct.fixedpoint import ArithmeticMode, FixedPointFormat, OverflowPolicy
 from cordic_dct.images import photo_proxy
-from cordic_dct.planner import IndexPolicy
+from cordic_dct.planner import IndexPolicy, MicroRotation, decompose
+from cordic_dct.rotator import Vector2, apply_plan, micro_rotate
 
 EPSILONS = (1e-3, 1e-4, 1e-6)
 QUALITIES = (100, 95, 90, 75, 50, 25, 5)
@@ -138,11 +158,87 @@ def digests(name: str, img: GrayImage):
     yield "blocks", codec.hexdigest()
 
 
+COMPENSATIONS = ("folded", "per_rotator")
+BOUND_FORMATS = ((24, 8), (16, 5), (16, 12), (32, 16), (12, 3))
+
+
+def vectors() -> np.ndarray:
+    """400 sample vectors: 128 level-shifted rows of a photo-like image,
+    the 256 sign vertices at 255, and every 16th of them at 40000."""
+    rows = (photo_proxy(32).samples.astype(np.float64) - 128.0).reshape(-1, 8)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=8)))
+    return np.concatenate([rows, 255.0 * signs, 40000.0 * signs[::16]])
+
+
+def engine_digests(name: str, x: np.ndarray):
+    """``(output, sha256)`` of the single-vector and batch transforms and
+    the engine's bounds, over both compensations and every epsilon."""
+    bits, fold, policy = ARITHMETICS[name]
+    single, batch, bounds = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for compensation in COMPENSATIONS:
+        for eps in EPSILONS:
+            engine = DctEngine(eps, policy, _mode(bits), compensation, fold)
+            for row in x:
+                single.update(dct8_cordic(row, engine).tobytes())
+            coefs, saturations = transform8(engine, x)
+            batch.update(coefs.tobytes())
+            batch.update(repr(saturations).encode())
+            safe = [engine.safe_input_bound(FixedPointFormat(*f)) for f in BOUND_FORMATS]
+            record = [engine.operation_counts(), repr(engine.input_limit), safe]
+            bounds.update(json.dumps(record, sort_keys=True).encode())
+    yield "dct8_cordic", single.hexdigest()
+    yield "transform8", batch.hexdigest()
+    yield "bounds", bounds.hexdigest()
+
+
+ROTATOR_ANGLES = (math.pi / 4, 3 * math.pi / 8, math.pi / 16, 3 * math.pi / 16,
+                  -math.pi / 3, 0.2, -1.5, 0.0)
+ROTATOR_VECTORS = (Vector2(1.0, 0.0), Vector2(0.0, 1.0), Vector2(0.3, -0.7),
+                   Vector2(7.9, -8.0), Vector2(-200.0, 3.5), Vector2(1e300, -3e299),
+                   Vector2(1e308, 1e308))
+
+
+def _outcome(rotate) -> bytes:
+    """The vector ``rotate()`` returns, or the message of the error that
+    refused it."""
+    try:
+        out = rotate()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    return repr((out.x, out.y)).encode()
+
+
+def rotator_digests(mode: ArithmeticMode):
+    """``(output, sha256)`` of ``apply_plan`` and ``micro_rotate`` in ``mode``."""
+    plans, steps = hashlib.sha256(), hashlib.sha256()
+    for theta in ROTATOR_ANGLES:
+        for eps in EPSILONS:
+            plan = decompose(theta, eps)
+            for compensate in (False, True):
+                for v in ROTATOR_VECTORS:
+                    plans.update(_outcome(lambda: apply_plan(v, plan, mode, compensate)))
+    for index in range(31):
+        for direction in (1, -1):
+            step = MicroRotation(index, direction)
+            for v in ROTATOR_VECTORS:
+                steps.update(_outcome(lambda: micro_rotate(v, step, mode)))
+    yield "apply_plan", plans.hexdigest()
+    yield "micro_rotate", steps.hexdigest()
+
+
 def main():
     for image_name, img in images().items():
         for name in ARITHMETICS:
             for output, digest in digests(name, img):
                 print(f"{digest} {name} {image_name} {output}", flush=True)
+    x = vectors()
+    for name in ARITHMETICS:
+        for output, digest in engine_digests(name, x):
+            print(f"{digest} {name} vectors {output}", flush=True)
+    for name, mode in (("float", ArithmeticMode.exact()),
+                       ("q16_12", ArithmeticMode.fixed(16, 12, OverflowPolicy.SATURATE))):
+        for output, digest in rotator_digests(mode):
+            print(f"{digest} {name} rotator {output}", flush=True)
 
 
 if __name__ == "__main__":

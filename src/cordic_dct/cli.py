@@ -67,30 +67,34 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _add_common(p, bits_default=16, frac_default=12):
+def _add_common(p, formats=(), word=None):
+    """``--policy`` and ``--out``; ``--format`` if the command prints any of
+    ``formats`` (the first is the default); and, given the ``(bits, frac)``
+    defaults of its fixed-point ``word``, ``--mode``, ``--bits`` and ``--frac``."""
     p.add_argument("--policy", choices=["nearest", "literal"], default="nearest")
-    p.add_argument("--mode", choices=["float", "fixed"], default="float")
-    p.add_argument("--bits", type=int, default=bits_default, help="fixed-point total bits")
-    p.add_argument("--frac", type=int, default=frac_default, help="fixed-point fraction bits")
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
+    if word is not None:
+        p.add_argument("--mode", choices=["float", "fixed"], default="float")
+        p.add_argument("--bits", type=int, default=word[0], help="fixed-point total bits")
+        p.add_argument("--frac", type=int, default=word[1], help="fixed-point fraction bits")
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
 def cmd_decompose(args) -> int:
     theta = parse_angle(args.angle)
     plan = planner.decompose(theta, args.eps, _parse_policy(args.policy))
-    row = planner.generate_table([theta], [args.eps], _parse_policy(args.policy))
     if args.format == "csv":
-        _emit(planner.table_to_csv(row), args.out)
+        _emit(planner.table_to_csv([plan]), args.out)
     elif args.format == "json":
-        _emit(planner.table_to_json(row), args.out)
+        _emit(planner.table_to_json([plan]), args.out)
     else:
         lines = []
         if not plan.steps:
             lines.append(f"angle {format_angle(theta)} already within eps={args.eps:g}: empty plan")
         else:
-            sigma = " ".join("+" if d > 0 else "-" for d in plan.directions)
-            lines.append(f"i: {'/'.join(map(str, plan.indices))}  sigma: {sigma}")
+            sigma = " ".join(plan.directions_str)
+            lines.append(f"i: {plan.indices_str}  sigma: {sigma}")
         lines.append(f"residual: {plan.residual!r}")
         lines.append(f"gain: {plan.gain!r}")
         lines.append(f"reconstructed: {planner.reconstruct_angle(plan)!r}")
@@ -110,18 +114,18 @@ def cmd_table(args) -> int:
         angle_exprs = [a for a in (args.angles.split(",") if args.angles else []) if a]
         epsilons = [float(e) for e in args.eps_list.split(",")] if args.eps_list else [args.eps]
     angles = [parse_angle(a) for a in angle_exprs]
-    rows = planner.generate_table(angles, epsilons, _parse_policy(args.policy))
+    plans = planner.generate_table(angles, epsilons, _parse_policy(args.policy))
     if args.format == "json":
-        _emit(planner.table_to_json(rows), args.out)
+        _emit(planner.table_to_json(plans), args.out)
     elif args.format == "csv":
-        _emit(planner.table_to_csv(rows), args.out)
+        _emit(planner.table_to_csv(plans), args.out)
     else:
         lines = [f"{'angle':>12}  {'eps':>8}  {'i':<16} {'sigma':<10} {'residual':>13}  gain"]
-        for k, r in enumerate(rows):
+        for k, p in enumerate(plans):
             expr = angle_exprs[k // len(epsilons)]
             lines.append(
-                f"{expr:>12}  {r.epsilon:>8g}  {r.indices_str or '-':<16} "
-                f"{r.directions_str or '-':<10} {r.residual:>13.3e}  {r.gain:.6f}"
+                f"{expr:>12}  {p.tolerance:>8g}  {p.indices_str or '-':<16} "
+                f"{p.directions_str or '-':<10} {p.residual:>13.3e}  {p.gain:.6f}"
             )
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -202,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="micro-rotation plan for one angle")
     p.add_argument("--angle", required=True)
     p.add_argument("--eps", type=float, default=1e-4)
-    _add_common(p)
+    _add_common(p, formats=["text", "csv", "json"])
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("table", help="decomposition table for angle/eps grids")
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", default="", help="comma-separated angle expressions")
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--eps-list", dest="eps_list", default="", help="comma-separated tolerances")
-    _add_common(p)
+    _add_common(p, formats=["text", "csv", "json"])
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("rotate", help="rotate a 2-vector through a plan")
@@ -220,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--no-compensate", action="store_true")
-    _add_common(p)
+    _add_common(p, word=(16, 12))
     p.set_defaults(func=cmd_rotate)
 
     p = sub.add_parser("dct", help="8-point or 8x8 DCT of numbers from a file or stdin")
     p.add_argument("--input", default="-", help="path or '-' for stdin")
     p.add_argument("--eps", type=float, default=1e-4)
-    _add_common(p, bits_default=24, frac_default=8)
+    _add_common(p, formats=["text", "json"], word=(24, 8))
     p.set_defaults(func=cmd_dct)
 
     p = sub.add_parser("eval", help="PSNR sweep over qualities and precisions")
@@ -235,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", default="1e-3,1e-4")
     p.add_argument("--fold-into-quantizer", dest="fold_into_quantizer", action="store_true",
                    help="skip transform post-scales and divide them into the quantizer")
-    _add_common(p, bits_default=24, frac_default=8)
+    _add_common(p, formats=["csv", "json"], word=(24, 8))
     p.set_defaults(func=cmd_eval)
 
     return ap

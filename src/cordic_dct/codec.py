@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from io import StringIO
 
@@ -84,6 +85,8 @@ def quant_table_for_quality(quality: int) -> np.ndarray:
     Q=50 returns the base table, Q=100 all ones; entries are clamped to
     [1, 255].
     """
+    if not isinstance(quality, numbers.Integral):
+        raise ValueError(f"quality {quality!r} is not an integer")
     if not 1 <= quality <= 100:
         raise ValueError(f"quality {quality} outside [1, 100]")
     scale = 5000 // quality if quality < 50 else 200 - 2 * quality

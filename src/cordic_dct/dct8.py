@@ -29,6 +29,7 @@ leave the word and the checks are skipped as provable no-ops.  Under
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -161,23 +162,14 @@ class DctEngine:
                 [half, half, half, eighth_norm, half, eighth_norm, half, half]
             )
 
-    # Shift-add expansions of every constant the fixed-point flow graph
-    # needs, built on first use: a float engine never reads them.
-
     @cached_property
-    def _csd_post(self) -> list[CsdScale]:
-        return [csd_scale(s, max_terms=16, tolerance=_CSD_TOLERANCE) for s in self.post_scales]
-
-    @cached_property
-    def _csd_equalizer(self) -> CsdScale:
-        return csd_scale(self.equalizer, max_terms=16, tolerance=_CSD_TOLERANCE)
-
-    @cached_property
-    def _csd_gains(self) -> dict[str, CsdScale]:
-        return {
-            name: csd_scale(plan.gain, max_terms=16, tolerance=_CSD_TOLERANCE)
-            for name, plan in self.plans.items()
-        }
+    def _csd(self) -> dict[float, CsdScale]:
+        """Shift-add expansion of every constant the fixed-point flow graph
+        can scale a column by, keyed by the constant.  Built on first use:
+        a float engine never reads it."""
+        gains = [plan.gain for plan in self.plans.values()]
+        constants = {self.equalizer, *self.post_scales.tolist(), *gains}
+        return {c: csd_scale(c, max_terms=16, tolerance=_CSD_TOLERANCE) for c in constants}
 
     def operation_counts(self) -> dict:
         """Adds/shifts/multiplies for one 8-point transform, JSON-friendly.
@@ -201,11 +193,13 @@ class DctEngine:
         the butterfly adds."""
         steps = sum(len(p.steps) for p in self.plans.values())
         if self.compensation == "per_rotator":
-            csd = 2 * sum(len(s.terms) for s in self._csd_gains.values())
+            compensation = [plan.gain for plan in self.plans.values()]
         else:
-            csd = 2 * len(self._csd_equalizer.terms)
+            compensation = [self.equalizer]
+        scaled = 2 * compensation  # each scales the two outputs of a rotator
         if not self.fold_into_quantizer:
-            csd += sum(len(s.terms) for s in self._csd_post)
+            scaled += self.post_scales.tolist()
+        csd = sum(len(self._csd[c].terms) for c in scaled)
         return _BUTTERFLY_ADDS + 2 * steps + csd, 2 * steps + csd
 
     def safe_input_bound(self, fmt: FixedPointFormat) -> int:
@@ -234,7 +228,8 @@ class DctEngine:
             return overflow_limit(float(self.mode.fmt.raw_scale))
         # The post-scales (at most 1/2) only shrink the graph's outputs.
         unit = _Magnitude(1.0)
-        return overflow_limit(max(node.peak for node in _flow_float(self, [unit] * 8)))
+        outputs = _flow(self, [unit] * 8, rotate_float, operator.mul, _unchecked)
+        return overflow_limit(max(node.peak for node in outputs))
 
     @cached_property
     def _node_growth(self) -> tuple[int, int]:
@@ -285,7 +280,7 @@ class _Magnitude:
     flow-graph node, and ``peak``, the largest bound of any node on the
     way to it.
 
-    It supports what :func:`_flow_float` does to its columns:
+    It supports what :func:`_flow` does to float columns:
     ``|a +- b| <= A + B`` and ``|c * a| = |c| * A`` for a constant ``c``.
     The bounds are rounded floats; the overflow margin covers that.
     """
@@ -307,44 +302,54 @@ class _Magnitude:
     __rmul__ = __mul__
 
 
-def _flow_float(engine: DctEngine, x: list) -> list:
-    """The float flow graph on eight input columns, before the post-scales.
+def _unchecked(value):
+    return value
 
-    The columns are Python floats (one sample vector) or NumPy arrays (a
-    batch of rows) alike; the same operations in the same order give the
-    same bits either way.
+
+def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
+    """The DCT flow graph on eight input columns, before the post-scales:
+    the even/odd butterflies, the four rotators, their compensation (the
+    ``folded`` equalizer or the ``per_rotator`` gains) and the
+    recombination butterflies.
+
+    The arithmetic comes from the op set: ``rotate(x, y, steps)`` folds a
+    plan's unscaled micro-rotations, ``scale(column, constant)`` multiplies
+    by one of the engine's constants, and ``fit`` takes every sum the
+    graph forms.  Float passes :func:`rotate_float`, ``operator.mul`` and
+    :func:`_unchecked`; fixed point passes the raw op set of
+    :func:`_flow_raw`.  The columns are Python numbers (one sample vector)
+    or NumPy arrays (a batch of rows) alike, with the same bits either
+    way, and also the bound types :class:`_Magnitude` and
+    :class:`_NodeBound`, which is how the engine's input limits are
+    derived.
     """
-    per_rot = engine.compensation == "per_rotator"
+    plans = engine.plans
     x0, x1, x2, x3, x4, x5, x6, x7 = x
 
-    def rotate(x, y, name):
-        plan = engine.plans[name]
-        return rotate_float(x, y, plan.steps, plan.gain if per_rot else None)
+    u0, u1, u2, u3 = fit(x0 + x7), fit(x1 + x6), fit(x2 + x5), fit(x3 + x4)
+    v0, v1, v2, v3 = fit(x0 - x7), fit(x1 - x6), fit(x2 - x5), fit(x3 - x4)
 
-    u0, u1, u2, u3 = x0 + x7, x1 + x6, x2 + x5, x3 + x4
-    v0, v1, v2, v3 = x0 - x7, x1 - x6, x2 - x5, x3 - x4
+    p, q = fit(u0 + u3), fit(u1 + u2)
+    r, s = fit(u0 - u3), fit(u1 - u2)
+    g0, g1 = rotate(p, q, plans["pi/4"].steps)
+    h0, h1 = rotate(r, s, plans["3pi/8"].steps)
+    a1, a0 = rotate(v3, v0, plans["pi/16"].steps)
+    b1, b0 = rotate(v2, v1, plans["3pi/16"].steps)
 
-    p, q = u0 + u3, u1 + u2
-    r, s = u0 - u3, u1 - u2
-    g0, g1 = rotate(p, q, "pi/4")
-    h0, h1 = rotate(r, s, "3pi/8")
+    if engine.compensation == "per_rotator":
+        g0, g1 = scale(g0, plans["pi/4"].gain), scale(g1, plans["pi/4"].gain)
+        h0, h1 = scale(h0, plans["3pi/8"].gain), scale(h1, plans["3pi/8"].gain)
+        a0, a1 = scale(a0, plans["pi/16"].gain), scale(a1, plans["pi/16"].gain)
+        b0, b1 = scale(b0, plans["3pi/16"].gain), scale(b1, plans["3pi/16"].gain)
+    else:
+        a0, a1 = scale(a0, engine.equalizer), scale(a1, engine.equalizer)
 
-    a1, a0 = rotate(v3, v0, "pi/16")
-    b1, b0 = rotate(v2, v1, "3pi/16")
-    if not per_rot:
-        a0 = a0 * engine.equalizer
-        a1 = a1 * engine.equalizer
-
-    return [
-        g1,
-        a0 + b0,
-        h1,
-        (a0 - a1) - (b0 + b1),
-        g0,
-        (a0 + a1) - (b0 - b1),
-        h0,
-        b1 - a1,
-    ]
+    # Under ERROR the first node that leaves the word raises, so this
+    # order (1, 7, 3, 5) fixes which error a call reports.
+    f1, f7 = fit(a0 + b0), fit(b1 - a1)
+    f3 = fit(fit(a0 - a1) - fit(b0 + b1))
+    f5 = fit(fit(a0 + a1) - fit(b0 - b1))
+    return [g1, f1, h1, f3, g0, f5, h0, f7]
 
 
 def _columns(X: np.ndarray, axis: int) -> list:
@@ -361,7 +366,7 @@ def _stack(cols: list, axis: int) -> np.ndarray:
 
 def _transform8_float(engine: DctEngine, X: np.ndarray, axis: int) -> np.ndarray:
     cols = X.tolist() if X.ndim == 1 else _columns(X, axis)
-    F = _stack(_flow_float(engine, cols), axis)
+    F = _stack(_flow(engine, cols, rotate_float, operator.mul, _unchecked), axis)
     if not engine.fold_into_quantizer:
         scales = engine.post_scales
         if axis < F.ndim - 1:  # one multiply, the scales broadcast along ``axis``
@@ -399,56 +404,29 @@ def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> tuple[np.ndarray, int]:
     return raw, n_out
 
 
-def _unchecked(raw):
-    return raw
-
-
 def _flow_raw(engine: DctEngine, x: list, fit) -> list:
-    """The fixed-point flow graph on eight raw input columns.
+    """The fixed-point flow graph on eight raw input columns, post-scales
+    included: :func:`_flow` on the raw op set, shift-add only.
 
     Every node that can leave the word goes through ``fit``: the range
     check of the mode, or :func:`_unchecked` once the input is known to
-    be within the engine's safe input bound.  The graph only adds,
+    be within the engine's safe input bound.  Each constant is applied as
+    its CSD expansion (``DctEngine._csd``).  The graph only adds,
     subtracts and shifts, so it also runs on :class:`_NodeBound` values,
     which is how that bound is derived.  Its cost per row is
     ``DctEngine._row_cost``.
     """
-    per_rot = engine.compensation == "per_rotator"
-    x0, x1, x2, x3, x4, x5, x6, x7 = x
+    csd = engine._csd
 
-    def rotate(x, y, name):
-        return rotate_raw(x, y, engine.plans[name].steps, fit)
+    def rotate(x, y, steps):
+        return rotate_raw(x, y, steps, fit)
 
-    def scale(col, csd: CsdScale):
-        return fit(csd.apply_raw(col))
+    def scale(col, constant):
+        return fit(csd[constant].apply_raw(col))
 
-    u0, u1, u2, u3 = fit(x0 + x7), fit(x1 + x6), fit(x2 + x5), fit(x3 + x4)
-    v0, v1, v2, v3 = fit(x0 - x7), fit(x1 - x6), fit(x2 - x5), fit(x3 - x4)
-
-    p, q = fit(u0 + u3), fit(u1 + u2)
-    r, s = fit(u0 - u3), fit(u1 - u2)
-    g0, g1 = rotate(p, q, "pi/4")
-    h0, h1 = rotate(r, s, "3pi/8")
-    a1, a0 = rotate(v3, v0, "pi/16")
-    b1, b0 = rotate(v2, v1, "3pi/16")
-
-    if per_rot:
-        gains = engine._csd_gains
-        g0, g1 = scale(g0, gains["pi/4"]), scale(g1, gains["pi/4"])
-        h0, h1 = scale(h0, gains["3pi/8"]), scale(h1, gains["3pi/8"])
-        a0, a1 = scale(a0, gains["pi/16"]), scale(a1, gains["pi/16"])
-        b0, b1 = scale(b0, gains["3pi/16"]), scale(b1, gains["3pi/16"])
-    else:
-        a0, a1 = scale(a0, engine._csd_equalizer), scale(a1, engine._csd_equalizer)
-
-    cols = [None] * 8
-    cols[0], cols[4], cols[2], cols[6] = g1, g0, h1, h0
-    cols[1] = fit(a0 + b0)
-    cols[7] = fit(b1 - a1)
-    cols[3] = fit(fit(a0 - a1) - fit(b0 + b1))
-    cols[5] = fit(fit(a0 + a1) - fit(b0 - b1))
+    cols = _flow(engine, x, rotate, scale, fit)
     if not engine.fold_into_quantizer:
-        cols = [scale(c, csd) for c, csd in zip(cols, engine._csd_post)]
+        cols = [scale(c, s) for c, s in zip(cols, engine.post_scales.tolist())]
     return cols
 
 

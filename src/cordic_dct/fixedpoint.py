@@ -41,6 +41,13 @@ class FixedPointFormat:
     frac_bits: int = 12
 
     def __post_init__(self):
+        # Plain ints only: the raw arithmetic shifts by these, and the
+        # safe input bound shifts the rails 64 bits further than a NumPy
+        # integer holds.
+        for name in ("total_bits", "frac_bits"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 8 <= self.total_bits <= 32:
             raise ValueError(f"total_bits {self.total_bits} outside [8, 32]")
         if not 0 <= self.frac_bits <= self.total_bits - 2:

@@ -98,6 +98,16 @@ class RotationPlan:
     def directions(self) -> tuple[int, ...]:
         return tuple(s.direction for s in self.steps)
 
+    @property
+    def indices_str(self) -> str:
+        """The shift indices, slash-separated, as the tables print them."""
+        return "/".join(str(i) for i in self.indices)
+
+    @property
+    def directions_str(self) -> str:
+        """The directions as ``+``/``-``, one character per step."""
+        return "".join("+" if d > 0 else "-" for d in self.directions)
+
 
 def _pick_index(residual: float, policy: IndexPolicy) -> int:
     a = abs(residual)
@@ -197,70 +207,37 @@ def greedy_reference_steps(theta: float, epsilon: float) -> list[tuple[int, int]
     return out
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One decomposition summary row: (angle, epsilon) -> plan parameters."""
-
-    angle: float
-    epsilon: float
-    indices: tuple[int, ...]
-    directions: tuple[int, ...]
-    residual: float
-    gain: float
-
-    @property
-    def indices_str(self) -> str:
-        return "/".join(str(i) for i in self.indices)
-
-    @property
-    def directions_str(self) -> str:
-        return "".join("+" if d > 0 else "-" for d in self.directions)
-
-
-def generate_table(angles, epsilons, policy: IndexPolicy = IndexPolicy.NEAREST) -> list[TableRow]:
-    """Decompose every (angle, epsilon) pair into one summary row."""
-    rows = []
-    for theta in angles:
-        for eps in epsilons:
-            plan = decompose(theta, eps, policy)
-            rows.append(
-                TableRow(
-                    angle=theta,
-                    epsilon=eps,
-                    indices=plan.indices,
-                    directions=plan.directions,
-                    residual=plan.residual,
-                    gain=plan.gain,
-                )
-            )
-    return rows
+def generate_table(angles, epsilons, policy: IndexPolicy = IndexPolicy.NEAREST) -> list[RotationPlan]:
+    """Decompose every (angle, epsilon) pair, angles outer: one plan per
+    row of the rendered table."""
+    return [decompose(theta, eps, policy) for theta in angles for eps in epsilons]
 
 
 TABLE_CSV_HEADER = "angle_rad,epsilon,indices,directions,residual_rad,gain"
 
 
-def table_to_csv(rows) -> str:
-    """Render table rows as CSV (indices slash-separated, directions +/-)."""
+def table_to_csv(plans) -> str:
+    """Render plans as CSV rows (indices slash-separated, directions +/-)."""
     buf = StringIO()
     buf.write(TABLE_CSV_HEADER + "\n")
-    for r in rows:
+    for p in plans:
         buf.write(
-            f"{r.angle!r},{r.epsilon:g},{r.indices_str},{r.directions_str},"
-            f"{r.residual!r},{r.gain!r}\n"
+            f"{p.target!r},{p.tolerance:g},{p.indices_str},{p.directions_str},"
+            f"{p.residual!r},{p.gain!r}\n"
         )
     return buf.getvalue()
 
 
-def table_to_json(rows) -> str:
+def table_to_json(plans) -> str:
     payload = [
         {
-            "angle_rad": r.angle,
-            "epsilon": r.epsilon,
-            "indices": list(r.indices),
-            "directions": r.directions_str,
-            "residual_rad": r.residual,
-            "gain": r.gain,
+            "angle_rad": p.target,
+            "epsilon": p.tolerance,
+            "indices": list(p.indices),
+            "directions": p.directions_str,
+            "residual_rad": p.residual,
+            "gain": p.gain,
         }
-        for r in rows
+        for p in plans
     ]
     return json.dumps(payload, indent=2)

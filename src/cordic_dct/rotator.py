@@ -118,17 +118,14 @@ def _check_input(v: Vector2, growth: float) -> None:
         )
 
 
-def rotate_float(x, y, steps, gain: float | None = None):
-    """Fold unscaled micro-rotations over ``(x, y)`` in binary64, then
-    scale both by ``gain`` if one is given.
+def rotate_float(x, y, steps):
+    """Fold unscaled micro-rotations over ``(x, y)`` in binary64.
 
     ``x`` and ``y`` are floats or NumPy arrays of them alike.
     """
     for step in steps:
         t = step.direction * 2.0 ** -step.index
         x, y = x - t * y, y + t * x
-    if gain is not None:
-        x, y = x * gain, y * gain
     return x, y
 
 
@@ -180,7 +177,8 @@ def _rotate_vector(
     """
     _check_input(v, growth)
     if not mode.is_fixed:
-        return Vector2(*rotate_float(v.x, v.y, steps, gain))
+        x, y = rotate_float(v.x, v.y, steps)
+        return Vector2(x, y) if gain is None else Vector2(x * gain, y * gain)
 
     fmt = mode.fmt
 

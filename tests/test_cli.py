@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 import sys
 import warnings
 from unittest import mock
@@ -15,10 +16,11 @@ from hypothesis import strategies as st
 
 from cordic_dct.cli import _PI_RE, format_angle, main, parse_angle
 from cordic_dct.codec import GrayImage
-from cordic_dct.dct8 import DctEngine, _flow_float, _Magnitude
+from cordic_dct.dct8 import DctEngine, _flow, _Magnitude, _unchecked
 from cordic_dct.fixedpoint import FixedPointFormat
 from cordic_dct.planner import decompose
 from cordic_dct.pgm import write_pgm
+from cordic_dct.rotator import rotate_float
 
 
 def run_cli(capsys, *argv):
@@ -129,7 +131,9 @@ def test_dct_input_beyond_the_overflow_limit_fails(data, mode, bits, count):
     # fixed-point quantizer's 2**frac.
     eps = data.draw(st.floats(1e-6, 1e-2))
     if mode == "float":
-        growth = max(node.peak for node in _flow_float(DctEngine(eps), [_Magnitude(1.0)] * 8))
+        unit = _Magnitude(1.0)
+        outputs = _flow(DctEngine(eps), [unit] * 8, rotate_float, operator.mul, _unchecked)
+        growth = max(node.peak for node in outputs)
     else:
         growth = 2.0 ** bits[1]
     values = data.draw(st.lists(st.floats(-255, 255).map(repr), min_size=count, max_size=count))
@@ -446,3 +450,27 @@ class TestEval:
         rc, out = run_cli(capsys, "eval", "/nonexistent/image.pgm")
         assert rc == 1
         assert "status: error:" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--angle", "pi/16", "--mode", "fixed"],
+        ["decompose", "--angle", "pi/16", "--bits", "16"],
+        ["decompose", "--angle", "pi/16", "--frac", "12"],
+        ["table", "--paper", "--mode", "fixed"],
+        ["table", "--paper", "--bits", "16"],
+        ["table", "--paper", "--frac", "12"],
+        ["rotate", "--angle", "pi/16", "--x", "1", "--y", "0", "--format", "text"],
+        ["dct", "--format", "csv"],
+        ["eval", "synthetic", "--format", "text"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_flag_the_command_does_not_read_is_refused(capsys, argv):
+    # Each subcommand takes only the flags it reads: argparse refuses the
+    # rest with its usage error, before any work is done.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "status:" not in capsys.readouterr().out

@@ -60,6 +60,16 @@ class TestQuantTables:
         with pytest.raises(ValueError):
             quant_table_for_quality(quality)
 
+    @pytest.mark.parametrize("quality", [75.5, 75.0])
+    def test_non_integral_quality_refused(self, quality):
+        with pytest.raises(ValueError, match="not an integer"):
+            quant_table_for_quality(quality)
+        with pytest.raises(ValueError, match="not an integer"):
+            sweep(photo_proxy(16), [1e-3], [95, quality])
+
+    def test_numpy_integer_quality_accepted(self):
+        assert np.array_equal(quant_table_for_quality(np.int64(95)), quant_table_for_quality(95))
+
 
 class TestBlockCodec:
     def test_flat_midgray_encodes_to_zero(self):

@@ -4,6 +4,7 @@ fixed-point behaviour and the separable 2-D transform."""
 import itertools
 import json
 import math
+import operator
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +34,7 @@ from cordic_dct.fixedpoint import (
     OverflowPolicy,
     fit_raw,
 )
+from cordic_dct.rotator import rotate_float
 
 RNG = np.random.default_rng(20240601)
 WORD_FORMATS = [(24, 8), (16, 5), (20, 10), (32, 16), (12, 3)]
@@ -457,14 +459,15 @@ def scalar_transform8(engine: DctEngine, row) -> tuple[list[float], dict]:
     h0, h1 = rotate(sub(u[0], u[3]), sub(u[1], u[2]), "3pi/8")
     a1, a0 = rotate(v[3], v[0], "pi/16")
     b1, b0 = rotate(v[2], v[1], "3pi/16")
+    csd = engine._csd
     if engine.compensation == "per_rotator":
-        gains = engine._csd_gains
+        gains = {name: csd[plan.gain] for name, plan in engine.plans.items()}
         g0, g1 = scale(g0, gains["pi/4"]), scale(g1, gains["pi/4"])
         h0, h1 = scale(h0, gains["3pi/8"]), scale(h1, gains["3pi/8"])
         a0, a1 = scale(a0, gains["pi/16"]), scale(a1, gains["pi/16"])
         b0, b1 = scale(b0, gains["3pi/16"]), scale(b1, gains["3pi/16"])
     else:
-        a0, a1 = scale(a0, engine._csd_equalizer), scale(a1, engine._csd_equalizer)
+        a0, a1 = scale(a0, csd[engine.equalizer]), scale(a1, csd[engine.equalizer])
     cols = [
         g1,
         add(a0, b0),
@@ -476,7 +479,7 @@ def scalar_transform8(engine: DctEngine, row) -> tuple[list[float], dict]:
         sub(b1, a1),
     ]
     if not engine.fold_into_quantizer:
-        cols = [scale(c, csd) for c, csd in zip(cols, engine._csd_post)]
+        cols = [scale(c, csd[s]) for c, s in zip(cols, engine.post_scales)]
     return [fmt.from_raw(c) for c in cols], ops
 
 
@@ -683,7 +686,8 @@ class TestInputLimit:
         # DBL_MAX / 2, so a caller can still subtract a reference from it.
         engine = DctEngine(eps, compensation=compensation)
         vertices = np.array(list(itertools.product((-1.0, 1.0), repeat=8)))
-        cols = dct8._flow_float(engine, list((vertices * engine.input_limit).T))
+        x = list((vertices * engine.input_limit).T)
+        cols = dct8._flow(engine, x, rotate_float, operator.mul, dct8._unchecked)
         assert np.abs(np.stack(cols, axis=1)).max() <= DBL_MAX / 2
 
     def test_1e300_is_answered(self):

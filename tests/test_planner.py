@@ -236,7 +236,7 @@ class TestTableGeneration:
         angles = [PI / 4, 3 * PI / 8, PI / 16, 3 * PI / 16]
         rows = generate_table(angles, [1e-3, 1e-4])
         assert len(rows) == 8
-        by_cell = {(r.angle, r.epsilon): r for r in rows}
+        by_cell = {(r.target, r.tolerance): r for r in rows}
         for (theta, eps), (indices, directions) in KNOWN_PLANS.items():
             row = by_cell[(theta, eps)]
             assert row.indices == indices

@@ -209,6 +209,13 @@ class TestFixedPointFormat:
         with pytest.raises(ValueError):
             FixedPointFormat(total, frac)
 
+    @pytest.mark.parametrize("total,frac", [(16.5, 8), (16.0, 8), (16, 8.0), (True, 0)])
+    def test_non_int_fields_refused(self, total, frac):
+        with pytest.raises(ValueError, match="must be an int"):
+            FixedPointFormat(total, frac)
+        with pytest.raises(ValueError, match="must be an int"):
+            ArithmeticMode.fixed(total, frac)
+
     def test_rounding_half_away_from_zero(self):
         fmt = FixedPointFormat(16, 12)
         lsb = fmt.lsb
