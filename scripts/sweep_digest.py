@@ -22,14 +22,16 @@ height x width).  Each case covers three epsilons and seven qualities:
 * ``blocks``: ``encode_block`` of the pixel block stack and
   ``decode_block`` of those levels, per epsilon and quality.
 
-Then, per arithmetic, both compensations and every epsilon, on 400
-sample vectors (rows of a photo-like image, and sign vertices at 255
-and at 40000, beyond the 24.8 word):
+Then, per arithmetic, both compensations and every epsilon, on 912
+sample vectors (rows of a photo-like image; sign vertices at 255, at 100
+and at 3000, just under the 16.5 and 24.8 safe input bounds of about
+124 and 3957, and at 40000, beyond the 24.8 word):
 
 * ``dct8_cordic``: each vector through the single-vector transform;
 * ``transform8``: the vectors as one batch, and the saturations returned;
-* ``bounds``: ``operation_counts()``, ``input_limit`` and
-  ``safe_input_bound`` in each of five word formats.
+* ``costs``: ``operation_counts()``;
+* ``limits``: ``input_limit`` and ``safe_input_bound`` in each of five
+  word formats.
 
 Last, the rotator in float and saturating 16.12: ``apply_plan`` of eight
 angles at three epsilons, compensated and not, and ``micro_rotate`` by
@@ -163,18 +165,22 @@ BOUND_FORMATS = ((24, 8), (16, 5), (16, 12), (32, 16), (12, 3))
 
 
 def vectors() -> np.ndarray:
-    """400 sample vectors: 128 level-shifted rows of a photo-like image,
-    the 256 sign vertices at 255, and every 16th of them at 40000."""
+    """912 sample vectors: 128 level-shifted rows of a photo-like image,
+    the 256 sign vertices at 255, at 100 and at 3000, and every 16th of
+    them at 40000."""
     rows = (photo_proxy(32).samples.astype(np.float64) - 128.0).reshape(-1, 8)
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=8)))
-    return np.concatenate([rows, 255.0 * signs, 40000.0 * signs[::16]])
+    return np.concatenate([rows, 255.0 * signs, 100.0 * signs, 3000.0 * signs,
+                           40000.0 * signs[::16]])
 
 
 def engine_digests(name: str, x: np.ndarray):
     """``(output, sha256)`` of the single-vector and batch transforms and
-    the engine's bounds, over both compensations and every epsilon."""
+    the engine's costs and input limits, over both compensations and every
+    epsilon."""
     bits, fold, policy = ARITHMETICS[name]
-    single, batch, bounds = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    single, batch = hashlib.sha256(), hashlib.sha256()
+    costs, limits = hashlib.sha256(), hashlib.sha256()
     for compensation in COMPENSATIONS:
         for eps in EPSILONS:
             engine = DctEngine(eps, policy, _mode(bits), compensation, fold)
@@ -183,12 +189,13 @@ def engine_digests(name: str, x: np.ndarray):
             coefs, saturations = transform8(engine, x)
             batch.update(coefs.tobytes())
             batch.update(repr(saturations).encode())
+            costs.update(json.dumps(engine.operation_counts(), sort_keys=True).encode())
             safe = [engine.safe_input_bound(FixedPointFormat(*f)) for f in BOUND_FORMATS]
-            record = [engine.operation_counts(), repr(engine.input_limit), safe]
-            bounds.update(json.dumps(record, sort_keys=True).encode())
+            limits.update(json.dumps([repr(engine.input_limit), safe]).encode())
     yield "dct8_cordic", single.hexdigest()
     yield "transform8", batch.hexdigest()
-    yield "bounds", bounds.hexdigest()
+    yield "costs", costs.hexdigest()
+    yield "limits", limits.hexdigest()
 
 
 ROTATOR_ANGLES = (math.pi / 4, 3 * math.pi / 8, math.pi / 16, 3 * math.pi / 16,

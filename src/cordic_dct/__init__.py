@@ -34,7 +34,6 @@ from .planner import (
     decompose,
     gain,
     generate_table,
-    greedy_reference_steps,
     reconstruct_angle,
 )
 from .rotator import (

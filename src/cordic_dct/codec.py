@@ -401,8 +401,11 @@ def sweep(
     """
     blocks = _blocks_of(_pad_to_blocks(img.samples)).reshape(-1, 64)
     epsilons = sorted(epsilons)
-    qualities = sorted(qualities, reverse=True)
-    steps = [_step(quant_table_for_quality(quality)) for quality in qualities]
+    qualities = list(qualities)
+    # Tables first: they refuse a malformed quality before sorting compares it.
+    tables = {quality: quant_table_for_quality(quality) for quality in qualities}
+    qualities.sort(reverse=True)
+    steps = [_step(tables[quality]) for quality in qualities]
     engines = [DctEngine(epsilon=eps, policy=policy, mode=mode,
                          fold_into_quantizer=fold_into_quantizer) for eps in epsilons]
     saturations = [0] * len(engines)

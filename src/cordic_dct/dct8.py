@@ -54,7 +54,6 @@ DCT_ANGLES = {
 
 _CSD_TOLERANCE = 2.0 ** -14  # constant-scale expansion error, fixed-point path
 _BUTTERFLY_ADDS = 20  # adds and subtracts of the flow graph outside its rotators
-_BOUND_FRAC_BITS = 64  # fraction bits of the scaled integers in a _NodeBound
 
 
 def dct_matrix() -> np.ndarray:
@@ -203,103 +202,108 @@ class DctEngine:
         return _BUTTERFLY_ADDS + 2 * steps + csd, 2 * steps + csd
 
     def safe_input_bound(self, fmt: FixedPointFormat) -> int:
-        """Largest input magnitude ``max|raw|`` for which no range-checked
-        node of the fixed-point transform in ``fmt`` can leave the word.
-
-        Derived once per engine by interval propagation over the flow
-        graph (see :class:`_NodeBound`).  The bound is sound, so the
-        range checks the transform skips below it are no-ops.
-        """
-        gain, offset = self._node_growth
+        """Largest input ``max|raw|`` for which no range-checked node of the
+        fixed-point transform in ``fmt`` can leave the word, so the checks
+        skipped below it are no-ops: ``floor((max_raw - E) / L)`` for the
+        largest l1 norm ``L`` and floor-shift error ``E`` of a node's
+        exact affine form (:class:`_Affine`)."""
+        gain, error, exp = self._raw_reach
         # An all-zero input keeps every node at 0, so 0 is always safe.
-        return max(0, ((fmt.max_raw << _BOUND_FRAC_BITS) - offset) // gain)
+        return max(0, ((fmt.max_raw << exp) - error) // gain)
+
+    @cached_property
+    def _raw_reach(self) -> tuple[int, int, int]:
+        return _reach(lambda units, record: _flow_raw(self, units, record), 0, 0)
 
     @cached_property
     def input_limit(self) -> float:
-        """Largest sample magnitude :func:`transform8` accepts.
+        """Largest sample magnitude :func:`transform8` accepts:
+        :func:`~cordic_dct.rotator.overflow_limit` of the largest factor by
+        which a float value the transform computes can exceed ``max|x|``.
 
-        It is :func:`~cordic_dct.rotator.overflow_limit` of the largest
-        factor by which a float value the transform computes can exceed
-        ``max|x|``: the float flow graph's growth (see :class:`_Magnitude`),
-        or in fixed point the quantizing multiply by ``2**frac_bits``, after
-        which the graph runs on range-checked integers.
-        """
+        In fixed point that is the quantizing multiply by ``2**frac_bits``,
+        after which the graph runs on range-checked integers.  In float it
+        is the largest l1 norm of a node's exact linear form plus rounding:
+        a path from an input rounds at most ``d`` times (four butterfly
+        adds, one compensating multiply, one add per rotator step), so a
+        node is off its form by at most ``gamma_d`` (Higham, "Accuracy and
+        Stability of Numerical Algorithms", 3.1) times its sum of |path
+        products|, the error of unit inputs carrying ``[-gamma, gamma]``.
+        ``gamma = d * 2**-52``, twice ``gamma_d``, also covers rounding."""
         if self.mode.is_fixed:
             return overflow_limit(float(self.mode.fmt.raw_scale))
-        # The post-scales (at most 1/2) only shrink the graph's outputs.
-        unit = _Magnitude(1.0)
-        outputs = _flow(self, [unit] * 8, rotate_float, operator.mul, _unchecked)
-        return overflow_limit(max(node.peak for node in outputs))
 
-    @cached_property
-    def _node_growth(self) -> tuple[int, int]:
-        """(gain, offset) with |node| <= (gain*M + offset) / 2**_BOUND_FRAC_BITS
-        at every range-checked node, for inputs with max|raw| <= M."""
-        gain, offset = 0, 0
+        def flow(units, record):
+            def rotate(x, y, steps):
+                for step in steps:
+                    x, y = map(record, rotate_float(x, y, (step,)))
+                return x, y
 
-        def record(node: _NodeBound) -> _NodeBound:
-            nonlocal gain, offset
-            gain, offset = max(gain, node.gain), max(offset, node.offset)
-            return node
+            # The post-scales (at most 1/2) only shrink the graph's outputs.
+            return _flow(self, units, rotate, lambda col, c: record(col * c), record)
 
-        unit = _NodeBound(1 << _BOUND_FRAC_BITS, 0)
-        _flow_raw(self, [unit] * 8, record)
-        return gain, offset
+        gain, error, exp = _reach(flow, 52, 5 + sum(len(p.steps) for p in self.plans.values()))
+        return overflow_limit((gain + error) / (1 << exp))
 
 
-class _NodeBound:
-    """Upper bound ``(gain*M + offset) / 2**_BOUND_FRAC_BITS`` on the
-    magnitude of one flow-graph node, for inputs with max|raw| <= M.
+class _Affine:
+    """A flow-graph node as an exact affine form in the eight inputs (Stolfi
+    & de Figueiredo, affine arithmetic, 1997): ``(sum(lanes[j] * x[j]) +
+    e) / 2**exp`` for some ``e`` in ``[lo, hi]``, all Python ints.  ``+``,
+    ``-`` and multiplying by a float (an exact dyadic) are exact; a floor
+    shift ``v >> i`` of an integer is ``v / 2**i - f``, ``f`` in ``[0, 1 -
+    2**-i]`` (Hu, "The quantization effects of the CORDIC algorithm", IEEE
+    Trans. Signal Processing 1992).  The graph's constants are below 1.5,
+    so no CSD term shifts left, and the type has no ``<<``."""
 
-    It supports what :func:`_flow_raw` does to raw columns:
-    ``|a +- b| <= A + B``, ``|a << k| = A * 2**k`` and, for
-    the floor shift, ``|a >> i| <= ceil(A / 2**i) < A / 2**i + 1``.
-    Scaled values round up, so each bound stays an upper bound.
-    """
+    __slots__ = ("lanes", "lo", "hi", "exp")
 
-    __slots__ = ("gain", "offset")
+    def __init__(self, lanes: tuple, lo: int, hi: int, exp: int):
+        self.lanes, self.lo, self.hi, self.exp = lanes, lo, hi, exp
 
-    def __init__(self, gain: int, offset: int):
-        self.gain = gain
-        self.offset = offset
+    def _at(self, exp: int) -> tuple:  # (lanes, lo, hi) at a finer scale 2**exp
+        k = exp - self.exp
+        if k:
+            return tuple([c << k for c in self.lanes]), self.lo << k, self.hi << k
+        return self.lanes, self.lo, self.hi
 
-    def __add__(self, other: "_NodeBound") -> "_NodeBound":
-        return _NodeBound(self.gain + other.gain, self.offset + other.offset)
+    def __add__(self, other: "_Affine") -> "_Affine":
+        exp = max(self.exp, other.exp)
+        (a, alo, ahi), (b, blo, bhi) = self._at(exp), other._at(exp)
+        return _Affine(tuple(map(operator.add, a, b)), alo + blo, ahi + bhi, exp)
 
-    __sub__ = __add__
+    def __sub__(self, other: "_Affine") -> "_Affine":
+        exp = max(self.exp, other.exp)
+        (a, alo, ahi), (b, blo, bhi) = self._at(exp), other._at(exp)
+        return _Affine(tuple(map(operator.sub, a, b)), alo - bhi, ahi - blo, exp)
 
-    def __lshift__(self, k: int) -> "_NodeBound":
-        return _NodeBound(self.gain << k, self.offset << k)
+    def __rshift__(self, i: int) -> "_Affine":
+        return _Affine(self.lanes, self.lo - (((1 << i) - 1) << self.exp), self.hi, self.exp + i)
 
-    def __rshift__(self, i: int) -> "_NodeBound":
-        return _NodeBound(-(-self.gain >> i), -(-self.offset >> i) + (1 << _BOUND_FRAC_BITS))
-
-
-class _Magnitude:
-    """Upper bound ``bound * max|x|`` on the magnitude of one float
-    flow-graph node, and ``peak``, the largest bound of any node on the
-    way to it.
-
-    It supports what :func:`_flow` does to float columns:
-    ``|a +- b| <= A + B`` and ``|c * a| = |c| * A`` for a constant ``c``.
-    The bounds are rounded floats; the overflow margin covers that.
-    """
-
-    __slots__ = ("bound", "peak")
-
-    def __init__(self, bound: float, peak: float = 0.0):
-        self.bound = bound
-        self.peak = max(peak, bound)
-
-    def __add__(self, other: "_Magnitude") -> "_Magnitude":
-        return _Magnitude(self.bound + other.bound, max(self.peak, other.peak))
-
-    __sub__ = __add__
-
-    def __mul__(self, c: float) -> "_Magnitude":
-        return _Magnitude(self.bound * abs(c), self.peak)
+    def __mul__(self, c: float) -> "_Affine":
+        num, den = c.as_integer_ratio()
+        lo, hi = sorted((self.lo * num, self.hi * num))
+        return _Affine(tuple([v * num for v in self.lanes]), lo, hi, self.exp + den.bit_length() - 1)
 
     __rmul__ = __mul__
+
+
+def _reach(flow, exp: int, error: int) -> tuple[int, int, int]:
+    """Run ``flow(units, record)`` on the eight unit inputs, at the scale
+    ``2**exp`` with the error ``[-error, error]``; return the recorded nodes'
+    largest l1 norm and error magnitude, both at their finest scale ``exp``."""
+    nodes = []
+
+    def record(node: _Affine) -> _Affine:
+        nodes.append(node)
+        return node
+
+    flow([_Affine((0,) * j + (1 << exp,) + (0,) * (7 - j), -error, error, exp)
+          for j in range(8)], record)
+    exp = max(node.exp for node in nodes)
+    gain = max(sum(map(abs, node.lanes)) << (exp - node.exp) for node in nodes)
+    error = max(max(-node.lo, node.hi) << (exp - node.exp) for node in nodes)
+    return gain, error, exp
 
 
 def _unchecked(value):
@@ -319,9 +323,7 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     :func:`_unchecked`; fixed point passes the raw op set of
     :func:`_flow_raw`.  The columns are Python numbers (one sample vector)
     or NumPy arrays (a batch of rows) alike, with the same bits either
-    way, and also the bound types :class:`_Magnitude` and
-    :class:`_NodeBound`, which is how the engine's input limits are
-    derived.
+    way, or :class:`_Affine` nodes, from which the input limits come.
     """
     plans = engine.plans
     x0, x1, x2, x3, x4, x5, x6, x7 = x
@@ -411,9 +413,7 @@ def _flow_raw(engine: DctEngine, x: list, fit) -> list:
     Every node that can leave the word goes through ``fit``: the range
     check of the mode, or :func:`_unchecked` once the input is known to
     be within the engine's safe input bound.  Each constant is applied as
-    its CSD expansion (``DctEngine._csd``).  The graph only adds,
-    subtracts and shifts, so it also runs on :class:`_NodeBound` values,
-    which is how that bound is derived.  Its cost per row is
+    its CSD expansion (``DctEngine._csd``).  Its cost per row is
     ``DctEngine._row_cost``.
     """
     csd = engine._csd

@@ -42,8 +42,8 @@ class FixedPointFormat:
 
     def __post_init__(self):
         # Plain ints only: the raw arithmetic shifts by these, and the
-        # safe input bound shifts the rails 64 bits further than a NumPy
-        # integer holds.
+        # safe input bound shifts the rails further than a NumPy integer
+        # holds.
         for name in ("total_bits", "frac_bits"):
             value = getattr(self, name)
             if type(value) is not int:

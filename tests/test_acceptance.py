@@ -31,7 +31,6 @@ from cordic_dct.pgm import read_pgm, write_pgm
 from cordic_dct.planner import (
     IndexPolicy,
     decompose,
-    greedy_reference_steps,
     reconstruct_angle,
 )
 from cordic_dct.rotator import (
@@ -42,6 +41,8 @@ from cordic_dct.rotator import (
     plan_matrix,
     rotate_raw,
 )
+
+from greedy_reference import greedy_reference_steps
 
 PI = math.pi
 

@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import math
-import operator
 import sys
 import warnings
 from unittest import mock
@@ -16,11 +15,10 @@ from hypothesis import strategies as st
 
 from cordic_dct.cli import _PI_RE, format_angle, main, parse_angle
 from cordic_dct.codec import GrayImage
-from cordic_dct.dct8 import DctEngine, _flow, _Magnitude, _unchecked
+from cordic_dct.dct8 import DctEngine
 from cordic_dct.fixedpoint import FixedPointFormat
 from cordic_dct.planner import decompose
 from cordic_dct.pgm import write_pgm
-from cordic_dct.rotator import rotate_float
 
 
 def run_cli(capsys, *argv):
@@ -127,18 +125,15 @@ def run_strict(argv, stdin=""):
 )
 def test_dct_input_beyond_the_overflow_limit_fails(data, mode, bits, count):
     # Half of DBL_MAX over the largest factor by which a value the transform
-    # computes can exceed its input: the float flow graph's growth, or the
-    # fixed-point quantizer's 2**frac.
+    # computes can exceed its input: the float engine's input_limit, or over
+    # the fixed-point quantizer's 2**frac.
     eps = data.draw(st.floats(1e-6, 1e-2))
     if mode == "float":
-        unit = _Magnitude(1.0)
-        outputs = _flow(DctEngine(eps), [unit] * 8, rotate_float, operator.mul, _unchecked)
-        growth = max(node.peak for node in outputs)
+        limit = DctEngine(eps).input_limit
     else:
-        growth = 2.0 ** bits[1]
+        limit = sys.float_info.max / (2.0 * 2.0 ** bits[1])
     values = data.draw(st.lists(st.floats(-255, 255).map(repr), min_size=count, max_size=count))
-    values[data.draw(st.integers(0, count - 1))] = data.draw(
-        beyond(sys.float_info.max / (2.0 * growth)))
+    values[data.draw(st.integers(0, count - 1))] = data.draw(beyond(limit))
     rc, out = run_strict(["dct", "--input=-", f"--eps={eps!r}", *mode_args(mode, bits)],
                          " ".join(values))
     assert_refused(rc, out, "coefficients")

@@ -67,6 +67,12 @@ class TestQuantTables:
         with pytest.raises(ValueError, match="not an integer"):
             sweep(photo_proxy(16), [1e-3], [95, quality])
 
+    def test_sweep_validates_qualities_before_sorting_them(self):
+        # A string quality next to an int cannot be ordered; it must end in
+        # the table's ValueError, not in sorted's TypeError.
+        with pytest.raises(ValueError, match="not an integer"):
+            sweep(photo_proxy(16), [1e-3], ["75", 50])
+
     def test_numpy_integer_quality_accepted(self):
         assert np.array_equal(quant_table_for_quality(np.int64(95)), quant_table_for_quality(95))
 

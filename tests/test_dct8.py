@@ -593,6 +593,54 @@ class TestSafeInputBound:
             for row in signs * min(2 * bound, mode.fmt.max_raw) * mode.fmt.lsb:
                 scalar_transform8(engine, row)
 
+    @pytest.mark.parametrize("bits", [(24, 8), (16, 5)])
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_some_node_nears_the_rail_at_the_bound(self, bits, compensation, fold, eps):
+        # Tight: at the bound some sign vertex drives a range-checked node
+        # to within 1% of max_raw.
+        fmt = FixedPointFormat(*bits)
+        engine = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold)
+        signs = np.array(list(itertools.product((-1, 1), repeat=8)))
+        peak = 0
+
+        def record(col):
+            nonlocal peak
+            peak = max(peak, int(np.abs(col).max()))
+            return col
+
+        dct8._flow_raw(engine, list((signs * engine.safe_input_bound(fmt)).T), record)
+        assert 0.99 * fmt.max_raw <= peak <= fmt.max_raw
+
+    @pytest.mark.parametrize("bits", [(24, 8), (16, 5)])
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_every_node_lies_in_its_affine_form(self, bits, compensation, fold, eps):
+        # Each range-checked node of a raw row within the bound equals its
+        # exact linear form plus an error inside its floor-shift interval.
+        fmt = FixedPointFormat(*bits)
+        engine = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold)
+        bound = engine.safe_input_bound(fmt)
+
+        def nodes_of(x):
+            nodes = []
+            dct8._flow_raw(engine, x, lambda node: nodes.append(node) or node)
+            return nodes
+
+        units = [dct8._Affine(tuple(int(j == k) for k in range(8)), 0, 0, 0) for j in range(8)]
+        forms = nodes_of(units)
+        signs = list(itertools.product((-1, 1), repeat=8))
+        rows = [[bound * s for s in row] for row in signs]
+        rows += RNG.integers(-bound, bound + 1, size=(32, 8)).tolist()
+        for row in rows:
+            values = nodes_of(row)
+            assert len(values) == len(forms)
+            for value, form in zip(values, forms):
+                error = (value << form.exp) - sum(c * x for c, x in zip(form.lanes, row))
+                assert form.lo <= error <= form.hi
+
     @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
     @pytest.mark.parametrize("fold", [False, True])
     def test_8_bit_blocks_skip_the_checks(self, compensation, fold, monkeypatch):
@@ -609,8 +657,9 @@ class TestSafeInputBound:
         engine = DctEngine(1e-4, mode=mode, compensation=compensation, fold_into_quantizer=fold)
         dct2d(RNG.integers(-128, 128, size=(16, 8, 8)).astype(np.float64), engine)
         dct2d(np.full((8, 8), -128.0), engine)
+        beyond = (engine.safe_input_bound(fmt) + 1) * fmt.lsb
         with pytest.raises(AssertionError, match="range check ran"):
-            transform8(engine, np.full((1, 8), 3000.0))
+            transform8(engine, np.full((1, 8), beyond))
 
     @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
     @pytest.mark.parametrize("fold", [False, True])
@@ -628,7 +677,7 @@ class TestSafeInputBound:
             dct8_cordic(row, engine)
         dct8_cordic(np.full(8, -128.0), engine)
         assert checked == []
-        dct8_cordic(np.full(8, 3000.0), engine)
+        dct8_cordic(np.full(8, (engine.safe_input_bound(mode.fmt) + 1) * mode.fmt.lsb), engine)
         assert checked  # above the bound every node is range-checked
 
 
@@ -690,6 +739,30 @@ class TestInputLimit:
         cols = dct8._flow(engine, x, rotate_float, operator.mul, dct8._unchecked)
         assert np.abs(np.stack(cols, axis=1)).max() <= DBL_MAX / 2
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_some_node_nears_half_of_dbl_max_at_the_limit(self, eps, compensation, fold):
+        # Tight: at the limit some sign vertex drives a float value of the
+        # graph, a micro-rotation step's included, to within 1% of DBL_MAX / 2.
+        engine = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold)
+        vertices = np.array(list(itertools.product((-1.0, 1.0), repeat=8)))
+        peak = 0.0
+
+        def record(col):
+            nonlocal peak
+            peak = max(peak, float(np.abs(col).max()))
+            return col
+
+        def rotate(x, y, steps):
+            for step in steps:
+                x, y = map(record, rotate_float(x, y, (step,)))
+            return x, y
+
+        x = list((vertices * engine.input_limit).T)
+        dct8._flow(engine, x, rotate, lambda col, c: record(col * c), record)
+        assert 0.99 * DBL_MAX / 2 <= peak <= DBL_MAX / 2
+
     def test_1e300_is_answered(self):
         for bits in (None, (24, 8)):
             out = dct8_cordic([1e300] + [0.0] * 7, _limit_engine(1e-4, "folded", False, bits))
@@ -700,4 +773,4 @@ class TestInputLimit:
             raise AssertionError("csd_scale called")
 
         monkeypatch.setattr(dct8, "csd_scale", refuse)
-        assert 6e306 < DctEngine(1e-4).input_limit < 8e306
+        assert 1e307 < DctEngine(1e-4).input_limit < 1.2e307

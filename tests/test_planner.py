@@ -16,11 +16,12 @@ from cordic_dct.planner import (
     decompose,
     gain,
     generate_table,
-    greedy_reference_steps,
     reconstruct_angle,
     table_to_csv,
     table_to_json,
 )
+
+from greedy_reference import greedy_reference_steps
 
 PI = math.pi
 
