@@ -33,6 +33,14 @@ and at 3000, just under the 16.5 and 24.8 safe input bounds of about
 * ``limits``: ``input_limit`` and ``safe_input_bound`` in each of five
   word formats.
 
+Then 24.8 and 16.5 under ``OverflowPolicy.ERROR``, the post-scales
+applied and folded, one line per compensation and epsilon: each of the
+912 vectors through ``dct8_cordic``, and the vectors through
+``transform8`` in batches of 8 rows.  A call digests its coefficients,
+or the type and message of the error that refused it, so these lines
+pin which node's error a call reports, and so the order in which the
+flow graph range-checks its nodes.  They use public names only.
+
 Last, the rotator in float and saturating 16.12: ``apply_plan`` of eight
 angles at three epsilons, compensated and not, and ``micro_rotate`` by
 every shift index in both directions, each on seven vectors, one of them
@@ -198,6 +206,34 @@ def engine_digests(name: str, x: np.ndarray):
     yield "limits", limits.hexdigest()
 
 
+ERROR_WORDS = {"q24_8": (24, 8), "q16_5": (16, 5)}
+
+
+def _coefficients(transform) -> bytes:
+    """The bytes of the coefficients ``transform()`` returns, or the type
+    and message of the error that refused them."""
+    try:
+        coefs = transform()
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    return coefs.tobytes()
+
+
+def error_digests(bits: tuple, fold: bool, x: np.ndarray):
+    """``(output, sha256)`` per compensation and epsilon of the transforms
+    of ``x`` in the word ``bits`` under ``OverflowPolicy.ERROR``."""
+    mode = ArithmeticMode.fixed(*bits, OverflowPolicy.ERROR)
+    for compensation in COMPENSATIONS:
+        for eps in EPSILONS:
+            engine = DctEngine(eps, IndexPolicy.NEAREST, mode, compensation, fold)
+            digest = hashlib.sha256()
+            for row in x:
+                digest.update(_coefficients(lambda: dct8_cordic(row, engine)))
+            for start in range(0, len(x), 8):
+                digest.update(_coefficients(lambda: transform8(engine, x[start:start + 8])[0]))
+            yield f"{compensation}/eps_{eps:g}", digest.hexdigest()
+
+
 ROTATOR_ANGLES = (math.pi / 4, 3 * math.pi / 8, math.pi / 16, 3 * math.pi / 16,
                   -math.pi / 3, 0.2, -1.5, 0.0)
 ROTATOR_VECTORS = (Vector2(1.0, 0.0), Vector2(0.0, 1.0), Vector2(0.3, -0.7),
@@ -242,6 +278,11 @@ def main():
     for name in ARITHMETICS:
         for output, digest in engine_digests(name, x):
             print(f"{digest} {name} vectors {output}", flush=True)
+    for word, bits in ERROR_WORDS.items():
+        for fold in (False, True):
+            name = f"{word}-error" + ("-fold" if fold else "")
+            for output, digest in error_digests(bits, fold, x):
+                print(f"{digest} {name} vectors {output}", flush=True)
     for name, mode in (("float", ArithmeticMode.exact()),
                        ("q16_12", ArithmeticMode.fixed(16, 12, OverflowPolicy.SATURATE))):
         for output, digest in rotator_digests(mode):

@@ -32,7 +32,6 @@ from .planner import (
     MicroRotation,
     RotationPlan,
     decompose,
-    gain,
     generate_table,
     reconstruct_angle,
 )

@@ -40,15 +40,6 @@ def parse_angle(text: str) -> float:
     return float(s)
 
 
-def format_angle(theta: float) -> str:
-    """Decimal radians; parse_angle(format_angle(x)) == x."""
-    return repr(theta)
-
-
-def _parse_policy(name: str) -> IndexPolicy:
-    return IndexPolicy.NEAREST if name == "nearest" else IndexPolicy.LITERAL
-
-
 def _parse_mode(args, overflow: OverflowPolicy = OverflowPolicy.ERROR) -> ArithmeticMode:
     """The arithmetic of ``--mode``.  Fixed point refuses out-of-range
     values unless the caller reports saturations itself (``eval``)."""
@@ -83,7 +74,7 @@ def _add_common(p, formats=(), word=None):
 
 def cmd_decompose(args) -> int:
     theta = parse_angle(args.angle)
-    plan = planner.decompose(theta, args.eps, _parse_policy(args.policy))
+    plan = planner.decompose(theta, args.eps, IndexPolicy(args.policy))
     if args.format == "csv":
         _emit(planner.table_to_csv([plan]), args.out)
     elif args.format == "json":
@@ -91,7 +82,7 @@ def cmd_decompose(args) -> int:
     else:
         lines = []
         if not plan.steps:
-            lines.append(f"angle {format_angle(theta)} already within eps={args.eps:g}: empty plan")
+            lines.append(f"angle {theta!r} already within eps={args.eps:g}: empty plan")
         else:
             sigma = " ".join(plan.directions_str)
             lines.append(f"i: {plan.indices_str}  sigma: {sigma}")
@@ -114,7 +105,7 @@ def cmd_table(args) -> int:
         angle_exprs = [a for a in (args.angles.split(",") if args.angles else []) if a]
         epsilons = [float(e) for e in args.eps_list.split(",")] if args.eps_list else [args.eps]
     angles = [parse_angle(a) for a in angle_exprs]
-    plans = planner.generate_table(angles, epsilons, _parse_policy(args.policy))
+    plans = planner.generate_table(angles, epsilons, IndexPolicy(args.policy))
     if args.format == "json":
         _emit(planner.table_to_json(plans), args.out)
     elif args.format == "csv":
@@ -133,7 +124,7 @@ def cmd_table(args) -> int:
 
 def cmd_rotate(args) -> int:
     theta = parse_angle(args.angle)
-    plan = planner.decompose(theta, args.eps, _parse_policy(args.policy))
+    plan = planner.decompose(theta, args.eps, IndexPolicy(args.policy))
     mode = _parse_mode(args)
     v = rotator.Vector2(args.x, args.y)
     got = rotator.apply_plan(v, plan, mode, compensate=not args.no_compensate)
@@ -161,7 +152,7 @@ def cmd_dct(args) -> int:
     values = _read_numbers(args.input)
     if len(values) not in (8, 64):
         raise ValueError(f"expected 8 or 64 numbers, got {len(values)}")
-    engine = DctEngine(epsilon=args.eps, policy=_parse_policy(args.policy), mode=_parse_mode(args))
+    engine = DctEngine(epsilon=args.eps, policy=IndexPolicy(args.policy), mode=_parse_mode(args))
     if len(values) == 8:
         got = dct8_cordic(np.array(values), engine)
         ref = dct8_oracle(np.array(values))
@@ -189,7 +180,7 @@ def cmd_eval(args) -> int:
     epsilons = [float(e) for e in args.epsilons.split(",")]
     mode = _parse_mode(args, OverflowPolicy.SATURATE)  # the report counts saturations
     report = codec.sweep(
-        img, epsilons, qualities, policy=_parse_policy(args.policy), mode=mode,
+        img, epsilons, qualities, policy=IndexPolicy(args.policy), mode=mode,
         fold_into_quantizer=args.fold_into_quantizer,
     )
     if args.format == "json":

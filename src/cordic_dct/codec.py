@@ -19,7 +19,7 @@ from io import StringIO
 import numpy as np
 
 from .dct8 import DCT_MATRIX, DctEngine, _as_blocks, _dct2d_planes, _planes, dct2d_oracle
-from .fixedpoint import ArithmeticMode
+from .fixedpoint import ArithmeticMode, _round_half_away
 from .planner import IndexPolicy
 
 # ITU-T T.81 Annex K luminance quantization table.
@@ -85,37 +85,14 @@ def quant_table_for_quality(quality: int) -> np.ndarray:
     Q=50 returns the base table, Q=100 all ones; entries are clamped to
     [1, 255].
     """
-    if not isinstance(quality, numbers.Integral):
+    # A bool is an Integral, but True is no quality.
+    if isinstance(quality, bool) or not isinstance(quality, numbers.Integral):
         raise ValueError(f"quality {quality!r} is not an integer")
     if not 1 <= quality <= 100:
         raise ValueError(f"quality {quality} outside [1, 100]")
     scale = 5000 // quality if quality < 50 else 200 - 2 * quality
     q = (scale * BASE_LUMA_QUANT + 50) // 100
     return np.clip(q, 1, 255).astype(np.int64)
-
-
-_SIGN_BIT = np.int64(-(1 << 63))  # a float64's sign bit, as int64
-_HALF_BITS = np.float64(0.5).view(np.int64)
-
-
-def _round_half_away(v, out: np.ndarray | None = None) -> np.ndarray:
-    """Round to the nearest integer, ties away from zero: ``trunc(v + h)``
-    where ``h`` is 0.5 with the sign bit of ``v``.
-
-    ``h`` is made by masking ``v``'s bits down to the sign bit and or-ing
-    in the bits of 0.5: the bits ``np.copysign(0.5, v)`` gives, for -0.0
-    and NaN too, in two integer passes that cost about what an add does.
-    With ``out`` (a float64 array other than ``v``) the result is written
-    there and no temporary is made.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(v)
-    half = out.view(np.int64)
-    np.bitwise_and(v.view(np.int64), _SIGN_BIT, out=half)
-    np.bitwise_or(half, _HALF_BITS, out=half)
-    np.add(v, out, out=out)
-    return np.trunc(out, out=out)
 
 
 # The codec works on (64, n) planes: row p holds in-block position p
@@ -397,7 +374,9 @@ def sweep(
 
     Rows come out sorted by epsilon then quality (descending quality, the
     high-to-low presentation order) and the whole computation is
-    deterministic for fixed inputs.
+    deterministic for fixed inputs.  A row's epsilon and quality are a
+    Python float and int whatever number types the caller passed (NumPy
+    scalars, say), so every report serializes.
     """
     blocks = _blocks_of(_pad_to_blocks(img.samples)).reshape(-1, 64)
     epsilons = sorted(epsilons)
@@ -445,8 +424,8 @@ def sweep(
     samples = img.width * img.height
     return PsnrReport(rows=tuple(
         PsnrRow(
-            epsilon=eps,
-            quality=quality,
+            epsilon=float(eps),
+            quality=int(quality),
             psnr_db=_psnr_db(sse[e][k], samples),
             mean_abs_coef_err=float(coef_errors[e]),
             saturations=saturations[e],

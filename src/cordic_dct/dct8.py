@@ -39,6 +39,7 @@ from .fixedpoint import (
     FixedPointFormat,
     FixedPointOverflowError,
     OverflowPolicy,
+    _round_half_away,
     fit_raw,
 )
 from .planner import IndexPolicy, RotationPlan, decompose
@@ -127,6 +128,8 @@ class DctEngine:
     ):
         if compensation not in ("folded", "per_rotator"):
             raise ValueError(f"unknown compensation mode {compensation!r}")
+        if mode is not None and not isinstance(mode, ArithmeticMode):
+            raise ValueError(f"mode must be None or an ArithmeticMode, got {mode!r}")
         self.epsilon = epsilon
         self.policy = policy
         self.mode = mode if mode is not None else ArithmeticMode.exact()
@@ -140,9 +143,12 @@ class DctEngine:
 
         half = 0.5
         eighth_norm = 0.5 / math.sqrt(2.0)  # the 1/(2*sqrt2) factor on F3/F5
+        # ``_compensation`` maps a rotator's name to the constant that
+        # scales both its outputs, in graph order; a rotator it leaves out
+        # stays uncompensated.
         if compensation == "folded":
             # Odd-path equalizer puts the pi/16 pair on the 3pi/16 scale.
-            self.equalizer = g["pi/16"] / g["3pi/16"]
+            self._compensation = {"pi/16": g["pi/16"] / g["3pi/16"]}
             self.post_scales = np.array(
                 [
                     g["pi/4"] * half,      # F0
@@ -156,19 +162,29 @@ class DctEngine:
                 ]
             )
         else:
-            self.equalizer = 1.0
+            self._compensation = g
             self.post_scales = np.array(
                 [half, half, half, eighth_norm, half, eighth_norm, half, half]
             )
 
     @cached_property
+    def _row_constants(self) -> list[float]:
+        """The constant of each column scale one row of the fixed-point
+        flow graph applies, in order: each compensation constant on both
+        outputs of its rotator, then the post-scales unless they are
+        folded into the quantizer."""
+        scaled = [c for c in self._compensation.values() for _ in range(2)]
+        if not self.fold_into_quantizer:
+            scaled += self.post_scales.tolist()
+        return scaled
+
+    @cached_property
     def _csd(self) -> dict[float, CsdScale]:
-        """Shift-add expansion of every constant the fixed-point flow graph
-        can scale a column by, keyed by the constant.  Built on first use:
-        a float engine never reads it."""
-        gains = [plan.gain for plan in self.plans.values()]
-        constants = {self.equalizer, *self.post_scales.tolist(), *gains}
-        return {c: csd_scale(c, max_terms=16, tolerance=_CSD_TOLERANCE) for c in constants}
+        """Shift-add expansion of each distinct constant in
+        :attr:`_row_constants`, and of nothing else, keyed by the constant.
+        Built on first use: a float engine never reads it."""
+        return {c: csd_scale(c, max_terms=16, tolerance=_CSD_TOLERANCE)
+                for c in dict.fromkeys(self._row_constants)}
 
     def operation_counts(self) -> dict:
         """Adds/shifts/multiplies for one 8-point transform, JSON-friendly.
@@ -191,14 +207,7 @@ class DctEngine:
         micro-rotation step, 1 of each per CSD term applied to a column, and
         the butterfly adds."""
         steps = sum(len(p.steps) for p in self.plans.values())
-        if self.compensation == "per_rotator":
-            compensation = [plan.gain for plan in self.plans.values()]
-        else:
-            compensation = [self.equalizer]
-        scaled = 2 * compensation  # each scales the two outputs of a rotator
-        if not self.fold_into_quantizer:
-            scaled += self.post_scales.tolist()
-        csd = sum(len(self._csd[c].terms) for c in scaled)
+        csd = sum(len(self._csd[c].terms) for c in self._row_constants)
         return _BUTTERFLY_ADDS + 2 * steps + csd, 2 * steps + csd
 
     def safe_input_bound(self, fmt: FixedPointFormat) -> int:
@@ -313,8 +322,8 @@ def _unchecked(value):
 def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     """The DCT flow graph on eight input columns, before the post-scales:
     the even/odd butterflies, the four rotators, their compensation (the
-    ``folded`` equalizer or the ``per_rotator`` gains) and the
-    recombination butterflies.
+    constants of ``DctEngine._compensation``) and the recombination
+    butterflies.
 
     The arithmetic comes from the op set: ``rotate(x, y, steps)`` folds a
     plan's unscaled micro-rotations, ``scale(column, constant)`` multiplies
@@ -333,21 +342,19 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
 
     p, q = fit(u0 + u3), fit(u1 + u2)
     r, s = fit(u0 - u3), fit(u1 - u2)
-    g0, g1 = rotate(p, q, plans["pi/4"].steps)
-    h0, h1 = rotate(r, s, plans["3pi/8"].steps)
-    a1, a0 = rotate(v3, v0, plans["pi/16"].steps)
-    b1, b0 = rotate(v2, v1, plans["3pi/16"].steps)
-
-    if engine.compensation == "per_rotator":
-        g0, g1 = scale(g0, plans["pi/4"].gain), scale(g1, plans["pi/4"].gain)
-        h0, h1 = scale(h0, plans["3pi/8"].gain), scale(h1, plans["3pi/8"].gain)
-        a0, a1 = scale(a0, plans["pi/16"].gain), scale(a1, plans["pi/16"].gain)
-        b0, b1 = scale(b0, plans["3pi/16"].gain), scale(b1, plans["3pi/16"].gain)
-    else:
-        a0, a1 = scale(a0, engine.equalizer), scale(a1, engine.equalizer)
+    pairs = {  # each rotator's two outputs, in the order they are scaled
+        "pi/4": rotate(p, q, plans["pi/4"].steps),  # (g0, g1)
+        "3pi/8": rotate(r, s, plans["3pi/8"].steps),  # (h0, h1)
+        "pi/16": rotate(v3, v0, plans["pi/16"].steps)[::-1],  # (a0, a1)
+        "3pi/16": rotate(v2, v1, plans["3pi/16"].steps)[::-1],  # (b0, b1)
+    }
+    for name, constant in engine._compensation.items():
+        pairs[name] = [scale(col, constant) for col in pairs[name]]
+    (g0, g1), (h0, h1), (a0, a1), (b0, b1) = pairs.values()
 
     # Under ERROR the first node that leaves the word raises, so this
-    # order (1, 7, 3, 5) fixes which error a call reports.
+    # order (rotators, compensation, then 1, 7, 3, 5) fixes which error a
+    # call reports.
     f1, f7 = fit(a0 + b0), fit(b1 - a1)
     f3 = fit(fit(a0 - a1) - fit(b0 + b1))
     f5 = fit(fit(a0 + a1) - fit(b0 - b1))
@@ -380,8 +387,7 @@ def _transform8_float(engine: DctEngine, X: np.ndarray, axis: int) -> np.ndarray
 def _to_raw_array(X: np.ndarray, fmt: FixedPointFormat, check) -> tuple[np.ndarray, float]:
     """Quantize to raw integers, range-checked by ``check`` if any is out
     of the word; also return max|raw| before any clipping."""
-    scaled = X * float(fmt.raw_scale)
-    rounded = np.trunc(scaled + np.copysign(0.5, scaled))
+    rounded = _round_half_away(X * float(fmt.raw_scale))
     peak = float(np.abs(rounded).max(initial=0.0))
     if peak > fmt.max_raw:
         # Range-check while still in float: casting a float beyond int64 is
@@ -413,8 +419,8 @@ def _flow_raw(engine: DctEngine, x: list, fit) -> list:
     Every node that can leave the word goes through ``fit``: the range
     check of the mode, or :func:`_unchecked` once the input is known to
     be within the engine's safe input bound.  Each constant is applied as
-    its CSD expansion (``DctEngine._csd``).  Its cost per row is
-    ``DctEngine._row_cost``.
+    its CSD expansion (``DctEngine._csd``), in the order of
+    ``DctEngine._row_constants``.  Its cost per row is ``DctEngine._row_cost``.
     """
     csd = engine._csd
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
 
 class FixedPointOverflowError(OverflowError):
     """A result left the representable range under OverflowPolicy.ERROR."""
@@ -89,8 +91,30 @@ class FixedPointFormat:
         scaled = x * self.raw_scale
         return int(math.floor(scaled + 0.5)) if scaled >= 0 else int(math.ceil(scaled - 0.5))
 
-    def from_raw(self, raw: int) -> float:
-        return raw * self.lsb
+
+_SIGN_BIT = np.int64(-(1 << 63))  # a float64's sign bit, as int64
+_HALF_BITS = np.float64(0.5).view(np.int64)
+
+
+def _round_half_away(v, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to the nearest integer, ties away from zero, as
+    :meth:`FixedPointFormat.to_raw` does one value: ``trunc(v + h)``
+    where ``h`` is 0.5 with the sign bit of ``v``.
+
+    ``h`` is made by masking ``v``'s bits down to the sign bit and or-ing
+    in the bits of 0.5: the bits ``np.copysign(0.5, v)`` gives, for -0.0
+    and NaN too, in two integer passes that cost about what an add does.
+    With ``out`` (a float64 array other than ``v``) the result is written
+    there and no temporary is made.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(v)
+    half = out.view(np.int64)
+    np.bitwise_and(v.view(np.int64), _SIGN_BIT, out=half)
+    np.bitwise_or(half, _HALF_BITS, out=half)
+    np.add(v, out, out=out)
+    return np.trunc(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -103,6 +127,14 @@ class ArithmeticMode:
 
     fmt: FixedPointFormat | None = None
     overflow: OverflowPolicy = OverflowPolicy.ERROR
+
+    def __post_init__(self):
+        # Every check branches on these by identity: a look-alike value
+        # such as the string "error" would take the other branch.
+        if self.fmt is not None and not isinstance(self.fmt, FixedPointFormat):
+            raise ValueError(f"fmt must be None or a FixedPointFormat, got {self.fmt!r}")
+        if not isinstance(self.overflow, OverflowPolicy):
+            raise ValueError(f"overflow must be an OverflowPolicy, got {self.overflow!r}")
 
     @property
     def is_fixed(self) -> bool:

@@ -74,7 +74,8 @@ class RotationPlan:
 
     ``residual`` is the angle still missing after all steps and ``gain`` is
     the aggregate scale factor prod(1/sqrt(1 + 2**-2i)) of the unscaled
-    shift-add realization.  Plans are immutable.
+    shift-add realization, in (0, 1]: it depends only on the indices
+    (repeats count), never on the directions.  Plans are immutable.
     """
 
     target: float
@@ -121,38 +122,43 @@ def _pick_index(residual: float, policy: IndexPolicy) -> int:
 def decompose(theta: float, epsilon: float, policy: IndexPolicy = IndexPolicy.NEAREST) -> RotationPlan:
     """Compute the micro-rotation plan for ``theta`` to precision ``epsilon``.
 
-    Raises ValueError if |theta| > pi/2 or epsilon is outside
-    [1e-9, 1e-1], and RuntimeError if the loop fails to make progress
-    (which would indicate a policy bug, not bad input).
+    Raises ValueError if |theta| > pi/2, epsilon is outside [1e-9, 1e-1]
+    or policy is not an :class:`IndexPolicy`, and RuntimeError if the
+    loop fails to make progress (which would indicate a policy bug, not
+    bad input).
     """
     if not math.isfinite(theta) or abs(theta) > ANGLE_MAX:
         raise ValueError(f"angle {theta!r} outside [-pi/2, pi/2]")
     if not (EPSILON_MIN <= epsilon <= EPSILON_MAX):
         raise ValueError(f"epsilon {epsilon!r} outside [{EPSILON_MIN:g}, {EPSILON_MAX:g}]")
+    if not isinstance(policy, IndexPolicy):  # "nearest" would pick LITERAL indices
+        raise ValueError(f"policy must be an IndexPolicy, got {policy!r}")
 
     residual = theta
     steps = []
     while abs(residual) > epsilon:
         if len(steps) >= MAX_STEPS:
             raise RuntimeError(f"no convergence after {MAX_STEPS} steps (policy {policy})")
+        # The loop runs only while |residual| > epsilon >= 1e-9, where
+        # either policy picks i <= 30 = INDEX_MAX.
         i = _pick_index(residual, policy)
-        if i > INDEX_MAX:
-            # atan(2**-INDEX_MAX) < 1e-9 <= epsilon, so this is unreachable
-            # for valid inputs; bail out rather than loop forever.
-            break
         sigma = 1 if residual > 0 else -1
         nxt = residual - sigma * ATAN_TABLE[i]
         assert abs(nxt) < abs(residual), "micro-rotation must shrink the residual"
         residual = nxt
         steps.append(MicroRotation(i, sigma))
 
-    plan_steps = tuple(steps)
+    gain = 1.0
+    for step in steps:
+        # sqrt(1/(1+t)) rather than 1/sqrt(1+t): one correctly-rounded
+        # operation per factor instead of two roundings
+        gain *= math.sqrt(1.0 / (1.0 + 2.0 ** (-2 * step.index)))
     return RotationPlan(
         target=theta,
         tolerance=epsilon,
-        steps=plan_steps,
+        steps=tuple(steps),
         residual=residual,
-        gain=_gain_of_indices(s.index for s in plan_steps),
+        gain=gain,
         policy=policy,
     )
 
@@ -163,24 +169,6 @@ def reconstruct_angle(plan: RotationPlan) -> float:
     for step in plan.steps:
         total += step.angle
     return total
-
-
-def _gain_of_indices(indices) -> float:
-    k = 1.0
-    for i in indices:
-        # sqrt(1/(1+t)) rather than 1/sqrt(1+t): one correctly-rounded
-        # operation per factor instead of two roundings
-        k *= math.sqrt(1.0 / (1.0 + 2.0 ** (-2 * i)))
-    return k
-
-
-def gain(plan: RotationPlan) -> float:
-    """Aggregate scale factor prod(1/sqrt(1 + 2**-2i)) over the plan's steps.
-
-    Depends only on the index multiset (repeats count), never on the
-    directions, and lies in (0, 1].
-    """
-    return _gain_of_indices(s.index for s in plan.steps)
 
 
 def generate_table(angles, epsilons, policy: IndexPolicy = IndexPolicy.NEAREST) -> list[RotationPlan]:

@@ -51,14 +51,6 @@ class Matrix2:
     def identity(cls) -> "Matrix2":
         return cls(1.0, 0.0, 0.0, 1.0)
 
-    def matmul(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def apply(self, v: Vector2) -> Vector2:
         return Vector2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
@@ -189,7 +181,7 @@ def _rotate_vector(
     if gain is not None and steps:
         scale = csd_scale(gain, max_terms=16, tolerance=max(fmt.lsb / 2, 2.0 ** -18))
         xr, yr = fit(scale.apply_raw(xr)), fit(scale.apply_raw(yr))
-    return Vector2(fmt.from_raw(xr), fmt.from_raw(yr))
+    return Vector2(xr * fmt.lsb, yr * fmt.lsb)
 
 
 @dataclass(frozen=True)

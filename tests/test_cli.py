@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cordic_dct.cli import _PI_RE, format_angle, main, parse_angle
+from cordic_dct.cli import _PI_RE, main, parse_angle
 from cordic_dct.codec import GrayImage
 from cordic_dct.dct8 import DctEngine
 from cordic_dct.fixedpoint import FixedPointFormat
@@ -189,7 +189,7 @@ class TestAngleParsing:
 
     def test_round_trip(self):
         for theta in (0.0, math.pi / 16, -1.23456789, 0.1963495408):
-            assert parse_angle(format_angle(theta)) == theta
+            assert parse_angle(repr(theta)) == theta
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Codec tests: quantization tables, block round trips, PSNR, image sweep,
 PGM io."""
 
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from cordic_dct.codec import (
     BASE_LUMA_QUANT,
     GrayImage,
-    _round_half_away,
     decode_block,
     encode_block,
     psnr,
@@ -29,7 +29,7 @@ from cordic_dct.dct8 import (
     dct2d_oracle,
     idct2d_oracle,
 )
-from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy
+from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy, _round_half_away
 from cordic_dct.images import gradient_image, photo_proxy, seeded_texture, zone_plate
 from cordic_dct.pgm import read_pgm, write_pgm
 
@@ -72,6 +72,14 @@ class TestQuantTables:
         # the table's ValueError, not in sorted's TypeError.
         with pytest.raises(ValueError, match="not an integer"):
             sweep(photo_proxy(16), [1e-3], ["75", 50])
+
+    @pytest.mark.parametrize("quality", [True, False, np.bool_(True)])
+    def test_bool_quality_refused(self, quality):
+        # True is an Integral, but not a quality.
+        with pytest.raises(ValueError, match="not an integer"):
+            quant_table_for_quality(quality)
+        with pytest.raises(ValueError, match="not an integer"):
+            sweep(photo_proxy(16), [1e-3], [quality, 50])
 
     def test_numpy_integer_quality_accepted(self):
         assert np.array_equal(quant_table_for_quality(np.int64(95)), quant_table_for_quality(95))
@@ -195,6 +203,20 @@ class TestSweep:
         assert row.psnr_db > 0
         assert row.saturations == 0
 
+    def test_rows_carry_python_numbers(self):
+        # NumPy scalars must not reach the rows: to_json() cannot
+        # serialize an int64.
+        img = photo_proxy(16)
+        plain = sweep(img, [1e-3, 1e-4], [90, 50])
+        for report in (sweep(img, np.array([1e-3, 1e-4]), np.array([90, 50])),
+                       sweep(img, [np.float64(1e-3), 1e-4], [np.int32(90), np.int64(50)])):
+            assert [(type(r.epsilon), type(r.quality)) for r in report.rows] == [(float, int)] * 4
+            assert report.to_json() == plain.to_json()
+            assert report.to_csv() == plain.to_csv()
+        low = sweep(img, [np.float32(1e-3)], [50])
+        assert type(low.rows[0].epsilon) is float
+        assert json.loads(low.to_json())[0]["epsilon"] == float(np.float32(1e-3))
+
     def test_quality_monotonicity(self, photo256):
         report = sweep(photo256, [1e-3], [95, 90, 85, 80, 75])
         vals = [r.psnr_db for r in report.rows]
@@ -239,7 +261,7 @@ class TestSweep:
             for by in range(0, h, 8):
                 for bx in range(0, w, 8):
                     blk = padded[by : by + 8, bx : bx + 8]
-                    coefs = codec._round_half_away(dct2d_oracle(blk - 128.0) / q)
+                    coefs = _round_half_away(dct2d_oracle(blk - 128.0) / q)
                     out[by : by + 8, bx : bx + 8] = decode_block(coefs.astype(np.int64), q)
             oracle_img = GrayImage(
                 photo256.width,

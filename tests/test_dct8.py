@@ -34,7 +34,7 @@ from cordic_dct.fixedpoint import (
     OverflowPolicy,
     fit_raw,
 )
-from cordic_dct.rotator import rotate_float
+from cordic_dct.rotator import CsdScale, rotate_float
 
 RNG = np.random.default_rng(20240601)
 WORD_FORMATS = [(24, 8), (16, 5), (20, 10), (32, 16), (12, 3)]
@@ -281,6 +281,36 @@ def test_dct2d_planes_equal_two_row_passes(n, bits, policy, compensation, fold, 
 
 
 class TestFixedPointPath:
+    @pytest.mark.parametrize("mode", ["fixed", "float", (24, 8), FixedPointFormat(24, 8)])
+    def test_mode_must_be_an_arithmetic_mode(self, mode):
+        with pytest.raises(ValueError, match="ArithmeticMode"):
+            DctEngine(1e-3, mode=mode)
+
+    def test_string_policy_refused(self):
+        with pytest.raises(ValueError, match="IndexPolicy"):
+            DctEngine(1e-3, policy="nearest")
+
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_csd_holds_exactly_the_applied_expansions(self, monkeypatch, compensation, fold):
+        # Every expansion the engine builds is applied by one row, and no
+        # other: a folded engine needs no rotator gain, a per-rotator one
+        # no equalizer, and a folding one no post-scale.
+        mode = ArithmeticMode.fixed(24, 8)
+        eng = DctEngine(1e-4, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+        eng.safe_input_bound(mode.fmt)  # runs the graph once, on affine values
+        applied = []
+        apply_raw = CsdScale.apply_raw
+
+        def record(self, raw):
+            applied.append(self)
+            return apply_raw(self, raw)
+
+        monkeypatch.setattr(CsdScale, "apply_raw", record)
+        dct8_cordic([10.0, -3.0, 7.5, 0.0, 1.0, -8.0, 2.0, 4.0], eng)
+        assert {id(s) for s in applied} == {id(s) for s in eng._csd.values()}
+        assert len(applied) == (2 if compensation == "folded" else 8) + (0 if fold else 8)
+
     def test_tracks_float_path(self):
         mode = ArithmeticMode.fixed(24, 8)
         eng_fix = DctEngine(epsilon=1e-4, mode=mode)
@@ -467,7 +497,9 @@ def scalar_transform8(engine: DctEngine, row) -> tuple[list[float], dict]:
         a0, a1 = scale(a0, gains["pi/16"]), scale(a1, gains["pi/16"])
         b0, b1 = scale(b0, gains["3pi/16"]), scale(b1, gains["3pi/16"])
     else:
-        a0, a1 = scale(a0, csd[engine.equalizer]), scale(a1, csd[engine.equalizer])
+        gains = {name: plan.gain for name, plan in engine.plans.items()}
+        equalizer = csd[gains["pi/16"] / gains["3pi/16"]]
+        a0, a1 = scale(a0, equalizer), scale(a1, equalizer)
     cols = [
         g1,
         add(a0, b0),
@@ -480,7 +512,7 @@ def scalar_transform8(engine: DctEngine, row) -> tuple[list[float], dict]:
     ]
     if not engine.fold_into_quantizer:
         cols = [scale(c, csd[s]) for c, s in zip(cols, engine.post_scales)]
-    return [fmt.from_raw(c) for c in cols], ops
+    return [c * fmt.lsb for c in cols], ops
 
 
 def scalar_transform8_rows(engine: DctEngine, X) -> tuple[np.ndarray, int]:

@@ -14,7 +14,6 @@ from cordic_dct.planner import (
     MicroRotation,
     RotationPlan,
     decompose,
-    gain,
     generate_table,
     reconstruct_angle,
     table_to_csv,
@@ -77,17 +76,16 @@ class TestKnownDecompositions:
 
 class TestGain:
     def test_empty_plan(self):
-        assert gain(decompose(0.0, 1e-3)) == 1.0
+        assert decompose(0.0, 1e-3).gain == 1.0
 
     def test_single_step_index_zero(self):
         plan = decompose(PI / 4, 1e-3)
-        assert gain(plan) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+        assert plan.gain == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
     def test_five_step_plan(self):
         plan = decompose(PI / 16, 1e-4)
-        k = gain(plan)
+        k = plan.gain
         assert k == pytest.approx(0.968133196651088, rel=1e-12)
-        assert plan.gain == k
         # cos of the realized angle over the gain reproduces the composite
         # matrix diagonal; against cos(pi/16) the agreement is only as good
         # as the plan residual.
@@ -97,7 +95,7 @@ class TestGain:
         fwd = decompose(3 * PI / 8, 1e-4)
         rev = decompose(-3 * PI / 8, 1e-4)
         assert fwd.indices == rev.indices
-        assert gain(fwd) == gain(rev)
+        assert fwd.gain == rev.gain
 
 
 class TestDomainErrors:
@@ -110,6 +108,14 @@ class TestDomainErrors:
     def test_epsilon_out_of_domain(self, eps):
         with pytest.raises(ValueError):
             decompose(0.1, eps)
+
+    @pytest.mark.parametrize("policy", ["nearest", "literal", None])
+    def test_policy_must_be_an_index_policy(self, policy):
+        # The index choice tests the enum by identity, so without the check
+        # "nearest" would build LITERAL plans labelled "nearest"
+        # (0/2/3/6/8/9/10/11/12/13 for 3pi/8 at 1e-4).
+        with pytest.raises(ValueError, match="IndexPolicy"):
+            decompose(3 * PI / 8, 1e-4, policy)
 
     def test_micro_rotation_validation(self):
         with pytest.raises(ValueError):

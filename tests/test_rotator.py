@@ -216,6 +216,19 @@ class TestFixedPointFormat:
         with pytest.raises(ValueError, match="must be an int"):
             ArithmeticMode.fixed(total, frac)
 
+    @pytest.mark.parametrize("overflow", ["error", "saturate", None])
+    def test_overflow_must_be_a_policy(self, overflow):
+        # Every check tests ``is ERROR``, so "error" would saturate.
+        with pytest.raises(ValueError, match="OverflowPolicy"):
+            ArithmeticMode.fixed(16, 12, overflow)
+        with pytest.raises(ValueError, match="OverflowPolicy"):
+            ArithmeticMode(FixedPointFormat(16, 12), overflow)
+
+    @pytest.mark.parametrize("fmt", [(16, 12), "16.12", 16])
+    def test_fmt_must_be_none_or_a_format(self, fmt):
+        with pytest.raises(ValueError, match="FixedPointFormat"):
+            ArithmeticMode(fmt=fmt)
+
     def test_rounding_half_away_from_zero(self):
         fmt = FixedPointFormat(16, 12)
         lsb = fmt.lsb
@@ -273,8 +286,8 @@ class TestFixedPointRotation:
 
         gain = csd_scale(plan.gain, max_terms=16, tolerance=max(fmt.lsb / 2, 2.0**-18))
         x, y = rotate_raw(fmt.to_raw(0.5), fmt.to_raw(0.25), plan.steps, fit)
-        assert got == Vector2(fmt.from_raw(fit(gain.apply_raw(x))),
-                              fmt.from_raw(fit(gain.apply_raw(y))))
+        assert got == Vector2(fit(gain.apply_raw(x)) * fmt.lsb,
+                              fit(gain.apply_raw(y)) * fmt.lsb)
 
     def test_fixed_tracks_exact_float(self):
         import random
