@@ -3,7 +3,8 @@
 Every run prints a final machine-readable ``status:`` line and exits 0
 only if no operation failed.  Angle arguments accept plain radians
 (``0.3927``), multiples of pi (``pi/16``, ``3pi/8``, ``-pi/4``) and
-degrees (``deg:22.5``).
+degrees (``deg:22.5``).  ``--mode`` takes ``float``, ``fixed`` (the
+command's own word) or a fixed-point word ``T.F``, such as ``16.5``.
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
 import numpy as np
 
 from . import codec, images, pgm, planner, rotator
-from .dct8 import DctEngine, dct2d, dct2d_oracle, dct8_cordic, dct8_oracle
+from .dct8 import DCT_ANGLES, DctEngine, dct2d, dct2d_oracle, dct8_cordic, dct8_oracle
 from .fixedpoint import ArithmeticMode, OverflowPolicy
 from .planner import IndexPolicy
 
@@ -40,12 +42,24 @@ def parse_angle(text: str) -> float:
     return float(s)
 
 
+_MODE_RE = re.compile(r"(float)|(fixed)|(\d+)\.(\d+)")
+
+
+def _mode_word(text: str, fixed: tuple[int, int]) -> tuple[int, int] | None:
+    """The word ``(total_bits, frac_bits)`` a ``--mode`` value names, None
+    for float; a value of any other form is a usage error."""
+    m = _MODE_RE.fullmatch(text)
+    if not m:
+        raise argparse.ArgumentTypeError(f"invalid mode {text!r}: expected float, fixed or T.F")
+    return None if m[1] else fixed if m[2] else (int(m[3]), int(m[4]))
+
+
 def _parse_mode(args, overflow: OverflowPolicy = OverflowPolicy.ERROR) -> ArithmeticMode:
     """The arithmetic of ``--mode``.  Fixed point refuses out-of-range
     values unless the caller reports saturations itself (``eval``)."""
-    if args.mode == "float":
+    if args.mode is None:
         return ArithmeticMode.exact()
-    return ArithmeticMode.fixed(total_bits=args.bits, frac_bits=args.frac, overflow=overflow)
+    return ArithmeticMode.fixed(*args.mode, overflow=overflow)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -61,12 +75,11 @@ def _emit(text: str, out_path: str | None) -> None:
 def _add_common(p, formats=(), word=None):
     """``--policy`` and ``--out``; ``--format`` if the command prints any of
     ``formats`` (the first is the default); and, given the ``(bits, frac)``
-    defaults of its fixed-point ``word``, ``--mode``, ``--bits`` and ``--frac``."""
+    of its fixed-point ``word``, ``--mode``."""
     p.add_argument("--policy", choices=["nearest", "literal"], default="nearest")
     if word is not None:
-        p.add_argument("--mode", choices=["float", "fixed"], default="float")
-        p.add_argument("--bits", type=int, default=word[0], help="fixed-point total bits")
-        p.add_argument("--frac", type=int, default=word[1], help="fixed-point fraction bits")
+        p.add_argument("--mode", type=lambda text: _mode_word(text, word), default="float",
+                       metavar="{float,fixed,T.F}", help=f"fixed is {word[0]}.{word[1]}")
     if formats:
         p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -75,35 +88,26 @@ def _add_common(p, formats=(), word=None):
 def cmd_decompose(args) -> int:
     theta = parse_angle(args.angle)
     plan = planner.decompose(theta, args.eps, IndexPolicy(args.policy))
-    if args.format == "csv":
-        _emit(planner.table_to_csv([plan]), args.out)
-    elif args.format == "json":
-        _emit(planner.table_to_json([plan]), args.out)
+    lines = []
+    if not plan.steps:
+        lines.append(f"angle {theta!r} already within eps={args.eps:g}: empty plan")
     else:
-        lines = []
-        if not plan.steps:
-            lines.append(f"angle {theta!r} already within eps={args.eps:g}: empty plan")
-        else:
-            sigma = " ".join(plan.directions_str)
-            lines.append(f"i: {plan.indices_str}  sigma: {sigma}")
-        lines.append(f"residual: {plan.residual!r}")
-        lines.append(f"gain: {plan.gain!r}")
-        lines.append(f"reconstructed: {planner.reconstruct_angle(plan)!r}")
-        _emit("\n".join(lines) + "\n", args.out)
+        sigma = " ".join(plan.directions_str)
+        lines.append(f"i: {plan.indices_str}  sigma: {sigma}")
+    lines.append(f"residual: {plan.residual!r}")
+    lines.append(f"gain: {plan.gain!r}")
+    lines.append(f"reconstructed: {planner.reconstruct_angle(plan)!r}")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-PAPER_TABLE_ANGLES = ("pi/4", "3pi/8", "pi/16", "3pi/16")
-PAPER_TABLE_EPSILONS = (1e-3, 1e-4)
+# The paper's tolerances: ``table``'s and ``eval``'s default grid.
+_PAPER_EPSILONS = "1e-3,1e-4"
 
 
 def cmd_table(args) -> int:
-    if args.paper:
-        angle_exprs = list(PAPER_TABLE_ANGLES)
-        epsilons = list(PAPER_TABLE_EPSILONS)
-    else:
-        angle_exprs = [a for a in (args.angles.split(",") if args.angles else []) if a]
-        epsilons = [float(e) for e in args.eps_list.split(",")] if args.eps_list else [args.eps]
+    angle_exprs = [a for a in args.angles.split(",") if a]
+    epsilons = [float(e) for e in args.epsilons.split(",")]
     angles = [parse_angle(a) for a in angle_exprs]
     plans = planner.generate_table(angles, epsilons, IndexPolicy(args.policy))
     if args.format == "json":
@@ -197,15 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="micro-rotation plan for one angle")
     p.add_argument("--angle", required=True)
     p.add_argument("--eps", type=float, default=1e-4)
-    _add_common(p, formats=["text", "csv", "json"])
+    _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("table", help="decomposition table for angle/eps grids")
-    p.add_argument("--paper", action="store_true",
-                   help="the four DCT rotation angles at eps 1e-3 and 1e-4")
-    p.add_argument("--angles", default="", help="comma-separated angle expressions")
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--eps-list", dest="eps_list", default="", help="comma-separated tolerances")
+    p.add_argument("--angles", default=",".join(DCT_ANGLES), help="comma-separated angles")
+    p.add_argument("--epsilons", default=_PAPER_EPSILONS, help="comma-separated tolerances")
     _add_common(p, formats=["text", "csv", "json"])
     p.set_defaults(func=cmd_table)
 
@@ -227,23 +228,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="PSNR sweep over qualities and precisions")
     p.add_argument("image", help="PGM path, or 'synthetic' for the bundled test image")
     p.add_argument("--qualities", default="95,90,85,80,75")
-    p.add_argument("--epsilons", default="1e-3,1e-4")
+    p.add_argument("--epsilons", default=_PAPER_EPSILONS)
     p.add_argument("--fold-into-quantizer", dest="fold_into_quantizer", action="store_true",
                    help="skip transform post-scales and divide them into the quantizer")
     _add_common(p, formats=["csv", "json"], word=(24, 8))
     p.set_defaults(func=cmd_eval)
 
+    # Flags are spelled in full: a prefix such as ``--eps`` would otherwise
+    # pass for ``--epsilons``.
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rc = args.func(args)
-    except (ValueError, OverflowError, OSError, RuntimeError) as exc:
-        print(f"status: error: {exc}")
+        try:
+            rc, status = args.func(args), "ok"
+        except BrokenPipeError:
+            raise
+        except (ValueError, OverflowError, OSError, RuntimeError) as exc:
+            rc, status = 1, f"error: {exc}"
+        print(f"status: {status}")
+        sys.stdout.flush()  # so a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout early.  Python's documented recipe (the
+        # signal module's note on SIGPIPE): point stdout at devnull, so the
+        # interpreter's flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    print("status: ok")
     return rc
 
 

@@ -106,8 +106,12 @@ def quant_table_for_quality(quality: int) -> np.ndarray:
 
 
 def _step(q: np.ndarray) -> np.ndarray:
-    """A quantizer table as a (64, 1) float64 column."""
-    return np.asarray(q, dtype=np.float64).reshape(64, 1)
+    """A quantizer table as a (64, 1) float64 column.  Refuses a zero,
+    negative or non-finite step, which would make levels of inf or NaN."""
+    step = np.asarray(q, dtype=np.float64).reshape(64, 1)
+    if not ((step > 0.0) & (step < math.inf)).all():  # NaN fails both
+        raise ValueError("quantizer table has a zero, negative or non-finite step")
+    return step
 
 
 def _divisor(engine: DctEngine, step: np.ndarray) -> np.ndarray:

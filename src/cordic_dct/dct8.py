@@ -34,14 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fixedpoint import (
-    ArithmeticMode,
-    FixedPointFormat,
-    FixedPointOverflowError,
-    OverflowPolicy,
-    _round_half_away,
-    fit_raw,
-)
+from .fixedpoint import ArithmeticMode, FixedPointFormat, _fit_array, _to_raw_array, fit_raw
 from .planner import IndexPolicy, RotationPlan, decompose
 from .rotator import CsdScale, csd_scale, overflow_limit, rotate_float, rotate_raw
 
@@ -53,6 +46,13 @@ DCT_ANGLES = {
     "3pi/16": 3 * math.pi / 16,
 }
 
+# Per output of ``_flow``, F0 to F7: its normalization (1/2, or 1/(2*sqrt2)
+# on F3/F5) and the rotator whose gain it carries.  The odd outputs carry
+# the 3pi/16 gain: the ``folded`` equalizer puts the pi/16 pair on that scale.
+_OUTPUT_SCALES = tuple(zip(
+    [0.5, 0.5, 0.5, 0.5 / math.sqrt(2.0), 0.5, 0.5 / math.sqrt(2.0), 0.5, 0.5],
+    ["pi/4", "3pi/16", "3pi/8", "3pi/16", "pi/4", "3pi/16", "3pi/8", "3pi/16"],
+))
 _CSD_TOLERANCE = 2.0 ** -14  # constant-scale expansion error, fixed-point path
 _BUTTERFLY_ADDS = 20  # adds and subtracts of the flow graph outside its rotators
 
@@ -70,19 +70,28 @@ def dct_matrix() -> np.ndarray:
 DCT_MATRIX = dct_matrix()
 
 
+def _real(x) -> np.ndarray:
+    """``x`` as a float64 array; refuses a complex dtype, whose imaginary
+    part the cast would drop with only a ``ComplexWarning``."""
+    a = np.asarray(x)
+    if a.dtype.kind == "c":
+        raise ValueError(f"expected real samples, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def dct8_oracle(x) -> np.ndarray:
     """Reference 1-D DCT, straight binary64 matrix evaluation."""
-    return DCT_MATRIX @ np.asarray(x, dtype=np.float64)
+    return DCT_MATRIX @ _real(x)
 
 
 def idct8_oracle(coefs) -> np.ndarray:
     """Exact inverse of :func:`dct8_oracle` (the matrix is orthonormal)."""
-    return DCT_MATRIX.T @ np.asarray(coefs, dtype=np.float64)
+    return DCT_MATRIX.T @ _real(coefs)
 
 
 def _as_blocks(block) -> np.ndarray:
     """One 8x8 block or an (..., 8, 8) stack of them, as float64."""
-    b = np.asarray(block, dtype=np.float64)
+    b = _real(block)
     if b.ndim < 2 or b.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 block or a stack of them, got shape {b.shape}")
     return b
@@ -130,6 +139,9 @@ class DctEngine:
             raise ValueError(f"unknown compensation mode {compensation!r}")
         if mode is not None and not isinstance(mode, ArithmeticMode):
             raise ValueError(f"mode must be None or an ArithmeticMode, got {mode!r}")
+        # Read by truthiness, a look-alike such as "False" would fold.
+        if not isinstance(fold_into_quantizer, bool):
+            raise ValueError(f"fold_into_quantizer must be a bool, got {fold_into_quantizer!r}")
         self.epsilon = epsilon
         self.policy = policy
         self.mode = mode if mode is not None else ArithmeticMode.exact()
@@ -141,31 +153,18 @@ class DctEngine:
         }
         g = {name: plan.gain for name, plan in self.plans.items()}
 
-        half = 0.5
-        eighth_norm = 0.5 / math.sqrt(2.0)  # the 1/(2*sqrt2) factor on F3/F5
         # ``_compensation`` maps a rotator's name to the constant that
         # scales both its outputs, in graph order; a rotator it leaves out
-        # stays uncompensated.
+        # stays uncompensated, and its gain goes into the post-scales.
         if compensation == "folded":
             # Odd-path equalizer puts the pi/16 pair on the 3pi/16 scale.
             self._compensation = {"pi/16": g["pi/16"] / g["3pi/16"]}
-            self.post_scales = np.array(
-                [
-                    g["pi/4"] * half,      # F0
-                    g["3pi/16"] * half,    # F1
-                    g["3pi/8"] * half,     # F2
-                    g["3pi/16"] * eighth_norm,  # F3
-                    g["pi/4"] * half,      # F4
-                    g["3pi/16"] * eighth_norm,  # F5
-                    g["3pi/8"] * half,     # F6
-                    g["3pi/16"] * half,    # F7
-                ]
-            )
         else:
             self._compensation = g
-            self.post_scales = np.array(
-                [half, half, half, eighth_norm, half, eighth_norm, half, half]
-            )
+        self.post_scales = np.array([
+            norm * (1.0 if rotator in self._compensation else g[rotator])
+            for norm, rotator in _OUTPUT_SCALES
+        ])
 
     @cached_property
     def _row_constants(self) -> list[float]:
@@ -384,34 +383,6 @@ def _transform8_float(engine: DctEngine, X: np.ndarray, axis: int) -> np.ndarray
     return F
 
 
-def _to_raw_array(X: np.ndarray, fmt: FixedPointFormat, check) -> tuple[np.ndarray, float]:
-    """Quantize to raw integers, range-checked by ``check`` if any is out
-    of the word; also return max|raw| before any clipping."""
-    rounded = _round_half_away(X * float(fmt.raw_scale))
-    peak = float(np.abs(rounded).max(initial=0.0))
-    if peak > fmt.max_raw:
-        # Range-check while still in float: casting a float beyond int64 is
-        # undefined (INT64_MIN on x86, whatever the sign).
-        rounded = check(rounded)
-    return rounded.astype(np.int64), peak
-
-
-def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> tuple[np.ndarray, int]:
-    """Clamp or reject the values of ``raw`` outside the word; also return
-    how many were clamped."""
-    fmt = mode.fmt
-    low = (raw < fmt.min_raw)
-    high = (raw > fmt.max_raw)
-    n_out = int(low.sum()) + int(high.sum())
-    if n_out:
-        if mode.overflow is OverflowPolicy.ERROR:
-            raise FixedPointOverflowError(
-                f"{n_out} value(s) outside {fmt.total_bits}.{fmt.frac_bits} range"
-            )
-        raw = np.clip(raw, fmt.min_raw, fmt.max_raw)
-    return raw, n_out
-
-
 def _flow_raw(engine: DctEngine, x: list, fit) -> list:
     """The fixed-point flow graph on eight raw input columns, post-scales
     included: :func:`_flow` on the raw op set, shift-add only.
@@ -477,14 +448,15 @@ def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.nd
     One ``(8,)`` vector runs the flow graph on Python numbers; a batch
     runs the same graph on NumPy columns, for the same bits.  Raises
     ``ValueError`` on any other shape (a block stack goes through
-    :func:`dct2d`) and on a sample that is non-finite or beyond the
-    engine's :attr:`DctEngine.input_limit`, in both arithmetic modes.
+    :func:`dct2d`), on complex samples, and on a sample that is non-finite
+    or beyond the engine's :attr:`DctEngine.input_limit`, in both
+    arithmetic modes.
 
     ``_axis`` is internal to :func:`_dct2d_planes`: it runs the graph
     along that axis of an array of any shape, whose slices along it are
     the graph's eight input columns, and stacks the outputs back along it.
     """
-    arr = np.asarray(X, dtype=np.float64)
+    arr = _real(X)
     if _axis is None:
         if arr.shape != (8,) and (arr.ndim != 2 or arr.shape[1] != 8):
             raise ValueError(f"expected rows of 8 samples, got shape {arr.shape}")

@@ -4,7 +4,9 @@ The rotator core runs either in plain binary64 (``ArithmeticMode.exact``)
 or on raw two's-complement integers with a configurable word length
 (``ArithmeticMode.fixed``).  Fixed-point right shifts round toward
 negative infinity, matching a hardware arithmetic shifter.  Out-of-range
-results either saturate or raise, per the mode's overflow policy.
+results either saturate or raise, per the mode's overflow policy, which
+only this module reads: :func:`fit_raw` for one value, ``_fit_array``
+for an array.
 
 A mode is a pure value.  The datapath's cost is not kept on it: adds and
 shifts come from a static cost model (``DctEngine.operation_counts``),
@@ -165,3 +167,31 @@ def fit_raw(raw: int, mode: ArithmeticMode) -> int:
             f"for {fmt.total_bits}.{fmt.frac_bits} format"
         )
     return fmt.min_raw if raw < fmt.min_raw else fmt.max_raw
+
+
+def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> tuple[np.ndarray, int]:
+    """Clamp or reject the values of ``raw`` outside the word; also return
+    how many were clamped."""
+    fmt = mode.fmt
+    low = (raw < fmt.min_raw)
+    high = (raw > fmt.max_raw)
+    n_out = int(low.sum()) + int(high.sum())
+    if n_out:
+        if mode.overflow is OverflowPolicy.ERROR:
+            raise FixedPointOverflowError(
+                f"{n_out} value(s) outside {fmt.total_bits}.{fmt.frac_bits} range"
+            )
+        raw = np.clip(raw, fmt.min_raw, fmt.max_raw)
+    return raw, n_out
+
+
+def _to_raw_array(X: np.ndarray, fmt: FixedPointFormat, check) -> tuple[np.ndarray, float]:
+    """Quantize to raw integers, range-checked by ``check`` if any is out
+    of the word; also return max|raw| before any clipping."""
+    rounded = _round_half_away(X * float(fmt.raw_scale))
+    peak = float(np.abs(rounded).max(initial=0.0))
+    if peak > fmt.max_raw:
+        # Range-check while still in float: casting a float beyond int64 is
+        # undefined (INT64_MIN on x86, whatever the sign).
+        rounded = check(rounded)
+    return rounded.astype(np.int64), peak

@@ -80,7 +80,7 @@ def micro_rotate(v: Vector2, step: MicroRotation, mode: ArithmeticMode = Arithme
     :func:`apply_plan`, which stays in the raw domain throughout.
     Raises ``ValueError`` on a component that is non-finite or beyond
     :func:`overflow_limit` of the growth ``sqrt2 * hypot(1, 2**-i)``, in
-    both modes.
+    both modes, and on a ``mode`` that is not an :class:`ArithmeticMode`.
     """
     return _rotate_vector(v, (step,), math.hypot(1.0, 2.0 ** -step.index), None, mode)
 
@@ -152,8 +152,12 @@ def apply_plan(
     fixed-point path compensates via a CSD expansion of the gain (shift
     and add only).  Raises ``ValueError`` on a component that is
     non-finite or beyond :func:`overflow_limit` of the growth
-    ``sqrt2 / plan.gain``, in both modes.
+    ``sqrt2 / plan.gain``, in both modes, and on a ``compensate`` that is
+    not a ``bool`` or a ``mode`` that is not an :class:`ArithmeticMode`.
     """
+    # Read by truthiness, a look-alike such as "no" would compensate.
+    if not isinstance(compensate, bool):
+        raise ValueError(f"compensate must be a bool, got {compensate!r}")
     return _rotate_vector(v, plan.steps, 1.0 / plan.gain, plan.gain if compensate else None, mode)
 
 
@@ -167,6 +171,8 @@ def _rotate_vector(
     compensates via a CSD expansion of the gain: 2 adds and 2 shifts per
     step, and 1 of each per CSD term applied to a component.
     """
+    if not isinstance(mode, ArithmeticMode):
+        raise ValueError(f"mode must be an ArithmeticMode, got {mode!r}")
     _check_input(v, growth)
     if not mode.is_fixed:
         x, y = rotate_float(v.x, v.y, steps)

@@ -1,11 +1,17 @@
 """CLI tests: argument parsing, output shapes, status lines, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
+import re
+import shlex
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,10 +19,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cordic_dct
 from cordic_dct.cli import _PI_RE, main, parse_angle
 from cordic_dct.codec import GrayImage
 from cordic_dct.dct8 import DctEngine
 from cordic_dct.fixedpoint import FixedPointFormat
+from cordic_dct.images import photo_proxy
 from cordic_dct.planner import decompose
 from cordic_dct.pgm import write_pgm
 
@@ -46,8 +54,7 @@ def beyond_word(fmt: FixedPointFormat):
 
 
 def mode_args(mode: str, bits: tuple[int, int]) -> list[str]:
-    return ["--mode=float"] if mode == "float" else ["--mode=fixed", f"--bits={bits[0]}",
-                                                     f"--frac={bits[1]}"]
+    return ["--mode=float"] if mode == "float" else [f"--mode={bits[0]}.{bits[1]}"]
 
 
 def assert_refused(rc: int, out: str, result_label: str) -> None:
@@ -247,8 +254,9 @@ class TestDecompose:
         assert "status: error:" in out
 
     def test_csv_format(self, capsys):
+        # ``decompose`` prints text only; ``table`` renders a plan as CSV.
         rc, out = run_cli(
-            capsys, "decompose", "--angle", "pi/16", "--eps", "1e-4", "--format", "csv"
+            capsys, "table", "--angles", "pi/16", "--epsilons", "1e-4", "--format", "csv"
         )
         assert rc == 0
         assert "angle_rad,epsilon,indices,directions,residual_rad,gain" in out
@@ -257,7 +265,7 @@ class TestDecompose:
 
 class TestTable:
     def test_paper_grid_csv(self, capsys):
-        rc, out = run_cli(capsys, "table", "--paper", "--format", "csv")
+        rc, out = run_cli(capsys, "table", "--format", "csv")
         assert rc == 0
         lines = [l for l in out.strip().split("\n") if l and not l.startswith("status")]
         assert len(lines) == 1 + 8
@@ -266,13 +274,13 @@ class TestTable:
         assert any(",1/3/10,+++," in l for l in lines)
 
     def test_empty_angles_header_only(self, capsys):
-        rc, out = run_cli(capsys, "table", "--format", "csv")
+        rc, out = run_cli(capsys, "table", "--angles", "", "--format", "csv")
         assert rc == 0
         lines = [l for l in out.strip().split("\n") if l and not l.startswith("status")]
         assert lines == ["angle_rad,epsilon,indices,directions,residual_rad,gain"]
 
     def test_json_format(self, capsys):
-        rc, out = run_cli(capsys, "table", "--paper", "--format", "json")
+        rc, out = run_cli(capsys, "table", "--format", "json")
         assert rc == 0
         body = out[: out.rindex("status:")]
         payload = json.loads(body)
@@ -280,7 +288,7 @@ class TestTable:
 
     def test_extended_epsilons(self, capsys):
         rc, out = run_cli(
-            capsys, "table", "--angles", "pi/16", "--eps-list", "1e-3,1e-6", "--format", "csv"
+            capsys, "table", "--angles", "pi/16", "--epsilons", "1e-3,1e-6", "--format", "csv"
         )
         assert rc == 0
         assert "2/4/6/9," in out
@@ -301,7 +309,7 @@ class TestRotate:
             capsys,
             "rotate", "--angle", "pi/4", "--eps", "1e-3",
             "--x", "0.5", "--y", "0.25",
-            "--mode", "fixed", "--bits", "16", "--frac", "12",
+            "--mode", "16.12",
         )
         assert rc == 0
         assert "rotated:" in out
@@ -453,12 +461,22 @@ class TestEval:
         ["decompose", "--angle", "pi/16", "--mode", "fixed"],
         ["decompose", "--angle", "pi/16", "--bits", "16"],
         ["decompose", "--angle", "pi/16", "--frac", "12"],
-        ["table", "--paper", "--mode", "fixed"],
-        ["table", "--paper", "--bits", "16"],
-        ["table", "--paper", "--frac", "12"],
+        ["decompose", "--angle", "pi/16", "--format", "csv"],
+        ["table", "--mode", "fixed"],
+        ["table", "--bits", "16"],
+        ["table", "--frac", "12"],
+        ["table", "--format", "csv", "--paper"],
+        ["table", "--eps", "1e-4"],
+        ["table", "--eps-list", "1e-3,1e-4"],
         ["rotate", "--angle", "pi/16", "--x", "1", "--y", "0", "--format", "text"],
+        ["rotate", "--angle", "pi/16", "--x", "1", "--y", "0", "--bits", "16"],
+        ["rotate", "--angle", "pi/16", "--x", "1", "--y", "0", "--frac", "12"],
         ["dct", "--format", "csv"],
+        ["dct", "--mode", "fixed", "--bits", "24"],
+        ["dct", "--mode", "fixed", "--frac", "8"],
         ["eval", "synthetic", "--format", "text"],
+        ["eval", "synthetic", "--bits", "24"],
+        ["eval", "synthetic", "--frac", "8"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
@@ -469,3 +487,182 @@ def test_flag_the_command_does_not_read_is_refused(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "status:" not in capsys.readouterr().out
+
+
+# The stdout of each removed flag's invocation, as printed before the flag
+# was removed, and the invocation that replaces it.  The paper grid in JSON
+# is pinned by its sha256: the same eight plans as the CSV, 1757 bytes.
+PAPER_TABLE_TEXT = """\
+       angle       eps  i                sigma           residual  gain
+        pi/4     0.001  0                +              0.000e+00  0.707107
+        pi/4    0.0001  0                +              0.000e+00  0.707107
+       3pi/8     0.001  0/1/4/7          ++--          -7.174e-04  0.631205
+       3pi/8    0.0001  0/1/4/7/10/12    ++---+         1.505e-05  0.631204
+       pi/16     0.001  2/4/6/9          +-+-           1.191e-04  0.968133
+       pi/16    0.0001  2/4/6/9/13       +-+-+         -2.989e-06  0.968133
+      3pi/16     0.001  1/3/10           +++            6.946e-05  0.887520
+      3pi/16    0.0001  1/3/10           +++            6.946e-05  0.887520
+status: ok
+"""
+PAPER_TABLE_CSV = """\
+angle_rad,epsilon,indices,directions,residual_rad,gain
+0.7853981633974483,0.001,0,+,0.0,0.7071067811865476
+0.7853981633974483,0.0001,0,+,0.0,0.7071067811865476
+1.1780972450961724,0.001,0/1/4/7,++--,-0.0007173762460234928,0.631204611979837
+1.1780972450961724,0.0001,0/1/4/7/10/12,++---+,1.504532338646484e-05,0.6312042921868855
+0.19634954084936207,0.001,2/4/6/9,+-+-,0.00011908161445726376,0.9681332038642425
+0.19634954084936207,0.0001,2/4/6/9/13,+-+-+,-2.988697436406444e-06,0.9681331966510881
+0.5890486225480862,0.001,1/3/10,+++,6.945681095935812e-05,0.8875198907580049
+0.5890486225480862,0.0001,1/3/10,+++,6.945681095935812e-05,0.8875198907580049
+status: ok
+"""
+PAPER_TABLE_JSON_SHA256 = "682aa5cd4284851c7a7dc576f51c37b8bcf869891555c5ced0c23dad776b4d5e"
+PI16_TABLE_CSV = """\
+angle_rad,epsilon,indices,directions,residual_rad,gain
+0.19634954084936207,0.001,2/4/6/9,+-+-,0.00011908161445726376,0.9681332038642425
+0.19634954084936207,1e-06,2/4/6/9/13/18,+-+-+-,8.259998292000522e-07,0.968133196644044
+status: ok
+"""
+PI16_PLAN_CSV = """\
+angle_rad,epsilon,indices,directions,residual_rad,gain
+0.19634954084936207,0.0001,2/4/6/9/13,+-+-+,-2.988697436406444e-06,0.9681331966510881
+status: ok
+"""
+PLAN_3PI8_JSON = """\
+[
+  {
+    "angle_rad": 1.1780972450961724,
+    "epsilon": 1e-06,
+    "indices": [
+      0,
+      1,
+      4,
+      7,
+      10,
+      12,
+      16
+    ],
+    "directions": "++---++",
+    "residual_rad": -2.1346567485092204e-07,
+    "gain": 0.6312042921134036
+  }
+]
+status: ok
+"""
+ROTATE_12_6 = """\
+rotated: (0.1875, 0.546875)
+ideal:   (0.17677669529663692, 0.5303300858899106)
+error:   1.972e-02
+status: ok
+"""
+DCT_16_5 = """\
+coefficients: 12.750000 -6.437500 0.000000 -0.781250 0.000000 -0.312500 0.000000 0.000000
+max error vs oracle: 1.116e-01
+status: ok
+"""
+EVAL_16_5 = """\
+epsilon,quality,psnr_db,mean_abs_coef_err,saturations
+0.001,90,34.708,1.945289e-01,522
+status: ok
+"""
+
+
+@pytest.mark.parametrize("argv,stdin,expected", [
+    pytest.param(["table"], "", PAPER_TABLE_TEXT, id="table --paper"),
+    pytest.param(["table", "--format", "csv"], "", PAPER_TABLE_CSV,
+                 id="table --paper --format csv"),
+    pytest.param(["table", "--angles", "pi/16", "--epsilons", "1e-3,1e-6", "--format", "csv"], "",
+                 PI16_TABLE_CSV, id="table --angles pi/16 --eps-list 1e-3,1e-6 --format csv"),
+    pytest.param(["table", "--angles", "pi/16", "--epsilons", "1e-4", "--format", "csv"], "",
+                 PI16_PLAN_CSV, id="decompose --angle pi/16 --eps 1e-4 --format csv"),
+    pytest.param(["table", "--angles", "3pi/8", "--epsilons", "1e-6", "--format", "json"], "",
+                 PLAN_3PI8_JSON, id="decompose --angle 3pi/8 --eps 1e-6 --format json"),
+    pytest.param(["rotate", "--angle", "pi/4", "--eps", "1e-3", "--x", "0.5", "--y", "0.25",
+                  "--mode", "12.6"], "", ROTATE_12_6,
+                 id="rotate --angle pi/4 --eps 1e-3 --x 0.5 --y 0.25 "
+                    "--mode fixed --bits 12 --frac 6"),
+    pytest.param(["dct", "--input", "-", "--mode", "16.5"], "1 2 3 4 5 6 7 8\n", DCT_16_5,
+                 id="dct --input - --mode fixed --bits 16 --frac 5"),
+    pytest.param(["eval", "synthetic", "--qualities", "90", "--epsilons", "1e-3", "--mode", "16.5"],
+                 "", EVAL_16_5,
+                 id="eval synthetic --qualities 90 --epsilons 1e-3 --mode fixed --bits 16 --frac 5"
+                 ),
+])
+def test_removed_flag_replacement_prints_the_same_bytes(argv, stdin, expected):
+    # Each id is the removed invocation whose stdout ``expected`` is.
+    assert run_quiet(argv, stdin) == (0, expected)
+
+
+def test_paper_table_json_is_pinned():
+    rc, out = run_quiet(["table", "--format", "json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PAPER_TABLE_JSON_SHA256
+
+
+@pytest.mark.parametrize("value", ["16", "16.", ".5", "16.5.1", "-16.5", "16,5", "fixed16",
+                                   "Float", ""])
+@pytest.mark.parametrize("command", [["rotate", "--angle", "pi/4", "--x", "1", "--y", "0"],
+                                     ["dct"], ["eval", "synthetic"]])
+def test_malformed_mode_is_a_usage_error(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"--mode={value}"])
+    assert exc.value.code == 2
+    assert "status:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("word,message", [("40.8", "total_bits 40 outside [8, 32]"),
+                                          ("16.15", "frac_bits 15 outside [0, 14]")])
+def test_word_the_format_refuses_fails(word, message):
+    rc, out = run_quiet(["rotate", "--angle", "pi/4", "--x", "1", "--y", "0", f"--mode={word}"])
+    assert (rc, out) == (1, f"status: error: {message}\n")
+
+
+def test_closed_reader_ends_quietly():
+    # More JSON than a pipe buffer holds, so the write fails whenever the
+    # reader closes.
+    angles = ",".join(f"deg:{d}" for d in range(1, 80))
+    src = str(Path(cordic_dct.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cordic_dct.cli", "table", "--angles", angles,
+         "--epsilons", "1e-3,1e-4,1e-5,1e-6,1e-7", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every ``cordic-dct`` command the README shows: the lines of its sh
+    blocks that run one (after an ``echo ... |`` for stdin), and the
+    commands quoted in its prose, even when a quote wraps."""
+    text = README.read_text()
+    lines = [line.split("#")[0].strip()
+             for block in re.findall(r"```sh\n(.*?)```", text, re.DOTALL)
+             for line in block.splitlines()]
+    commands = [line for line in lines if re.match(r"(echo [^|]*\| *)?cordic-dct ", line)]
+    prose = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+    return commands + [" ".join(quote.split())
+                       for quote in re.findall(r"`(cordic-dct [^`]+)`", prose)]
+
+
+def test_readme_commands_run(tmp_path):
+    # ``image.pgm`` is a temporary image, and ``--out`` writes to tmp_path.
+    image = tmp_path / "image.pgm"
+    write_pgm(photo_proxy(64), image)
+    commands = readme_commands()
+    assert len(commands) >= 6
+    for command in commands:
+        echo, _, command = command.rpartition("|")
+        stdin = " ".join(shlex.split(echo)[1:]) + "\n" if echo else ""
+        argv = [str(image) if arg == "image.pgm" else arg for arg in shlex.split(command)[1:]]
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        rc, out = run_quiet(argv, stdin)
+        assert rc == 0, (command, out)

@@ -86,6 +86,18 @@ class TestQuantTables:
 
 
 class TestBlockCodec:
+    @pytest.mark.parametrize("step", [0.0, -16.0, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        # A zero step made INT64_MIN levels with only RuntimeWarnings.
+        q = quant_table_for_quality(50).astype(np.float64)
+        q[3, 5] = step
+        with pytest.raises(ValueError, match="quantizer table"):
+            encode_block(np.zeros((8, 8)), DctEngine(1e-3), q)
+        with pytest.raises(ValueError, match="quantizer table"):
+            decode_block(np.zeros((2, 8, 8)), q)
+        with pytest.raises(ValueError, match="quantizer table"):
+            encode_block(np.zeros((8, 8)), DctEngine(1e-3), np.full((8, 8), step))
+
     def test_flat_midgray_encodes_to_zero(self):
         eng = DctEngine(epsilon=1e-4)
         coefs = encode_block(np.full((8, 8), 128.0), eng, quant_table_for_quality(50))

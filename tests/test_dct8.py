@@ -34,6 +34,7 @@ from cordic_dct.fixedpoint import (
     OverflowPolicy,
     fit_raw,
 )
+from cordic_dct.planner import IndexPolicy
 from cordic_dct.rotator import CsdScale, rotate_float
 
 RNG = np.random.default_rng(20240601)
@@ -168,6 +169,46 @@ class TestFlowGraph:
             transform8(DctEngine(), np.zeros((4, 7)))
         with pytest.raises(ValueError):  # a block stack, not rows
             transform8(DctEngine(), np.zeros((2, 8, 8)))
+
+    @pytest.mark.parametrize("fold", ["False", "", 0, 1, None, np.bool_(False)])
+    def test_fold_into_quantizer_must_be_a_bool(self, fold):
+        # Read by truthiness, "False" would skip the post-scales.
+        with pytest.raises(ValueError, match="fold_into_quantizer must be a bool"):
+            DctEngine(1e-3, fold_into_quantizer=fold)
+
+    @pytest.mark.parametrize("bits", [None, (16, 5)])
+    def test_complex_samples_refused(self, bits):
+        # The float64 cast would drop the imaginary part with a warning.
+        mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+        engine = DctEngine(1e-3, mode=mode)
+        for x in (np.array([1 + 1j] * 8), [1j] + [0.0] * 7, np.zeros((3, 8), np.complex64)):
+            with pytest.raises(ValueError, match="expected real samples"):
+                dct8_cordic(x, engine)
+        with pytest.raises(ValueError, match="expected real samples"):
+            transform8(engine, np.zeros((3, 8), np.complex128))
+        with pytest.raises(ValueError, match="expected real samples"):
+            dct2d(np.full((2, 8, 8), 1 + 1j), engine)
+        for oracle, shape in ((dct8_oracle, 8), (idct8_oracle, 8),
+                              (dct2d_oracle, (8, 8)), (idct2d_oracle, (8, 8))):
+            with pytest.raises(ValueError, match="expected real samples"):
+                oracle(np.full(shape, 1j))
+
+    @pytest.mark.parametrize("policy", list(IndexPolicy))
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    def test_post_scales_match_the_hand_written_lists(self, policy, compensation):
+        # The eight scales as two lists written out per compensation, from
+        # the plan gains; one misordered output or rotator fails.
+        half, eighth_norm = 0.5, 0.5 / math.sqrt(2.0)
+        for eps in np.geomspace(1e-9, 1e-1, 60):
+            engine = DctEngine(float(eps), policy, compensation=compensation)
+            g = {name: plan.gain for name, plan in engine.plans.items()}
+            if compensation == "folded":
+                expected = [g["pi/4"] * half, g["3pi/16"] * half, g["3pi/8"] * half,
+                            g["3pi/16"] * eighth_norm, g["pi/4"] * half,
+                            g["3pi/16"] * eighth_norm, g["3pi/8"] * half, g["3pi/16"] * half]
+            else:
+                expected = [half, half, half, eighth_norm, half, eighth_norm, half, half]
+            assert engine.post_scales.tobytes() == np.array(expected).tobytes()
 
     def test_post_scales_positive_and_plans_share_epsilon(self):
         eng = DctEngine(epsilon=1e-3)

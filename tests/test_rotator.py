@@ -4,6 +4,7 @@ fixed-point arithmetic semantics and instrumentation."""
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -258,6 +259,21 @@ class TestFixedPointRotation:
                 micro_rotate(v, MicroRotation(1, 1), mode)
             with pytest.raises(ValueError, match="non-finite"):
                 apply_plan(v, plan, mode, compensate=True)
+
+    @pytest.mark.parametrize("mode", [None, "fixed", FixedPointFormat(16, 12)])
+    def test_mode_must_be_an_arithmetic_mode(self, mode):
+        plan = decompose(PI / 4, 1e-3)
+        with pytest.raises(ValueError, match="ArithmeticMode"):
+            micro_rotate(Vector2(1.0, 0.0), MicroRotation(1, 1), mode)
+        with pytest.raises(ValueError, match="ArithmeticMode"):
+            apply_plan(Vector2(1.0, 0.0), plan, mode)
+
+    @pytest.mark.parametrize("compensate", ["no", "", 0, 1, None, np.bool_(True)])
+    def test_compensate_must_be_a_bool(self, compensate):
+        # Read by truthiness, "no" would compensate.
+        for mode in (ArithmeticMode.exact(), ArithmeticMode.fixed(16, 12)):
+            with pytest.raises(ValueError, match="compensate must be a bool"):
+                apply_plan(Vector2(1.0, 0.0), decompose(0.3, 1e-4), mode, compensate)
 
     def test_overflow_error_policy(self):
         mode = ArithmeticMode.fixed(8, 4)  # range [-8, 8)
