@@ -43,8 +43,10 @@ flow graph range-checks its nodes.  They use public names only.
 
 Last, the rotator in float and saturating 16.12: ``apply_plan`` of eight
 angles at three epsilons, compensated and not, and ``micro_rotate`` by
-every shift index in both directions, each on seven vectors, one of them
-beyond the overflow limit; a refused call digests its error message.
+every shift index in both directions, each on nine vectors: one beyond
+the float overflow limit, one with a complex component, and one between
+16.12's word limit (``overflow_limit(2**12)``, about 2.194e304) and the
+float limit.  A refused call digests its error message.
 These lines read ``vectors`` or ``rotator`` in place of an image name.
 
 A performance change that must keep the output byte-identical runs this
@@ -238,7 +240,7 @@ ROTATOR_ANGLES = (math.pi / 4, 3 * math.pi / 8, math.pi / 16, 3 * math.pi / 16,
                   -math.pi / 3, 0.2, -1.5, 0.0)
 ROTATOR_VECTORS = (Vector2(1.0, 0.0), Vector2(0.0, 1.0), Vector2(0.3, -0.7),
                    Vector2(7.9, -8.0), Vector2(-200.0, 3.5), Vector2(1e300, -3e299),
-                   Vector2(1e308, 1e308))
+                   Vector2(1e308, 1e308), Vector2(0.5, 1j), Vector2(-5e304, 2.0))
 
 
 def _outcome(rotate) -> bytes:

@@ -380,7 +380,9 @@ def sweep(
     high-to-low presentation order) and the whole computation is
     deterministic for fixed inputs.  A row's epsilon and quality are a
     Python float and int whatever number types the caller passed (NumPy
-    scalars, say), so every report serializes.
+    scalars, say), so every report serializes.  Raises ``ValueError`` on
+    an epsilon or quality given twice, equal in value, before it builds
+    any engine.
     """
     blocks = _blocks_of(_pad_to_blocks(img.samples)).reshape(-1, 64)
     epsilons = sorted(epsilons)
@@ -388,6 +390,12 @@ def sweep(
     # Tables first: they refuse a malformed quality before sorting compares it.
     tables = {quality: quant_table_for_quality(quality) for quality in qualities}
     qualities.sort(reverse=True)
+    # Sorted, a repeat sits next to its twin; ``==`` matches it across
+    # number types (``1e-3`` and ``np.float64(1e-3)``).
+    for name, values in (("epsilon", epsilons), ("quality", qualities)):
+        repeats = [b for a, b in zip(values, values[1:]) if a == b]
+        if repeats:
+            raise ValueError(f"{name} {repeats[0]} repeated: its rows would be computed twice")
     steps = [_step(tables[quality]) for quality in qualities]
     engines = [DctEngine(epsilon=eps, policy=policy, mode=mode,
                          fold_into_quantizer=fold_into_quantizer) for eps in epsilons]

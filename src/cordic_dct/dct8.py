@@ -19,11 +19,15 @@ point) before the recombination butterflies; ``per_rotator`` mode instead
 compensates every rotator by its own gain right away.  Both modes agree
 with the exact-matrix oracle to the plan tolerance.
 
-In fixed point every add, micro-rotation step and constant scale is
-range-checked against the word, unless the quantized input stays within
-the engine's :meth:`DctEngine.safe_input_bound`, below which no node can
-leave the word and the checks are skipped as provable no-ops.  Under
-``SATURATE`` the transform returns how many values it clipped.
+Samples enter either arithmetic through the input boundary the scalar
+rotator uses too, in ``fixedpoint``: one refusal (complex, non-finite, or
+beyond :attr:`DctEngine.input_limit`) and, in fixed point, one quantizer
+and range check (:func:`~cordic_dct.fixedpoint.run_raw`).  There every
+add, micro-rotation step and constant scale is range-checked against the
+word, unless the quantized input stays within the engine's
+:meth:`DctEngine.safe_input_bound`, below which no node can leave the
+word and the checks are skipped as provable no-ops.  Under ``SATURATE``
+the transform returns how many values it clipped.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .fixedpoint import ArithmeticMode, FixedPointFormat, _fit_array, _to_raw_array, fit_raw
+from .fixedpoint import (ArithmeticMode, FixedPointFormat, _unchecked, check_input,
+                         datapath_limit, overflow_limit, run_raw)
 from .planner import IndexPolicy, RotationPlan, decompose
-from .rotator import CsdScale, csd_scale, overflow_limit, rotate_float, rotate_raw
+from .rotator import CsdScale, csd_scale, rotate_float, rotate_raw
 
 # The four rotation angles the flow graph needs, keyed for readability.
 DCT_ANGLES = {
@@ -226,21 +231,23 @@ class DctEngine:
     @cached_property
     def input_limit(self) -> float:
         """Largest sample magnitude :func:`transform8` accepts:
-        :func:`~cordic_dct.rotator.overflow_limit` of the largest factor by
-        which a float value the transform computes can exceed ``max|x|``.
+        :func:`~cordic_dct.fixedpoint.overflow_limit` of the largest factor by
+        which a float value the transform computes can exceed ``max|x|``,
+        the rule of :func:`~cordic_dct.fixedpoint.datapath_limit`.
 
         In fixed point that is the quantizing multiply by ``2**frac_bits``,
-        after which the graph runs on range-checked integers.  In float it
-        is the largest l1 norm of a node's exact linear form plus rounding:
-        a path from an input rounds at most ``d`` times (four butterfly
-        adds, one compensating multiply, one add per rotator step), so a
-        node is off its form by at most ``gamma_d`` (Higham, "Accuracy and
-        Stability of Numerical Algorithms", 3.1) times its sum of |path
-        products|, the error of unit inputs carrying ``[-gamma, gamma]``.
-        ``gamma = d * 2**-52``, twice ``gamma_d``, also covers rounding."""
-        if self.mode.is_fixed:
-            return overflow_limit(float(self.mode.fmt.raw_scale))
+        after which the graph runs on range-checked integers; a fixed engine
+        never derives the float factor.  In float it is the largest l1 norm
+        of a node's exact linear form plus rounding: a path from an input
+        rounds at most ``d`` times (four butterfly adds, one compensating
+        multiply, one add per rotator step), so a node is off its form by at
+        most ``gamma_d`` (Higham, "Accuracy and Stability of Numerical
+        Algorithms", 3.1) times its sum of |path products|, the error of unit
+        inputs carrying ``[-gamma, gamma]``.  ``gamma = d * 2**-52``, twice
+        ``gamma_d``, also covers rounding."""
+        return datapath_limit(self.mode, self._float_limit)
 
+    def _float_limit(self) -> float:
         def flow(units, record):
             def rotate(x, y, steps):
                 for step in steps:
@@ -314,10 +321,6 @@ def _reach(flow, exp: int, error: int) -> tuple[int, int, int]:
     return gain, error, exp
 
 
-def _unchecked(value):
-    return value
-
-
 def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     """The DCT flow graph on eight input columns, before the post-scales:
     the even/odd butterflies, the four rotators, their compensation (the
@@ -360,9 +363,10 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     return [g1, f1, h1, f3, g0, f5, h0, f7]
 
 
-def _columns(X: np.ndarray, axis: int) -> list:
-    """The eight flow-graph inputs of ``X``: its slices along ``axis``."""
-    return list(X.swapaxes(0, axis))
+def _columns(X, axis: int) -> list:
+    """The eight flow-graph inputs of ``X``: one vector as a list of Python
+    numbers itself, or the slices of an array along ``axis``."""
+    return X if isinstance(X, list) else list(X.swapaxes(0, axis))
 
 
 def _stack(cols: list, axis: int) -> np.ndarray:
@@ -372,9 +376,8 @@ def _stack(cols: list, axis: int) -> np.ndarray:
     return np.array(cols) if axis == 0 else np.stack(cols, axis=axis)
 
 
-def _transform8_float(engine: DctEngine, X: np.ndarray, axis: int) -> np.ndarray:
-    cols = X.tolist() if X.ndim == 1 else _columns(X, axis)
-    F = _stack(_flow(engine, cols, rotate_float, operator.mul, _unchecked), axis)
+def _transform8_float(engine: DctEngine, X, axis: int) -> np.ndarray:
+    F = _stack(_flow(engine, _columns(X, axis), rotate_float, operator.mul, _unchecked), axis)
     if not engine.fold_into_quantizer:
         scales = engine.post_scales
         if axis < F.ndim - 1:  # one multiply, the scales broadcast along ``axis``
@@ -407,35 +410,6 @@ def _flow_raw(engine: DctEngine, x: list, fit) -> list:
     return cols
 
 
-def _transform8_fixed(engine: DctEngine, X: np.ndarray, axis: int) -> tuple[np.ndarray, int]:
-    mode, fmt = engine.mode, engine.mode.fmt
-    saturations = 0  # values clipped by ``check``, the input's included
-    if X.ndim == 1:  # Python ints, through the scalar boundary converters
-        def check(r):
-            nonlocal saturations
-            fitted = fit_raw(r, mode)
-            saturations += fitted != r
-            return fitted
-
-        cols = [fmt.to_raw(v) for v in X.tolist()]
-        peak = max(map(abs, cols))
-        if peak > fmt.max_raw:
-            cols = [check(r) for r in cols]
-    else:
-        def check(a):
-            nonlocal saturations
-            a, clipped = _fit_array(a, mode)
-            saturations += clipped
-            return a
-
-        raw, peak = _to_raw_array(X, fmt, check)
-        cols = _columns(raw, axis)
-    # Below the bound no node can leave the word: every check is a no-op.
-    fit = _unchecked if peak <= engine.safe_input_bound(fmt) else check
-    cols = _flow_raw(engine, cols, fit)
-    return _stack(cols, axis) * fmt.lsb, saturations
-
-
 def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.ndarray, int]:
     """Run the flow graph on each row of an (n, 8) array, or on one vector.
 
@@ -461,19 +435,25 @@ def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.nd
         if arr.shape != (8,) and (arr.ndim != 2 or arr.shape[1] != 8):
             raise ValueError(f"expected rows of 8 samples, got shape {arr.shape}")
         _axis = arr.ndim - 1
-    limit = engine.input_limit
-    if arr.ndim == 1:  # on Python floats, cheaper than two NumPy reductions
-        within = all(-limit <= v <= limit for v in arr.tolist())
-    else:  # two reductions and no temporary
-        within = -limit <= arr.min(initial=limit) and arr.max(initial=-limit) <= limit
-    if not within:  # NaN fails every comparison
-        raise ValueError(
-            f"transform input non-finite or beyond {limit:.4g}, where the "
-            "transform could overflow binary64"
-        )
-    if engine.mode.is_fixed:
-        return _transform8_fixed(engine, arr, _axis)
-    return _transform8_float(engine, arr, _axis), 0
+    # One vector runs on Python floats, cheaper than NumPy per call.
+    values = arr.tolist() if arr.ndim == 1 else arr
+    check_input(values, engine.input_limit, _refusal)
+    if not engine.mode.is_fixed:
+        return _transform8_float(engine, values, _axis), 0
+    fmt = engine.mode.fmt
+
+    def graph(raw, fit):
+        return _flow_raw(engine, _columns(raw, _axis), fit)
+
+    # Below the safe input bound no node can leave the word, and
+    # ``run_raw`` skips every check.
+    cols, saturations = run_raw(values, engine.mode, graph, engine.safe_input_bound(fmt))
+    return _stack(cols, _axis) * fmt.lsb, saturations
+
+
+def _refusal(limit: float) -> str:
+    return (f"transform input non-finite or beyond {limit:.4g}, where the "
+            "transform could overflow binary64")
 
 
 def dct8_cordic(x, engine: DctEngine) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Two's-complement fixed-point formats and the arithmetic-mode switch.
+"""Two's-complement fixed-point formats, the arithmetic-mode switch, and
+the input boundary of both datapaths.
 
 The rotator core runs either in plain binary64 (``ArithmeticMode.exact``)
 or on raw two's-complement integers with a configurable word length
@@ -7,6 +8,12 @@ negative infinity, matching a hardware arithmetic shifter.  Out-of-range
 results either saturate or raise, per the mode's overflow policy, which
 only this module reads: :func:`fit_raw` for one value, ``_fit_array``
 for an array.
+
+The scalar rotator and the DCT cross into their datapaths here, the same
+way: :func:`check_input` refuses complex input and input that is
+non-finite or beyond :func:`datapath_limit`, and in fixed point
+:func:`run_raw` quantizes the input into the word, runs the caller's raw
+graph with the word's range check, and counts what it clipped.
 
 A mode is a pure value.  The datapath's cost is not kept on it: adds and
 shifts come from a static cost model (``DctEngine.operation_counts``),
@@ -17,6 +24,7 @@ next to its output.  No kernel multiplies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -75,14 +83,6 @@ class FixedPointFormat:
     @cached_property
     def max_raw(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
-
-    @property
-    def min_value(self) -> float:
-        return self.min_raw * self.lsb
-
-    @property
-    def max_value(self) -> float:
-        return self.max_raw * self.lsb
 
     def to_raw(self, x: float) -> int:
         """Quantize ``x`` to a raw integer, rounding half away from zero.
@@ -185,13 +185,88 @@ def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> tuple[np.ndarray, int]:
     return raw, n_out
 
 
-def _to_raw_array(X: np.ndarray, fmt: FixedPointFormat, check) -> tuple[np.ndarray, float]:
-    """Quantize to raw integers, range-checked by ``check`` if any is out
-    of the word; also return max|raw| before any clipping."""
-    rounded = _round_half_away(X * float(fmt.raw_scale))
-    peak = float(np.abs(rounded).max(initial=0.0))
-    if peak > fmt.max_raw:
-        # Range-check while still in float: casting a float beyond int64 is
-        # undefined (INT64_MIN on x86, whatever the sign).
-        rounded = check(rounded)
-    return rounded.astype(np.int64), peak
+# Headroom the input limits leave below binary64 overflow: it covers the
+# rounding of a growth bound and of the values it bounds, and keeps the
+# outputs small enough for a caller to subtract a reference from them.
+OVERFLOW_MARGIN = 2.0
+
+
+def overflow_limit(growth: float) -> float:
+    """Largest input magnitude for a computation whose values are at most
+    ``growth`` times its largest input: ``DBL_MAX / (OVERFLOW_MARGIN * growth)``."""
+    return sys.float_info.max / (OVERFLOW_MARGIN * growth)
+
+
+def datapath_limit(mode: ArithmeticMode, float_limit) -> float:
+    """Largest input magnitude a datapath in ``mode`` accepts.  Fixed point:
+    :func:`overflow_limit` of the quantizing multiply by ``2**frac_bits``,
+    the one float operation before the range-checked integers.  Float:
+    ``float_limit()``, the caller's growth limit, called only then."""
+    if mode.is_fixed:
+        return overflow_limit(float(mode.fmt.raw_scale))
+    return float_limit()
+
+
+# NumPy orders complex numbers, so a range check alone would pass them.
+_COMPLEX = (complex, np.complexfloating)
+
+
+def check_input(values, limit: float, message) -> None:
+    """Refuse datapath input: raise ``ValueError`` on a complex value of
+    ``values`` (a list of Python numbers, or a NumPy array), and with
+    ``message(limit)`` on a value that is non-finite or beyond ``limit``."""
+    if not isinstance(values, list):  # two reductions and no temporary
+        values = (values.min(initial=limit), values.max(initial=-limit))
+    for v in values:
+        if isinstance(v, _COMPLEX):
+            raise ValueError(f"expected real values, got {v!r}")
+        if not -limit <= v <= limit:  # NaN fails every comparison
+            raise ValueError(message(limit))
+
+
+def _unchecked(value):
+    return value
+
+
+def run_raw(values, mode: ArithmeticMode, graph, safe_peak: int | None):
+    """Quantize ``values`` into the word of ``mode``, run ``graph(raw,
+    fit)`` on the raw integers and return its raw outputs and the number of
+    values clipped, at quantization and by ``fit``.
+
+    ``values`` is a list of Python numbers, quantized by
+    :meth:`FixedPointFormat.to_raw` into Python ints checked by
+    :func:`fit_raw`, or a float64 array, quantized by ``_round_half_away``
+    into int64 checked by ``_fit_array``.  ``fit`` is that check, or
+    :func:`_unchecked` when the input's ``max|raw|`` is at most
+    ``safe_peak``, below which the caller has proved that no node of its
+    graph can leave the word (``None``: always check).
+    """
+    fmt = mode.fmt
+    clipped = 0
+    if isinstance(values, list):
+        def check(raw):
+            nonlocal clipped
+            fitted = fit_raw(raw, mode)
+            clipped += fitted != raw
+            return fitted
+
+        raw = [fmt.to_raw(v) for v in values]
+        peak = max(map(abs, raw))
+        if peak > fmt.max_raw:
+            raw = [check(r) for r in raw]
+    else:
+        def check(raw):
+            nonlocal clipped
+            raw, n = _fit_array(raw, mode)
+            clipped += n
+            return raw
+
+        raw = _round_half_away(values * float(fmt.raw_scale))
+        peak = float(np.abs(raw).max(initial=0.0))
+        if peak > fmt.max_raw:
+            # Range-check while still in float: casting a float beyond int64 is
+            # undefined (INT64_MIN on x86, whatever the sign).
+            raw = check(raw)
+        raw = raw.astype(np.int64)
+    out = graph(raw, check if safe_peak is None or peak > safe_peak else _unchecked)
+    return out, clipped

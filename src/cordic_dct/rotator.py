@@ -15,16 +15,20 @@ stays multiplier-free.
 The kernels -- :func:`rotate_float`, :func:`rotate_raw` and
 :meth:`CsdScale.apply_raw` -- are written once, here.  The scalar API runs
 them on Python numbers; the batched DCT in ``dct8`` runs them on NumPy
-columns.
+columns.  Both cross the same input boundary, in ``fixedpoint``: one
+refusal of complex, non-finite and too large components, and in fixed
+point one quantizer and range check (:func:`~cordic_dct.fixedpoint.run_raw`).
+A float rotation refuses a component beyond :func:`overflow_limit` of its
+growth, a fixed one beyond ``overflow_limit(2**frac_bits)``, where the
+quantizing multiply would overflow binary64.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .fixedpoint import ArithmeticMode, fit_raw
+from .fixedpoint import ArithmeticMode, check_input, datapath_limit, overflow_limit, run_raw
 from .planner import MicroRotation, RotationPlan
 
 
@@ -78,36 +82,12 @@ def micro_rotate(v: Vector2, step: MicroRotation, mode: ArithmeticMode = Arithme
     Fixed-point mode quantizes, runs the raw shift-add kernel, and
     converts back; chained fixed-point steps should go through
     :func:`apply_plan`, which stays in the raw domain throughout.
-    Raises ``ValueError`` on a component that is non-finite or beyond
-    :func:`overflow_limit` of the growth ``sqrt2 * hypot(1, 2**-i)``, in
-    both modes, and on a ``mode`` that is not an :class:`ArithmeticMode`.
+    Raises ``ValueError`` on a complex component, on one that is
+    non-finite or beyond :func:`overflow_limit` of the growth ``sqrt2 *
+    hypot(1, 2**-i)`` in float or of ``2**frac_bits`` in fixed point, and
+    on a ``mode`` that is not an :class:`ArithmeticMode`.
     """
     return _rotate_vector(v, (step,), math.hypot(1.0, 2.0 ** -step.index), None, mode)
-
-
-# Headroom the input limits leave below binary64 overflow: it covers the
-# rounding of a growth bound and of the values it bounds, and keeps the
-# outputs small enough for a caller to subtract a reference from them.
-OVERFLOW_MARGIN = 2.0
-
-
-def overflow_limit(growth: float) -> float:
-    """Largest input magnitude for a computation whose values are at most
-    ``growth`` times its largest input: ``DBL_MAX / (OVERFLOW_MARGIN * growth)``."""
-    return sys.float_info.max / (OVERFLOW_MARGIN * growth)
-
-
-def _check_input(v: Vector2, growth: float) -> None:
-    """Refuse a component that is non-finite or beyond the limit of
-    unscaled steps that grow a vector's norm ``growth`` times: the norm is
-    at most sqrt2 times the larger component, and each step only grows it,
-    so ``sqrt2 * growth`` bounds every component on the way."""
-    limit = overflow_limit(math.sqrt(2.0) * growth)
-    if not (abs(v.x) <= limit and abs(v.y) <= limit):
-        raise ValueError(
-            f"vector component in ({v.x!r}, {v.y!r}) is non-finite or beyond "
-            f"{limit:.4g}, where the rotation could overflow binary64"
-        )
 
 
 def rotate_float(x, y, steps):
@@ -150,10 +130,11 @@ def apply_plan(
     With ``compensate`` the result approximates the ideal rotation of
     ``v`` by ``plan.target`` to within the plan tolerance.  The
     fixed-point path compensates via a CSD expansion of the gain (shift
-    and add only).  Raises ``ValueError`` on a component that is
-    non-finite or beyond :func:`overflow_limit` of the growth
-    ``sqrt2 / plan.gain``, in both modes, and on a ``compensate`` that is
-    not a ``bool`` or a ``mode`` that is not an :class:`ArithmeticMode`.
+    and add only).  Raises ``ValueError`` on a complex component, on one
+    that is non-finite or beyond :func:`overflow_limit` of the growth
+    ``sqrt2 / plan.gain`` in float or of ``2**frac_bits`` in fixed point,
+    and on a ``compensate`` that is not a ``bool`` or a ``mode`` that is
+    not an :class:`ArithmeticMode`.
     """
     # Read by truthiness, a look-alike such as "no" would compensate.
     if not isinstance(compensate, bool):
@@ -173,21 +154,29 @@ def _rotate_vector(
     """
     if not isinstance(mode, ArithmeticMode):
         raise ValueError(f"mode must be an ArithmeticMode, got {mode!r}")
-    _check_input(v, growth)
+    components = [v.x, v.y]
+    # The norm is at most sqrt2 times the larger component, and each step
+    # only grows it, so ``sqrt2 * growth`` bounds every component on the way.
+    limit = datapath_limit(mode, lambda: overflow_limit(math.sqrt(2.0) * growth))
+    check_input(components, limit, lambda limit: (
+        f"vector component in ({v.x!r}, {v.y!r}) is non-finite or beyond "
+        f"{limit:.4g}, where the rotation could overflow binary64"
+    ))
     if not mode.is_fixed:
         x, y = rotate_float(v.x, v.y, steps)
         return Vector2(x, y) if gain is None else Vector2(x * gain, y * gain)
 
-    fmt = mode.fmt
+    lsb = mode.fmt.lsb
 
-    def fit(raw):
-        return fit_raw(raw, mode)
+    def graph(raw, fit):
+        x, y = rotate_raw(*raw, steps, fit)
+        if gain is not None and steps:
+            scale = csd_scale(gain, max_terms=16, tolerance=max(lsb / 2, 2.0 ** -18))
+            x, y = fit(scale.apply_raw(x)), fit(scale.apply_raw(y))
+        return x, y
 
-    xr, yr = rotate_raw(fit(fmt.to_raw(v.x)), fit(fmt.to_raw(v.y)), steps, fit)
-    if gain is not None and steps:
-        scale = csd_scale(gain, max_terms=16, tolerance=max(fmt.lsb / 2, 2.0 ** -18))
-        xr, yr = fit(scale.apply_raw(xr)), fit(scale.apply_raw(yr))
-    return Vector2(xr * fmt.lsb, yr * fmt.lsb)
+    (x, y), _ = run_raw(components, mode, graph, None)
+    return Vector2(x * lsb, y * lsb)
 
 
 @dataclass(frozen=True)

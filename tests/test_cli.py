@@ -49,7 +49,7 @@ NON_FINITE = st.sampled_from(["inf", "-inf", "nan", "-nan", "Infinity", "1e999",
 
 def beyond_word(fmt: FixedPointFormat):
     """Finite values that quantize outside the word, as text."""
-    magnitude = st.floats(fmt.max_value + 1, 1e300)
+    magnitude = st.floats(fmt.max_raw * fmt.lsb + 1, 1e300)
     return st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda t: repr(t[0] * t[1]))
 
 
@@ -448,6 +448,16 @@ class TestEval:
         assert rc == 0
         payload = json.loads(out_path.read_text())
         assert payload[0]["quality"] == 90
+
+    @pytest.mark.parametrize("flags,repeated", [
+        (["--qualities", "90,90", "--epsilons", "1e-3,1e-3"], "epsilon 0.001"),
+        (["--qualities", "90,75,90", "--epsilons", "1e-3"], "quality 90"),
+        (["--qualities", "90", "--epsilons", "1e-3,0.001"], "epsilon 0.001"),
+    ])
+    def test_repeated_cell_fails(self, capsys, small_pgm, flags, repeated):
+        rc, out = run_cli(capsys, "eval", str(small_pgm), *flags)
+        assert rc == 1
+        assert out.startswith(f"status: error: {repeated} repeated")
 
     def test_missing_file_fails(self, capsys):
         rc, out = run_cli(capsys, "eval", "/nonexistent/image.pgm")

@@ -81,6 +81,21 @@ class TestQuantTables:
         with pytest.raises(ValueError, match="not an integer"):
             sweep(photo_proxy(16), [1e-3], [quality, 50])
 
+    @pytest.mark.parametrize("epsilons,qualities,repeated", [
+        ([1e-3, 1e-4, np.float64(1e-3)], [90], "epsilon 0.001"),
+        ([1e-3], [90, 75, np.int64(90)], "quality 90"),
+        ([1e-4, 1e-4], [95, 95], "epsilon 0.0001"),
+    ])
+    def test_sweep_refuses_a_repeated_cell(self, epsilons, qualities, repeated, monkeypatch):
+        # Equal in value whatever the number type; refused before any
+        # engine is built, not reported twice.
+        def no_engine(*args, **kwargs):
+            raise AssertionError("engine built")
+
+        monkeypatch.setattr("cordic_dct.codec.DctEngine", no_engine)
+        with pytest.raises(ValueError, match=f"^{repeated} repeated"):
+            sweep(photo_proxy(16), epsilons, qualities)
+
     def test_numpy_integer_quality_accepted(self):
         assert np.array_equal(quant_table_for_quality(np.int64(95)), quant_table_for_quality(95))
 
@@ -444,7 +459,7 @@ class TestBatchedCodecMatchesBlockLoop:
 @settings(max_examples=40)
 @given(
     size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-    qualities=st.lists(st.integers(1, 100), min_size=1, max_size=3),
+    qualities=st.lists(st.integers(1, 100), min_size=1, max_size=3, unique=True),
     bits=st.sampled_from([None, (16, 5)]),
     fold=st.booleans(),
     flat=st.one_of(st.none(), st.just(128), st.integers(0, 255)),

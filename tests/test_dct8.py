@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cordic_dct import dct8
+from cordic_dct import dct8, fixedpoint
 from cordic_dct.dct8 import (
     DCT_MATRIX,
     DctEngine,
@@ -413,7 +413,7 @@ class TestFixedPointPath:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_huge_input_saturates_to_its_own_rail(self, sign):
         fmt = ArithmeticMode.fixed(16, 5).fmt
-        rail = fmt.max_value if sign > 0 else fmt.min_value
+        rail = fmt.max_raw * fmt.lsb if sign > 0 else fmt.min_raw * fmt.lsb
         outs, sats = [], []
         mode = ArithmeticMode.fixed(16, 5, OverflowPolicy.SATURATE)
         for first in (sign * 1e300, rail):
@@ -586,7 +586,7 @@ class TestSafeInputBound:
         make = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold)
         bound = make.safe_input_bound(fmt)
         if above:  # far past the bound, up to 4x the word: checks run, most rows saturate
-            values = st.floats(-4 * fmt.max_value, 4 * fmt.max_value)
+            values = st.floats(-4 * fmt.max_raw * fmt.lsb, 4 * fmt.max_raw * fmt.lsb)
         else:  # exact raw values within the bound: the checks are skipped
             values = st.integers(-bound, bound).map(lambda r: r * fmt.lsb)
         rows = data.draw(st.lists(st.lists(values, min_size=8, max_size=8), min_size=1, max_size=4))
@@ -628,7 +628,7 @@ class TestSafeInputBound:
         bound = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold
                           ).safe_input_bound(fmt)
         if above:
-            values = st.floats(-4 * fmt.max_value, 4 * fmt.max_value)
+            values = st.floats(-4 * fmt.max_raw * fmt.lsb, 4 * fmt.max_raw * fmt.lsb)
         else:
             values = st.integers(-bound, bound).map(lambda r: r * fmt.lsb)
         x = np.array(data.draw(st.lists(values, min_size=8, max_size=8)), dtype=np.float64)
@@ -725,7 +725,7 @@ class TestSafeInputBound:
         def no_checks(raw, mode):
             raise AssertionError("range check ran")
 
-        monkeypatch.setattr(dct8, "_fit_array", no_checks)
+        monkeypatch.setattr(fixedpoint, "_fit_array", no_checks)
         mode = ArithmeticMode(fmt, OverflowPolicy.SATURATE)
         engine = DctEngine(1e-4, mode=mode, compensation=compensation, fold_into_quantizer=fold)
         dct2d(RNG.integers(-128, 128, size=(16, 8, 8)).astype(np.float64), engine)
@@ -743,7 +743,7 @@ class TestSafeInputBound:
             checked.append(raw)
             return fit_raw(raw, mode)
 
-        monkeypatch.setattr(dct8, "fit_raw", counting_fit_raw)
+        monkeypatch.setattr(fixedpoint, "fit_raw", counting_fit_raw)
         mode = ArithmeticMode(FixedPointFormat(24, 8), OverflowPolicy.SATURATE)
         engine = DctEngine(1e-4, mode=mode, compensation=compensation, fold_into_quantizer=fold)
         for row in RNG.integers(-128, 128, size=(16, 8)).astype(np.float64):

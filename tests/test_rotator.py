@@ -2,11 +2,12 @@
 fixed-point arithmetic semantics and instrumentation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cordic_dct.fixedpoint import (
@@ -16,6 +17,7 @@ from cordic_dct.fixedpoint import (
     OverflowPolicy,
     fit_raw,
 )
+from cordic_dct.dct8 import DctEngine
 from cordic_dct.planner import MicroRotation, decompose
 from cordic_dct.rotator import (
     CsdToleranceError,
@@ -31,6 +33,8 @@ from cordic_dct.rotator import (
 )
 
 PI = math.pi
+WORDS = [(8, 4), (16, 12), (32, 20)]
+POLICIES = [OverflowPolicy.ERROR, OverflowPolicy.SATURATE]
 
 
 class TestMicroRotate:
@@ -202,8 +206,8 @@ class TestFixedPointFormat:
         fmt = FixedPointFormat(16, 12)
         assert fmt.min_raw == -32768
         assert fmt.max_raw == 32767
-        assert fmt.min_value == -8.0
-        assert fmt.max_value == pytest.approx(8.0 - 2.0**-12)
+        assert fmt.min_raw * fmt.lsb == -8.0
+        assert fmt.max_raw * fmt.lsb == pytest.approx(8.0 - 2.0**-12)
 
     @pytest.mark.parametrize("total,frac", [(7, 0), (33, 0), (16, 15), (16, -1)])
     def test_validation(self, total, frac):
@@ -275,6 +279,21 @@ class TestFixedPointRotation:
             with pytest.raises(ValueError, match="compensate must be a bool"):
                 apply_plan(Vector2(1.0, 0.0), decompose(0.3, 1e-4), mode, compensate)
 
+    @pytest.mark.parametrize("bits", [None, (16, 12)])
+    def test_complex_components_refused(self, bits):
+        # Float would rotate them into complex results; 16.12 would drop the
+        # imaginary part of a NumPy complex (ComplexWarning) or fail on a
+        # Python one with TypeError.
+        mode = ArithmeticMode() if bits is None else ArithmeticMode.fixed(*bits)
+        plan = decompose(0.3, 1e-4)
+        for v in (Vector2(1j, 0.0), Vector2(0.0, np.complex128(1 + 1j)),
+                  Vector2(np.complex64(2), 1.0), Vector2(1 + 0j, 0.0)):
+            for compensate in (False, True):
+                with pytest.raises(ValueError, match="expected real values"):
+                    apply_plan(v, plan, mode, compensate)
+            with pytest.raises(ValueError, match="expected real values"):
+                micro_rotate(v, MicroRotation(2, -1), mode)
+
     def test_overflow_error_policy(self):
         mode = ArithmeticMode.fixed(8, 4)  # range [-8, 8)
         with pytest.raises(FixedPointOverflowError):
@@ -284,7 +303,7 @@ class TestFixedPointRotation:
         mode = ArithmeticMode.fixed(8, 4, OverflowPolicy.SATURATE)
         # x + y = 15 clips to the rail; y - x = 0 does not
         out = micro_rotate(Vector2(7.5, 7.5), MicroRotation(0, -1), mode)
-        assert out == Vector2(mode.fmt.max_value, 0.0)
+        assert out == Vector2(mode.fmt.max_raw * mode.fmt.lsb, 0.0)
 
     def test_zero_multiplies_and_op_counts(self):
         # The fixed path is rotate_raw, then the gain's CSD sum per
@@ -361,6 +380,123 @@ class TestOverflowLimit:
         with pytest.raises(ValueError, match="beyond"):
             micro_rotate(Vector2(beyond, 0.0), step, mode)
 
+    @pytest.mark.parametrize("bits", WORDS)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_fixed_refuses_beyond_the_word_limit(self, bits, policy):
+        # Fixed point's one float step is the quantizing multiply by
+        # 2**frac_bits, so its limit is the engine's, below the float one.
+        mode = ArithmeticMode.fixed(*bits, policy)
+        limit = overflow_limit(float(1 << bits[1]))
+        assert limit == DctEngine(mode=mode).input_limit
+        plan = decompose(0.3, 1e-4)
+        assert limit < overflow_limit(math.sqrt(2.0) / plan.gain)
+        step = MicroRotation(0, 1)
+        beyond = math.nextafter(limit, math.inf)
+        for value in (beyond, -beyond):
+            for v in (Vector2(value, 0.0), Vector2(0.0, value)):
+                with pytest.raises(ValueError, match=re.escape(f"beyond {limit:.4g}, where")):
+                    apply_plan(v, plan, mode, compensate=True)
+                with pytest.raises(ValueError, match=re.escape(f"beyond {limit:.4g}, where")):
+                    micro_rotate(v, step, mode)
+        # At the limit the input is answered: it leaves the word, so it
+        # raises the word's own error, or saturates to its rail.
+        fmt = mode.fmt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (limit, -limit, 1e300):
+                rail = (fmt.max_raw if value > 0 else fmt.min_raw) * fmt.lsb
+                for rotate in (lambda x: apply_plan(Vector2(x, 0.0), plan, mode, compensate=True),
+                               lambda x: micro_rotate(Vector2(0.0, x), step, mode)):
+                    if policy is OverflowPolicy.ERROR:
+                        with pytest.raises(FixedPointOverflowError, match="raw value"):
+                            rotate(value)
+                    else:
+                        assert rotate(value) == rotate(rail)
+
     def test_1e300_is_answered(self):
         out = apply_plan(Vector2(1e300, 1e300), decompose(PI / 4, 1e-4), compensate=True)
         assert math.isfinite(out.x) and math.isfinite(out.y)
+
+
+def model_rotate(v: Vector2, steps, gain, mode: ArithmeticMode) -> Vector2:
+    """The fixed-point rotator written out here, not taken from the library
+    kernels: quantize each component (round half away from zero, in the
+    library's binary64 formula), range-check it, run each step as floor
+    shifts and adds, each result range-checked, then multiply each
+    component by the gain's CSD expansion at ``max(lsb / 2, 2**-18)``,
+    range-checked.  A check clamps to the rail, or raises the library's
+    error under ``ERROR``."""
+    fmt = mode.fmt
+
+    def fit(raw):
+        if fmt.min_raw <= raw <= fmt.max_raw:
+            return raw
+        if mode.overflow is OverflowPolicy.ERROR:
+            raise FixedPointOverflowError(
+                f"raw value {raw} outside [{fmt.min_raw}, {fmt.max_raw}] "
+                f"for {fmt.total_bits}.{fmt.frac_bits} format"
+            )
+        return max(fmt.min_raw, min(raw, fmt.max_raw))
+
+    def quantize(c):
+        scaled = c * 2.0 ** fmt.frac_bits
+        magnitude = math.floor(abs(scaled) + 0.5)
+        return magnitude if scaled >= 0 else -magnitude
+
+    x, y = fit(quantize(v.x)), fit(quantize(v.y))
+    for step in steps:
+        d, k = step.direction, 2 ** step.index
+        x, y = fit(x - d * (y // k)), fit(y + d * (x // k))
+    if gain is not None and steps:
+        terms = csd_scale(gain, max_terms=16, tolerance=max(fmt.lsb / 2, 2.0 ** -18)).terms
+        x, y = (fit(sum(sign * (c // 2 ** shift) for shift, sign in terms)) for c in (x, y))
+    return Vector2(x * fmt.lsb, y * fmt.lsb)
+
+
+def _outcome(call):
+    """The bits of the vector ``call()`` returns, or its error's type and
+    message."""
+    try:
+        out = call()
+    except FixedPointOverflowError as exc:
+        return type(exc), str(exc)
+    return repr(out.x), repr(out.y)
+
+
+def components(fmt: FixedPointFormat):
+    """Components up to 4x the rail: any float, or a multiple of half an
+    LSB, which is a raw value or a rounding tie."""
+    rail = 4 * fmt.max_raw * fmt.lsb
+    return st.one_of(
+        st.floats(-rail, rail),
+        st.integers(8 * fmt.min_raw, 8 * fmt.max_raw).map(lambda h: h * fmt.lsb / 2),
+    )
+
+
+@given(
+    data=st.data(),
+    bits=st.sampled_from(WORDS),
+    policy=st.sampled_from(POLICIES),
+    theta=st.floats(-PI / 2, PI / 2),
+    eps=st.floats(1e-6, 1e-2),
+    compensate=st.booleans(),
+    index=st.integers(0, 30),
+    direction=st.sampled_from([1, -1]),
+)
+@example(data=None, bits=(16, 12), policy=OverflowPolicy.ERROR, theta=PI / 16, eps=1e-4,
+         compensate=True, index=0, direction=-1)  # a node past the rail under ERROR
+def test_fixed_rotator_equals_the_scalar_model(
+    data, bits, policy, theta, eps, compensate, index, direction
+):
+    mode = ArithmeticMode.fixed(*bits, policy)
+    if data is None:
+        v = Vector2(7.5, 7.5)
+    else:
+        v = Vector2(data.draw(components(mode.fmt)), data.draw(components(mode.fmt)))
+    plan = decompose(theta, eps)
+    gain = plan.gain if compensate else None
+    assert _outcome(lambda: apply_plan(v, plan, mode, compensate)) == _outcome(
+        lambda: model_rotate(v, plan.steps, gain, mode))
+    step = MicroRotation(index, direction)
+    assert _outcome(lambda: micro_rotate(v, step, mode)) == _outcome(
+        lambda: model_rotate(v, (step,), None, mode))
