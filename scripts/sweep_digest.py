@@ -7,11 +7,10 @@ Usage:
 
 Prints one line per case: ``<sha256> <arithmetic> <image> <output>``.
 The arithmetics are float, saturating 24.8 and 16.5 fixed point, each
-with the post-scales applied and folded into the quantizer, plus the
-LITERAL index policy in float.  The images are photo-like ones of
-128x128, 200x200, 264x264 and 1024x1024, crops of 131x77 and 257x260,
-uniform noise of 9x3 and 8x8200 and a flat 24x16 (every size is
-height x width).  Each case covers three epsilons and seven qualities:
+with the post-scales applied and folded into the quantizer.  The images
+are photo-like ones of 128x128, 200x200, 264x264 and 1024x1024, crops of
+131x77 and 257x260, uniform noise of 9x3 and 8x8200 and a flat 24x16
+(every size is height x width).  Each case covers three epsilons and seven qualities:
 
 * ``sweep``: the ``to_json()`` report;
 * ``dct2d``: the forward transform of the level-shifted block stack per
@@ -74,21 +73,20 @@ from cordic_dct.codec import (
 from cordic_dct.dct8 import DctEngine, _dct2d_planes, _planes, dct2d, dct8_cordic, transform8
 from cordic_dct.fixedpoint import ArithmeticMode, FixedPointFormat, OverflowPolicy
 from cordic_dct.images import photo_proxy
-from cordic_dct.planner import IndexPolicy, MicroRotation, decompose
+from cordic_dct.planner import MicroRotation, decompose
 from cordic_dct.rotator import Vector2, apply_plan, micro_rotate
 
 EPSILONS = (1e-3, 1e-4, 1e-6)
 QUALITIES = (100, 95, 90, 75, 50, 25, 5)
 
-# name -> (word format or None for float, fold_into_quantizer, index policy)
+# name -> (word format or None for float, fold_into_quantizer)
 ARITHMETICS = {
-    "float": (None, False, IndexPolicy.NEAREST),
-    "float-fold": (None, True, IndexPolicy.NEAREST),
-    "q24_8": ((24, 8), False, IndexPolicy.NEAREST),
-    "q24_8-fold": ((24, 8), True, IndexPolicy.NEAREST),
-    "q16_5": ((16, 5), False, IndexPolicy.NEAREST),
-    "q16_5-fold": ((16, 5), True, IndexPolicy.NEAREST),
-    "float-literal": (None, False, IndexPolicy.LITERAL),
+    "float": (None, False),
+    "float-fold": (None, True),
+    "q24_8": ((24, 8), False),
+    "q24_8-fold": ((24, 8), True),
+    "q16_5": ((16, 5), False),
+    "q16_5-fold": ((16, 5), True),
 }
 
 
@@ -147,16 +145,15 @@ def _blocks(img: GrayImage) -> np.ndarray:
 
 def digests(name: str, img: GrayImage):
     """``(output, sha256)`` of each output of one case."""
-    bits, fold, policy = ARITHMETICS[name]
-    report = sweep(img, EPSILONS, QUALITIES, policy=policy, mode=_mode(bits),
-                   fold_into_quantizer=fold)
+    bits, fold = ARITHMETICS[name]
+    report = sweep(img, EPSILONS, QUALITIES, mode=_mode(bits), fold_into_quantizer=fold)
     yield "sweep", hashlib.sha256(report.to_json().encode()).hexdigest()
 
     blocks = _blocks(img)
     shifted = blocks - 128.0
     forward, roundtrip, codec = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for eps in EPSILONS:
-        engine = DctEngine(eps, policy, _mode(bits), fold_into_quantizer=fold)
+        engine = DctEngine(eps, _mode(bits), fold_into_quantizer=fold)
         forward.update(np.ascontiguousarray(dct2d(shifted, engine)).tobytes())
         forward.update(_forward_counts(engine, shifted))
         for quality in QUALITIES:
@@ -188,12 +185,12 @@ def engine_digests(name: str, x: np.ndarray):
     """``(output, sha256)`` of the single-vector and batch transforms and
     the engine's costs and input limits, over both compensations and every
     epsilon."""
-    bits, fold, policy = ARITHMETICS[name]
+    bits, fold = ARITHMETICS[name]
     single, batch = hashlib.sha256(), hashlib.sha256()
     costs, limits = hashlib.sha256(), hashlib.sha256()
     for compensation in COMPENSATIONS:
         for eps in EPSILONS:
-            engine = DctEngine(eps, policy, _mode(bits), compensation, fold)
+            engine = DctEngine(eps, _mode(bits), compensation, fold)
             for row in x:
                 single.update(dct8_cordic(row, engine).tobytes())
             coefs, saturations = transform8(engine, x)
@@ -227,7 +224,7 @@ def error_digests(bits: tuple, fold: bool, x: np.ndarray):
     mode = ArithmeticMode.fixed(*bits, OverflowPolicy.ERROR)
     for compensation in COMPENSATIONS:
         for eps in EPSILONS:
-            engine = DctEngine(eps, IndexPolicy.NEAREST, mode, compensation, fold)
+            engine = DctEngine(eps, mode, compensation, fold)
             digest = hashlib.sha256()
             for row in x:
                 digest.update(_coefficients(lambda: dct8_cordic(row, engine)))

@@ -28,7 +28,6 @@ from .fixedpoint import (
     OverflowPolicy,
 )
 from .planner import (
-    IndexPolicy,
     MicroRotation,
     RotationPlan,
     decompose,

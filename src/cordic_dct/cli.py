@@ -21,7 +21,6 @@ import numpy as np
 from . import codec, images, pgm, planner, rotator
 from .dct8 import DCT_ANGLES, DctEngine, dct2d, dct2d_oracle, dct8_cordic, dct8_oracle
 from .fixedpoint import ArithmeticMode, OverflowPolicy
-from .planner import IndexPolicy
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?$")
 
@@ -73,10 +72,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _add_common(p, formats=(), word=None):
-    """``--policy`` and ``--out``; ``--format`` if the command prints any of
-    ``formats`` (the first is the default); and, given the ``(bits, frac)``
-    of its fixed-point ``word``, ``--mode``."""
-    p.add_argument("--policy", choices=["nearest", "literal"], default="nearest")
+    """``--out``; ``--format`` if the command prints any of ``formats``
+    (the first is the default); and, given the ``(bits, frac)`` of its
+    fixed-point ``word``, ``--mode``."""
     if word is not None:
         p.add_argument("--mode", type=lambda text: _mode_word(text, word), default="float",
                        metavar="{float,fixed,T.F}", help=f"fixed is {word[0]}.{word[1]}")
@@ -87,7 +85,7 @@ def _add_common(p, formats=(), word=None):
 
 def cmd_decompose(args) -> int:
     theta = parse_angle(args.angle)
-    plan = planner.decompose(theta, args.eps, IndexPolicy(args.policy))
+    plan = planner.decompose(theta, args.eps)
     lines = []
     if not plan.steps:
         lines.append(f"angle {theta!r} already within eps={args.eps:g}: empty plan")
@@ -109,7 +107,7 @@ def cmd_table(args) -> int:
     angle_exprs = [a for a in args.angles.split(",") if a]
     epsilons = [float(e) for e in args.epsilons.split(",")]
     angles = [parse_angle(a) for a in angle_exprs]
-    plans = planner.generate_table(angles, epsilons, IndexPolicy(args.policy))
+    plans = planner.generate_table(angles, epsilons)
     if args.format == "json":
         _emit(planner.table_to_json(plans), args.out)
     elif args.format == "csv":
@@ -128,7 +126,7 @@ def cmd_table(args) -> int:
 
 def cmd_rotate(args) -> int:
     theta = parse_angle(args.angle)
-    plan = planner.decompose(theta, args.eps, IndexPolicy(args.policy))
+    plan = planner.decompose(theta, args.eps)
     mode = _parse_mode(args)
     v = rotator.Vector2(args.x, args.y)
     got = rotator.apply_plan(v, plan, mode, compensate=not args.no_compensate)
@@ -156,7 +154,7 @@ def cmd_dct(args) -> int:
     values = _read_numbers(args.input)
     if len(values) not in (8, 64):
         raise ValueError(f"expected 8 or 64 numbers, got {len(values)}")
-    engine = DctEngine(epsilon=args.eps, policy=IndexPolicy(args.policy), mode=_parse_mode(args))
+    engine = DctEngine(epsilon=args.eps, mode=_parse_mode(args))
     if len(values) == 8:
         got = dct8_cordic(np.array(values), engine)
         ref = dct8_oracle(np.array(values))
@@ -184,8 +182,7 @@ def cmd_eval(args) -> int:
     epsilons = [float(e) for e in args.epsilons.split(",")]
     mode = _parse_mode(args, OverflowPolicy.SATURATE)  # the report counts saturations
     report = codec.sweep(
-        img, epsilons, qualities, policy=IndexPolicy(args.policy), mode=mode,
-        fold_into_quantizer=args.fold_into_quantizer,
+        img, epsilons, qualities, mode=mode, fold_into_quantizer=args.fold_into_quantizer,
     )
     if args.format == "json":
         _emit(report.to_json(), args.out)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .dct8 import DCT_MATRIX, DctEngine, _as_blocks, _dct2d_planes, _planes, dct2d_oracle
 from .fixedpoint import ArithmeticMode, _round_half_away
-from .planner import IndexPolicy
 
 # ITU-T T.81 Annex K luminance quantization table.
 BASE_LUMA_QUANT = np.array(
@@ -350,7 +349,6 @@ def sweep(
     img: GrayImage,
     epsilons,
     qualities,
-    policy: IndexPolicy = IndexPolicy.NEAREST,
     mode: ArithmeticMode | None = None,
     fold_into_quantizer: bool = False,
 ) -> PsnrReport:
@@ -397,7 +395,7 @@ def sweep(
         if repeats:
             raise ValueError(f"{name} {repeats[0]} repeated: its rows would be computed twice")
     steps = [_step(tables[quality]) for quality in qualities]
-    engines = [DctEngine(epsilon=eps, policy=policy, mode=mode,
+    engines = [DctEngine(epsilon=eps, mode=mode,
                          fold_into_quantizer=fold_into_quantizer) for eps in epsilons]
     saturations = [0] * len(engines)
     divisors = [[_divisor(engine, step) for step in steps] for engine in engines]

@@ -40,7 +40,7 @@ import numpy as np
 
 from .fixedpoint import (ArithmeticMode, FixedPointFormat, _unchecked, check_input,
                          datapath_limit, overflow_limit, run_raw)
-from .planner import IndexPolicy, RotationPlan, decompose
+from .planner import RotationPlan, decompose
 from .rotator import CsdScale, csd_scale, rotate_float, rotate_raw
 
 # The four rotation angles the flow graph needs, keyed for readability.
@@ -118,9 +118,8 @@ class DctEngine:
     Parameters
     ----------
     epsilon:
-        Shared angle tolerance for the four rotation plans.
-    policy:
-        Index policy handed to the planner.
+        Shared angle tolerance for the four rotation plans, each
+        decomposed by :func:`~cordic_dct.planner.decompose`.
     mode:
         ``ArithmeticMode.exact()`` or an ``ArithmeticMode.fixed(...)``.
     compensation:
@@ -135,7 +134,6 @@ class DctEngine:
     def __init__(
         self,
         epsilon: float = 1e-4,
-        policy: IndexPolicy = IndexPolicy.NEAREST,
         mode: ArithmeticMode | None = None,
         compensation: str = "folded",
         fold_into_quantizer: bool = False,
@@ -148,13 +146,12 @@ class DctEngine:
         if not isinstance(fold_into_quantizer, bool):
             raise ValueError(f"fold_into_quantizer must be a bool, got {fold_into_quantizer!r}")
         self.epsilon = epsilon
-        self.policy = policy
         self.mode = mode if mode is not None else ArithmeticMode.exact()
         self.compensation = compensation
         self.fold_into_quantizer = fold_into_quantizer
 
         self.plans: dict[str, RotationPlan] = {
-            name: decompose(angle, epsilon, policy) for name, angle in DCT_ANGLES.items()
+            name: decompose(angle, epsilon) for name, angle in DCT_ANGLES.items()
         }
         g = {name: plan.gain for name, plan in self.plans.items()}
 

@@ -41,6 +41,13 @@ class OverflowPolicy(Enum):
     SATURATE = "saturate"
 
 
+# The largest double below 1/2.  Adding it and truncating rounds half away
+# from zero exactly: adding 1/2 itself rounds the sum up for this value
+# (to 1.0) and for odd integers in [2**52, 2**53) (to the next even one),
+# while a tie k + 1/2 still sums to k + 1 - 2**-54, which rounds to k + 1.
+_BELOW_HALF = 0.49999999999999994
+
+
 @dataclass(frozen=True)
 class FixedPointFormat:
     """Signed fixed-point layout: ``total_bits`` wide, ``frac_bits`` fractional.
@@ -91,21 +98,22 @@ class FixedPointFormat:
         its overflow policy.
         """
         scaled = x * self.raw_scale
-        return int(math.floor(scaled + 0.5)) if scaled >= 0 else int(math.ceil(scaled - 0.5))
+        return math.trunc(scaled + math.copysign(_BELOW_HALF, scaled))
 
 
 _SIGN_BIT = np.int64(-(1 << 63))  # a float64's sign bit, as int64
-_HALF_BITS = np.float64(0.5).view(np.int64)
+_HALF_BITS = np.float64(_BELOW_HALF).view(np.int64)
 
 
 def _round_half_away(v, out: np.ndarray | None = None) -> np.ndarray:
     """Round to the nearest integer, ties away from zero, as
     :meth:`FixedPointFormat.to_raw` does one value: ``trunc(v + h)``
-    where ``h`` is 0.5 with the sign bit of ``v``.
+    where ``h`` is ``_BELOW_HALF`` with the sign bit of ``v``.
 
     ``h`` is made by masking ``v``'s bits down to the sign bit and or-ing
-    in the bits of 0.5: the bits ``np.copysign(0.5, v)`` gives, for -0.0
-    and NaN too, in two integer passes that cost about what an add does.
+    in the bits of ``_BELOW_HALF``: the bits ``np.copysign(_BELOW_HALF, v)``
+    gives, for -0.0 and NaN too, in two integer passes that cost about
+    what an add does.
     With ``out`` (a float64 array other than ``v``) the result is written
     there and no temporary is made.
     """

@@ -1,24 +1,18 @@
 """Decompose rotation angles into arctangent-radix micro-rotations.
 
 A target angle ``theta`` is approximated by a signed sum of micro-angles
-``atan(2**-i)``.  The decomposition loop subtracts the micro-angle picked
-by the active index policy from the remaining residual until the residual
-magnitude drops to the requested tolerance ``epsilon``:
+``atan(2**-i)``.  The decomposition loop subtracts the micro-angle whose
+shift ``i = round(-log2|residual|)`` is nearest to the residual in the
+log2 domain, until the residual magnitude drops to the requested
+tolerance ``epsilon``:
 
     residual_0 = theta
     residual_k = residual_{k-1} - sigma_k * atan(2**-i_k)
 
 ``sigma_k`` is always the sign of the residual before the step, so the
 identity ``theta == sum(sigma_k * atan(2**-i_k)) + residual`` holds by
-construction.  Two index policies are provided:
-
-* ``NEAREST`` (default): i = round(-log2|residual|), the shift whose
-  micro-angle is nearest to the residual in the log2 domain.  All shipped
-  rotation tables use this policy, and the magnitude of the residual
-  strictly decreases at every step.
-* ``LITERAL``: i = floor(-log2(tan|residual|)) + 1.  Also converges, but
-  picks systematically smaller micro-angles and therefore needs more
-  steps; kept for comparison runs.
+construction.  All shipped rotation tables follow this rule, and the
+magnitude of the residual strictly decreases at every step.
 
 Everything here is pure binary64 arithmetic over immutable values; plans
 can be shared freely across threads.
@@ -29,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from io import StringIO
 
 INDEX_MAX = 30
@@ -40,13 +33,6 @@ ANGLE_MAX = math.pi / 2
 
 # atan(2**-i) for i = 0..INDEX_MAX, the only micro-angles a plan may use.
 ATAN_TABLE = tuple(math.atan(2.0 ** -i) for i in range(INDEX_MAX + 1))
-
-
-class IndexPolicy(Enum):
-    """How the shift index for the next micro-rotation is chosen."""
-
-    NEAREST = "nearest"
-    LITERAL = "literal"
 
 
 @dataclass(frozen=True)
@@ -83,7 +69,6 @@ class RotationPlan:
     steps: tuple[MicroRotation, ...]
     residual: float
     gain: float
-    policy: IndexPolicy
 
     def __post_init__(self):
         if abs(self.residual) > self.tolerance:
@@ -110,38 +95,27 @@ class RotationPlan:
         return "".join("+" if d > 0 else "-" for d in self.directions)
 
 
-def _pick_index(residual: float, policy: IndexPolicy) -> int:
-    a = abs(residual)
-    if policy is IndexPolicy.NEAREST:
-        i = round(-math.log2(a))
-    else:
-        i = math.floor(-math.log2(math.tan(a))) + 1
-    return max(i, 0)
+def decompose(theta: float, epsilon: float) -> RotationPlan:
+    """Compute the micro-rotation plan for ``theta`` to precision ``epsilon``,
+    taking shift ``max(round(-log2|residual|), 0)`` at every step.
 
-
-def decompose(theta: float, epsilon: float, policy: IndexPolicy = IndexPolicy.NEAREST) -> RotationPlan:
-    """Compute the micro-rotation plan for ``theta`` to precision ``epsilon``.
-
-    Raises ValueError if |theta| > pi/2, epsilon is outside [1e-9, 1e-1]
-    or policy is not an :class:`IndexPolicy`, and RuntimeError if the
-    loop fails to make progress (which would indicate a policy bug, not
-    bad input).
+    Raises ValueError if |theta| > pi/2 or epsilon is outside [1e-9, 1e-1],
+    and RuntimeError if the loop fails to make progress (which would
+    indicate a bug in the index rule, not bad input).
     """
     if not math.isfinite(theta) or abs(theta) > ANGLE_MAX:
         raise ValueError(f"angle {theta!r} outside [-pi/2, pi/2]")
     if not (EPSILON_MIN <= epsilon <= EPSILON_MAX):
         raise ValueError(f"epsilon {epsilon!r} outside [{EPSILON_MIN:g}, {EPSILON_MAX:g}]")
-    if not isinstance(policy, IndexPolicy):  # "nearest" would pick LITERAL indices
-        raise ValueError(f"policy must be an IndexPolicy, got {policy!r}")
 
     residual = theta
     steps = []
     while abs(residual) > epsilon:
         if len(steps) >= MAX_STEPS:
-            raise RuntimeError(f"no convergence after {MAX_STEPS} steps (policy {policy})")
+            raise RuntimeError(f"no convergence after {MAX_STEPS} steps")
         # The loop runs only while |residual| > epsilon >= 1e-9, where
-        # either policy picks i <= 30 = INDEX_MAX.
-        i = _pick_index(residual, policy)
+        # the rule picks i <= 30 = INDEX_MAX.
+        i = max(round(-math.log2(abs(residual))), 0)
         sigma = 1 if residual > 0 else -1
         nxt = residual - sigma * ATAN_TABLE[i]
         assert abs(nxt) < abs(residual), "micro-rotation must shrink the residual"
@@ -159,7 +133,6 @@ def decompose(theta: float, epsilon: float, policy: IndexPolicy = IndexPolicy.NE
         steps=tuple(steps),
         residual=residual,
         gain=gain,
-        policy=policy,
     )
 
 
@@ -171,10 +144,10 @@ def reconstruct_angle(plan: RotationPlan) -> float:
     return total
 
 
-def generate_table(angles, epsilons, policy: IndexPolicy = IndexPolicy.NEAREST) -> list[RotationPlan]:
+def generate_table(angles, epsilons) -> list[RotationPlan]:
     """Decompose every (angle, epsilon) pair, angles outer: one plan per
     row of the rendered table."""
-    return [decompose(theta, eps, policy) for theta in angles for eps in epsilons]
+    return [decompose(theta, eps) for theta in angles for eps in epsilons]
 
 
 TABLE_CSV_HEADER = "angle_rad,epsilon,indices,directions,residual_rad,gain"

@@ -29,7 +29,6 @@ from cordic_dct.dct8 import (
 from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy
 from cordic_dct.pgm import read_pgm, write_pgm
 from cordic_dct.planner import (
-    IndexPolicy,
     decompose,
     reconstruct_angle,
 )
@@ -53,7 +52,7 @@ def report(num, text):
 
 def test_criterion_01_fine_pi16_plan():
     t0 = time.perf_counter()
-    plan = decompose(PI / 16, 1e-4, IndexPolicy.NEAREST)
+    plan = decompose(PI / 16, 1e-4)
     assert plan.indices == (2, 4, 6, 9, 13)
     assert plan.directions == (1, -1, 1, -1, 1)
     rec = reconstruct_angle(plan)
@@ -90,7 +89,7 @@ RECONCILED_CELLS = [(PI / 4, 1e-3), (PI / 4, 1e-4), (3 * PI / 8, 1e-3)]
 
 def test_criterion_02_index_table_reproduction():
     for (theta, eps), indices in EXPECTED_CELLS.items():
-        plan = decompose(theta, eps, IndexPolicy.NEAREST)
+        plan = decompose(theta, eps)
         assert plan.indices == indices, (theta, eps)
     for cell, directions in CONSISTENT_DIRECTIONS.items():
         assert decompose(*cell).directions == directions, cell

@@ -487,6 +487,11 @@ class TestEval:
         ["eval", "synthetic", "--format", "text"],
         ["eval", "synthetic", "--bits", "24"],
         ["eval", "synthetic", "--frac", "8"],
+        ["decompose", "--angle", "pi/16", "--policy", "nearest"],
+        ["table", "--policy", "nearest"],
+        ["rotate", "--angle", "pi/16", "--x", "1", "--y", "0", "--policy", "nearest"],
+        ["dct", "--policy", "nearest"],
+        ["eval", "synthetic", "--policy", "nearest"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
@@ -559,6 +564,34 @@ PLAN_3PI8_JSON = """\
 ]
 status: ok
 """
+DECOMPOSE_PI16 = """\
+i: 2/4/6/9/13  sigma: + - + - +
+residual: -2.988697436406444e-06
+gain: 0.9681331966510881
+reconstructed: 0.1963525295467985
+status: ok
+"""
+TABLE_10_DEG = """\
+       angle       eps  i                sigma           residual  gain
+      deg:10     1e-05  3/4/6/8/11/15    ++-+--        -4.582e-06  0.990217
+status: ok
+"""
+ROTATE_3PI8 = """\
+rotated: (0.38269733238811365, 0.9238737748107272)
+ideal:   (0.38268343236508984, 0.9238795325112867)
+error:   1.505e-05
+status: ok
+"""
+DCT_DESCENDING = """\
+coefficients: 12.727922 6.442356 0.000000 0.673024 0.000000 0.201352 0.000000 0.050484
+max error vs oracle: 4.495e-04
+status: ok
+"""
+EVAL_75 = """\
+epsilon,quality,psnr_db,mean_abs_coef_err,saturations
+0.0001,75,33.071,6.809238e-04,0
+status: ok
+"""
 ROTATE_12_6 = """\
 rotated: (0.1875, 0.546875)
 ideal:   (0.17677669529663692, 0.5303300858899106)
@@ -597,6 +630,16 @@ status: ok
                  "", EVAL_16_5,
                  id="eval synthetic --qualities 90 --epsilons 1e-3 --mode fixed --bits 16 --frac 5"
                  ),
+    pytest.param(["decompose", "--angle", "pi/16", "--eps", "1e-4"], "", DECOMPOSE_PI16,
+                 id="decompose --angle pi/16 --eps 1e-4 --policy nearest"),
+    pytest.param(["table", "--angles", "deg:10", "--epsilons", "1e-5"], "", TABLE_10_DEG,
+                 id="table --angles deg:10 --epsilons 1e-5 --policy nearest"),
+    pytest.param(["rotate", "--angle", "3pi/8", "--eps", "1e-4", "--x", "1", "--y", "0"], "",
+                 ROTATE_3PI8, id="rotate --angle 3pi/8 --eps 1e-4 --x 1 --y 0 --policy nearest"),
+    pytest.param(["dct", "--input", "-", "--eps", "1e-3"], "8 7 6 5 4 3 2 1\n", DCT_DESCENDING,
+                 id="dct --input - --eps 1e-3 --policy nearest"),
+    pytest.param(["eval", "synthetic", "--qualities", "75", "--epsilons", "1e-4"], "", EVAL_75,
+                 id="eval synthetic --qualities 75 --epsilons 1e-4 --policy nearest"),
 ])
 def test_removed_flag_replacement_prints_the_same_bytes(argv, stdin, expected):
     # Each id is the removed invocation whose stdout ``expected`` is.

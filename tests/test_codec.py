@@ -344,10 +344,11 @@ class TestSweep:
     )
 )
 def test_sign_bit_rounding_equals_copysign(values):
-    """The sign of the 0.5 added before truncating comes from the sign
-    bit: the bits of ``trunc(v + copysign(0.5, v))``, -0.0 and NaN too."""
+    """The sign of the 0.49999999999999994 added before truncating comes
+    from the sign bit: the bits of ``trunc(v + copysign(0.49999999999999994,
+    v))``, -0.0 and NaN too."""
     v = np.array(values)
-    want = np.trunc(v + np.copysign(0.5, v))
+    want = np.trunc(v + np.copysign(0.49999999999999994, v))
     assert _round_half_away(v).tobytes() == want.tobytes()
     out = np.full_like(v, 3.0)
     assert _round_half_away(v, out=out) is out

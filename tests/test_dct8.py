@@ -34,7 +34,6 @@ from cordic_dct.fixedpoint import (
     OverflowPolicy,
     fit_raw,
 )
-from cordic_dct.planner import IndexPolicy
 from cordic_dct.rotator import CsdScale, rotate_float
 
 RNG = np.random.default_rng(20240601)
@@ -193,14 +192,13 @@ class TestFlowGraph:
             with pytest.raises(ValueError, match="expected real samples"):
                 oracle(np.full(shape, 1j))
 
-    @pytest.mark.parametrize("policy", list(IndexPolicy))
     @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
-    def test_post_scales_match_the_hand_written_lists(self, policy, compensation):
+    def test_post_scales_match_the_hand_written_lists(self, compensation):
         # The eight scales as two lists written out per compensation, from
         # the plan gains; one misordered output or rotator fails.
         half, eighth_norm = 0.5, 0.5 / math.sqrt(2.0)
         for eps in np.geomspace(1e-9, 1e-1, 60):
-            engine = DctEngine(float(eps), policy, compensation=compensation)
+            engine = DctEngine(float(eps), compensation=compensation)
             g = {name: plan.gain for name, plan in engine.plans.items()}
             if compensation == "folded":
                 expected = [g["pi/4"] * half, g["3pi/16"] * half, g["3pi/8"] * half,
@@ -326,10 +324,6 @@ class TestFixedPointPath:
     def test_mode_must_be_an_arithmetic_mode(self, mode):
         with pytest.raises(ValueError, match="ArithmeticMode"):
             DctEngine(1e-3, mode=mode)
-
-    def test_string_policy_refused(self):
-        with pytest.raises(ValueError, match="IndexPolicy"):
-            DctEngine(1e-3, policy="nearest")
 
     @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
     @pytest.mark.parametrize("fold", [False, True])

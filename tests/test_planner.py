@@ -1,4 +1,4 @@
-"""Planner tests: published rotation tables, invariants, both index policies."""
+"""Planner tests: published rotation tables, invariants, the index rule."""
 
 import json
 import math
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cordic_dct.planner import (
     ATAN_TABLE,
     INDEX_MAX,
-    IndexPolicy,
     MicroRotation,
     RotationPlan,
     decompose,
@@ -20,12 +19,12 @@ from cordic_dct.planner import (
     table_to_json,
 )
 
-from greedy_reference import greedy_reference_steps
+from greedy_reference import greedy_reference_steps, tan_rule_steps
 
 PI = math.pi
 
 # The four fixed rotation angles and their known decompositions under the
-# default NEAREST policy (directions here follow the residual-sign rule).
+# nearest-shift rule (directions here follow the residual-sign rule).
 KNOWN_PLANS = {
     (PI / 4, 1e-3): ((0,), (1,)),
     (PI / 4, 1e-4): ((0,), (1,)),
@@ -109,14 +108,6 @@ class TestDomainErrors:
         with pytest.raises(ValueError):
             decompose(0.1, eps)
 
-    @pytest.mark.parametrize("policy", ["nearest", "literal", None])
-    def test_policy_must_be_an_index_policy(self, policy):
-        # The index choice tests the enum by identity, so without the check
-        # "nearest" would build LITERAL plans labelled "nearest"
-        # (0/2/3/6/8/9/10/11/12/13 for 3pi/8 at 1e-4).
-        with pytest.raises(ValueError, match="IndexPolicy"):
-            decompose(3 * PI / 8, 1e-4, policy)
-
     def test_micro_rotation_validation(self):
         with pytest.raises(ValueError):
             MicroRotation(-1, 1)
@@ -127,7 +118,7 @@ class TestDomainErrors:
 
     def test_plan_invariant_checks(self):
         with pytest.raises(ValueError):
-            RotationPlan(0.5, 1e-3, (), 0.5, 1.0, IndexPolicy.NEAREST)
+            RotationPlan(0.5, 1e-3, (), 0.5, 1.0)
 
 
 class TestInvariants:
@@ -179,7 +170,7 @@ class TestInvariants:
 
 
 class TestGreedyReference:
-    """The brute-force scan validates NEAREST where both agree and pins the
+    """The brute-force scan validates decompose where both agree and pins the
     one published cell where the two selection rules legitimately differ."""
 
     AGREEING_CELLS = [
@@ -225,17 +216,16 @@ class TestLiteralPolicy:
 
     @pytest.mark.parametrize("theta", [PI / 4, 3 * PI / 8, PI / 16, 3 * PI / 16])
     def test_converges(self, theta):
-        plan = decompose(theta, 1e-3, IndexPolicy.LITERAL)
-        assert abs(plan.residual) <= 1e-3
-        assert abs(theta - reconstruct_angle(plan)) <= 1e-3
+        steps = tan_rule_steps(theta, 1e-3)
+        assert abs(theta - sum(s * ATAN_TABLE[i] for i, s in steps)) <= 1e-3
 
     def test_differs_from_nearest_on_3pi8(self):
-        lit = decompose(3 * PI / 8, 1e-3, IndexPolicy.LITERAL)
-        assert lit.indices != (0, 1, 4, 7)
+        lit = tan_rule_steps(3 * PI / 8, 1e-3)
+        assert tuple(i for i, _ in lit) != (0, 1, 4, 7)
 
     def test_differs_from_nearest_on_pi16(self):
-        lit = decompose(PI / 16, 1e-3, IndexPolicy.LITERAL)
-        assert lit.indices[0] == 3  # nearest picks 2 here
+        lit = tan_rule_steps(PI / 16, 1e-3)
+        assert lit[0][0] == 3  # nearest picks 2 here
 
 
 class TestTableGeneration:

@@ -4,6 +4,7 @@ fixed-point arithmetic semantics and instrumentation."""
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cordic_dct.fixedpoint import (
     FixedPointFormat,
     FixedPointOverflowError,
     OverflowPolicy,
+    _round_half_away,
     fit_raw,
 )
 from cordic_dct.dct8 import DctEngine
@@ -35,6 +37,28 @@ from cordic_dct.rotator import (
 PI = math.pi
 WORDS = [(8, 4), (16, 12), (32, 20)]
 POLICIES = [OverflowPolicy.ERROR, OverflowPolicy.SATURATE]
+
+
+def exact_round_half_away(x) -> int:
+    """``x`` (a float, or an exact ``Fraction``) rounded to the nearest
+    integer, ties away from zero, in exact rational arithmetic."""
+    magnitude = math.floor(abs(Fraction(x)) + Fraction(1, 2))
+    return magnitude if x >= 0 else -magnitude
+
+
+# Ties, their neighbours and the band [2**52, 2**53), where adding 0.5 in
+# binary64 rounds an odd integer up to the next even one.
+ROUNDING_EDGES = [0.5, -0.5, 0.49999999999999994, -0.49999999999999994,
+                  math.nextafter(0.5, 1.0), 1.5, -2.5, 2.0 ** 51 + 0.5, 2.0 ** 52 - 0.5,
+                  2.0 ** 52 + 1, -(2.0 ** 52 + 1), 2.0 ** 53 - 1, 0.0]
+
+
+def near_ties():
+    """Multiples of one half, and their neighbours one ULP either way."""
+    return st.tuples(
+        st.integers(-(2 ** 54), 2 ** 54).map(lambda h: h / 2),
+        st.sampled_from([None, -math.inf, math.inf]),
+    ).map(lambda t: t[0] if t[1] is None else math.nextafter(*t))
 
 
 class TestMicroRotate:
@@ -242,6 +266,18 @@ class TestFixedPointFormat:
         assert fmt.to_raw(1.49 * lsb) == 1
         assert fmt.to_raw(0.0) == 0
 
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), near_ties()),
+                    max_size=20))
+    def test_rounding_equals_the_exact_rule(self, drawn):
+        # Scalar and array quantizers against exact rounding: the largest
+        # double below 1/2 goes to 0, and 2**52 + 1 stays odd.
+        values = ROUNDING_EDGES + drawn
+        expected = [exact_round_half_away(v) for v in values]
+        assert [FixedPointFormat(32, 0).to_raw(v) for v in values] == expected
+        assert _round_half_away(np.array(values)).tolist() == expected
+        fmt = FixedPointFormat(16, 12)
+        assert fmt.to_raw(0.49999999999999994 * fmt.lsb) == 0
+
 
 class TestFixedPointRotation:
     def test_floor_shift_semantics(self):
@@ -420,12 +456,11 @@ class TestOverflowLimit:
 
 def model_rotate(v: Vector2, steps, gain, mode: ArithmeticMode) -> Vector2:
     """The fixed-point rotator written out here, not taken from the library
-    kernels: quantize each component (round half away from zero, in the
-    library's binary64 formula), range-check it, run each step as floor
-    shifts and adds, each result range-checked, then multiply each
-    component by the gain's CSD expansion at ``max(lsb / 2, 2**-18)``,
-    range-checked.  A check clamps to the rail, or raises the library's
-    error under ``ERROR``."""
+    kernels: quantize each component (round half away from zero, in exact
+    arithmetic), range-check it, run each step as floor shifts and adds,
+    each result range-checked, then multiply each component by the gain's
+    CSD expansion at ``max(lsb / 2, 2**-18)``, range-checked.  A check
+    clamps to the rail, or raises the library's error under ``ERROR``."""
     fmt = mode.fmt
 
     def fit(raw):
@@ -438,12 +473,7 @@ def model_rotate(v: Vector2, steps, gain, mode: ArithmeticMode) -> Vector2:
             )
         return max(fmt.min_raw, min(raw, fmt.max_raw))
 
-    def quantize(c):
-        scaled = c * 2.0 ** fmt.frac_bits
-        magnitude = math.floor(abs(scaled) + 0.5)
-        return magnitude if scaled >= 0 else -magnitude
-
-    x, y = fit(quantize(v.x)), fit(quantize(v.y))
+    x, y = (fit(exact_round_half_away(Fraction(c) * 2 ** fmt.frac_bits)) for c in (v.x, v.y))
     for step in steps:
         d, k = step.direction, 2 ** step.index
         x, y = fit(x - d * (y // k)), fit(y + d * (x // k))
