@@ -50,6 +50,9 @@ These lines read ``vectors`` or ``rotator`` in place of an image name.
 
 A performance change that must keep the output byte-identical runs this
 on the parent and on the change and compares the two files with ``cmp``.
+The test suite checks the ``vectors`` and ``rotator`` lines on every run
+(:func:`exact_lines`); a change that moves their bytes on purpose
+regenerates ``tests/golden/digest_exact.txt`` and says why.
 The saturation count comes from ``dct8._dct2d_planes``, so on a checkout
 whose transform does not return one, run that checkout's own copy of the
 script: it prints the same lines.
@@ -268,24 +271,33 @@ def rotator_digests(mode: ArithmeticMode):
     yield "micro_rotate", steps.hexdigest()
 
 
+def exact_lines():
+    """The ``vectors`` and ``rotator`` lines, in print order.  Unlike the
+    image lines, whose oracles and codec run BLAS GEMMs, they rest on no
+    GEMM, so their bytes do not depend on the BLAS build, and
+    ``tests/test_digest.py`` pins them in ``tests/golden/digest_exact.txt``."""
+    x = vectors()
+    for name in ARITHMETICS:
+        for output, digest in engine_digests(name, x):
+            yield f"{digest} {name} vectors {output}"
+    for word, bits in ERROR_WORDS.items():
+        for fold in (False, True):
+            name = f"{word}-error" + ("-fold" if fold else "")
+            for output, digest in error_digests(bits, fold, x):
+                yield f"{digest} {name} vectors {output}"
+    for name, mode in (("float", ArithmeticMode.exact()),
+                       ("q16_12", ArithmeticMode.fixed(16, 12, OverflowPolicy.SATURATE))):
+        for output, digest in rotator_digests(mode):
+            yield f"{digest} {name} rotator {output}"
+
+
 def main():
     for image_name, img in images().items():
         for name in ARITHMETICS:
             for output, digest in digests(name, img):
                 print(f"{digest} {name} {image_name} {output}", flush=True)
-    x = vectors()
-    for name in ARITHMETICS:
-        for output, digest in engine_digests(name, x):
-            print(f"{digest} {name} vectors {output}", flush=True)
-    for word, bits in ERROR_WORDS.items():
-        for fold in (False, True):
-            name = f"{word}-error" + ("-fold" if fold else "")
-            for output, digest in error_digests(bits, fold, x):
-                print(f"{digest} {name} vectors {output}", flush=True)
-    for name, mode in (("float", ArithmeticMode.exact()),
-                       ("q16_12", ArithmeticMode.fixed(16, 12, OverflowPolicy.SATURATE))):
-        for output, digest in rotator_digests(mode):
-            print(f"{digest} {name} rotator {output}", flush=True)
+    for line in exact_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -170,10 +170,10 @@ class DctEngine:
 
     @cached_property
     def _row_constants(self) -> list[float]:
-        """The constant of each column scale one row of the fixed-point
-        flow graph applies, in order: each compensation constant on both
-        outputs of its rotator, then the post-scales unless they are
-        folded into the quantizer."""
+        """The constant of each column scale one row of the flow graph
+        applies, in order: each compensation constant on both outputs of
+        its rotator, then the post-scales unless they are folded into the
+        quantizer."""
         scaled = [c for c in self._compensation.values() for _ in range(2)]
         if not self.fold_into_quantizer:
             scaled += self.post_scales.tolist()
@@ -186,6 +186,11 @@ class DctEngine:
         Built on first use: a float engine never reads it."""
         return {c: csd_scale(c, max_terms=16, tolerance=_CSD_TOLERANCE)
                 for c in dict.fromkeys(self._row_constants)}
+
+    def _scale_raw(self, raw, constant: float):
+        """``raw`` times ``constant``, shift-add only: the raw op set's
+        scale, through the constant's CSD expansion in :attr:`_csd`."""
+        return self._csd[constant].apply_raw(raw)
 
     def operation_counts(self) -> dict:
         """Adds/shifts/multiplies for one 8-point transform, JSON-friendly.
@@ -204,9 +209,9 @@ class DctEngine:
 
     @cached_property
     def _row_cost(self) -> tuple[int, int]:
-        """(adds, shifts) of one row through :func:`_flow_raw`: 2 of each per
-        micro-rotation step, 1 of each per CSD term applied to a column, and
-        the butterfly adds."""
+        """(adds, shifts) of one row through :func:`_flow` on the raw op
+        set: 2 of each per micro-rotation step, 1 of each per CSD term
+        applied to a column, and the butterfly adds."""
         steps = sum(len(p.steps) for p in self.plans.values())
         csd = sum(len(self._csd[c].terms) for c in self._row_constants)
         return _BUTTERFLY_ADDS + 2 * steps + csd, 2 * steps + csd
@@ -223,7 +228,7 @@ class DctEngine:
 
     @cached_property
     def _raw_reach(self) -> tuple[int, int, int]:
-        return _reach(lambda units, record: _flow_raw(self, units, record), 0, 0)
+        return _reach(self, rotate_raw, self._scale_raw, 0, 0)
 
     @cached_property
     def input_limit(self) -> float:
@@ -241,20 +246,14 @@ class DctEngine:
         most ``gamma_d`` (Higham, "Accuracy and Stability of Numerical
         Algorithms", 3.1) times its sum of |path products|, the error of unit
         inputs carrying ``[-gamma, gamma]``.  ``gamma = d * 2**-52``, twice
-        ``gamma_d``, also covers rounding."""
+        ``gamma_d``, also covers rounding.  The walk also takes the
+        post-scale products, but they never set the limit: each is at most
+        half of the output it scales, a node already taken."""
         return datapath_limit(self.mode, self._float_limit)
 
     def _float_limit(self) -> float:
-        def flow(units, record):
-            def rotate(x, y, steps):
-                for step in steps:
-                    x, y = map(record, rotate_float(x, y, (step,)))
-                return x, y
-
-            # The post-scales (at most 1/2) only shrink the graph's outputs.
-            return _flow(self, units, rotate, lambda col, c: record(col * c), record)
-
-        gain, error, exp = _reach(flow, 52, 5 + sum(len(p.steps) for p in self.plans.values()))
+        steps = sum(len(p.steps) for p in self.plans.values())
+        gain, error, exp = _reach(self, rotate_float, operator.mul, 52, 5 + steps)
         return overflow_limit((gain + error) / (1 << exp))
 
 
@@ -300,18 +299,20 @@ class _Affine:
     __rmul__ = __mul__
 
 
-def _reach(flow, exp: int, error: int) -> tuple[int, int, int]:
-    """Run ``flow(units, record)`` on the eight unit inputs, at the scale
-    ``2**exp`` with the error ``[-error, error]``; return the recorded nodes'
-    largest l1 norm and error magnitude, both at their finest scale ``exp``."""
+def _reach(engine: DctEngine, rotate, scale, exp: int, error: int) -> tuple[int, int, int]:
+    """Walk :func:`_flow` on the op set ``rotate``, ``scale`` over the eight
+    unit inputs, at the scale ``2**exp`` with the error ``[-error, error]``,
+    with a ``fit`` that records every node; return the nodes' largest l1
+    norm and error magnitude, both at their finest scale ``exp``."""
     nodes = []
 
     def record(node: _Affine) -> _Affine:
         nodes.append(node)
         return node
 
-    flow([_Affine((0,) * j + (1 << exp,) + (0,) * (7 - j), -error, error, exp)
-          for j in range(8)], record)
+    units = [_Affine((0,) * j + (1 << exp,) + (0,) * (7 - j), -error, error, exp)
+             for j in range(8)]
+    _flow(engine, units, rotate, scale, record)
     exp = max(node.exp for node in nodes)
     gain = max(sum(map(abs, node.lanes)) << (exp - node.exp) for node in nodes)
     error = max(max(-node.lo, node.hi) << (exp - node.exp) for node in nodes)
@@ -319,19 +320,24 @@ def _reach(flow, exp: int, error: int) -> tuple[int, int, int]:
 
 
 def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
-    """The DCT flow graph on eight input columns, before the post-scales:
-    the even/odd butterflies, the four rotators, their compensation (the
-    constants of ``DctEngine._compensation``) and the recombination
-    butterflies.
+    """The DCT flow graph on eight input columns: the even/odd
+    butterflies, the four rotators, their compensation (the constants of
+    ``DctEngine._compensation``), the recombination butterflies and the
+    post-scales, unless they are folded into the quantizer.
 
-    The arithmetic comes from the op set: ``rotate(x, y, steps)`` folds a
-    plan's unscaled micro-rotations, ``scale(column, constant)`` multiplies
-    by one of the engine's constants, and ``fit`` takes every sum the
-    graph forms.  Float passes :func:`rotate_float`, ``operator.mul`` and
-    :func:`_unchecked`; fixed point passes the raw op set of
-    :func:`_flow_raw`.  The columns are Python numbers (one sample vector)
-    or NumPy arrays (a batch of rows) alike, with the same bits either
-    way, or :class:`_Affine` nodes, from which the input limits come.
+    The arithmetic comes from the op set: ``rotate(x, y, steps, fit)``
+    folds a plan's unscaled micro-rotations, ``scale(column, constant)``
+    multiplies by one of the engine's constants, and ``fit`` takes every
+    node: each butterfly sum, both values of each micro-rotation step and
+    each scaled column, in the order of ``DctEngine._row_constants``.
+    Float passes :func:`rotate_float`, ``operator.mul`` and
+    :func:`_unchecked`; fixed point passes :func:`rotate_raw`,
+    ``DctEngine._scale_raw`` (shift-add only, at the cost
+    ``DctEngine._row_cost``) and the word's range check, or
+    :func:`_unchecked` within the engine's safe input bound.  The columns
+    are Python numbers (one sample vector) or NumPy arrays (a batch of
+    rows) alike, with the same bits either way, or :class:`_Affine` nodes,
+    from which the input limits come.
     """
     plans = engine.plans
     x0, x1, x2, x3, x4, x5, x6, x7 = x
@@ -342,22 +348,28 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     p, q = fit(u0 + u3), fit(u1 + u2)
     r, s = fit(u0 - u3), fit(u1 - u2)
     pairs = {  # each rotator's two outputs, in the order they are scaled
-        "pi/4": rotate(p, q, plans["pi/4"].steps),  # (g0, g1)
-        "3pi/8": rotate(r, s, plans["3pi/8"].steps),  # (h0, h1)
-        "pi/16": rotate(v3, v0, plans["pi/16"].steps)[::-1],  # (a0, a1)
-        "3pi/16": rotate(v2, v1, plans["3pi/16"].steps)[::-1],  # (b0, b1)
+        "pi/4": rotate(p, q, plans["pi/4"].steps, fit),  # (g0, g1)
+        "3pi/8": rotate(r, s, plans["3pi/8"].steps, fit),  # (h0, h1)
+        "pi/16": rotate(v3, v0, plans["pi/16"].steps, fit)[::-1],  # (a0, a1)
+        "3pi/16": rotate(v2, v1, plans["3pi/16"].steps, fit)[::-1],  # (b0, b1)
     }
     for name, constant in engine._compensation.items():
-        pairs[name] = [scale(col, constant) for col in pairs[name]]
+        pairs[name] = [fit(scale(col, constant)) for col in pairs[name]]
     (g0, g1), (h0, h1), (a0, a1), (b0, b1) = pairs.values()
 
     # Under ERROR the first node that leaves the word raises, so this
-    # order (rotators, compensation, then 1, 7, 3, 5) fixes which error a
-    # call reports.
+    # order (rotators, compensation, then 1, 7, 3, 5, then the post-scales
+    # F0 to F7) fixes which error a call reports.
     f1, f7 = fit(a0 + b0), fit(b1 - a1)
     f3 = fit(fit(a0 - a1) - fit(b0 + b1))
     f5 = fit(fit(a0 + a1) - fit(b0 - b1))
-    return [g1, f1, h1, f3, g0, f5, h0, f7]
+    cols = [g1, f1, h1, f3, g0, f5, h0, f7]
+    # Free the inner nodes before the post-scales allocate theirs: kept
+    # alive, they made a fixed dct2d of 1024 blocks about 30% slower.
+    del u0, u1, u2, u3, v0, v1, v2, v3, p, q, r, s, pairs, a0, a1, b0, b1
+    if engine.fold_into_quantizer:
+        return cols
+    return [fit(scale(col, c)) for col, c in zip(cols, engine.post_scales.tolist())]
 
 
 def _columns(X, axis: int) -> list:
@@ -371,40 +383,6 @@ def _stack(cols: list, axis: int) -> np.ndarray:
     through ``np.array``, which costs a few microseconds less per call
     than ``np.stack``."""
     return np.array(cols) if axis == 0 else np.stack(cols, axis=axis)
-
-
-def _transform8_float(engine: DctEngine, X, axis: int) -> np.ndarray:
-    F = _stack(_flow(engine, _columns(X, axis), rotate_float, operator.mul, _unchecked), axis)
-    if not engine.fold_into_quantizer:
-        scales = engine.post_scales
-        if axis < F.ndim - 1:  # one multiply, the scales broadcast along ``axis``
-            scales = scales.reshape((8,) + (1,) * (F.ndim - 1 - axis))
-        F *= scales
-    return F
-
-
-def _flow_raw(engine: DctEngine, x: list, fit) -> list:
-    """The fixed-point flow graph on eight raw input columns, post-scales
-    included: :func:`_flow` on the raw op set, shift-add only.
-
-    Every node that can leave the word goes through ``fit``: the range
-    check of the mode, or :func:`_unchecked` once the input is known to
-    be within the engine's safe input bound.  Each constant is applied as
-    its CSD expansion (``DctEngine._csd``), in the order of
-    ``DctEngine._row_constants``.  Its cost per row is ``DctEngine._row_cost``.
-    """
-    csd = engine._csd
-
-    def rotate(x, y, steps):
-        return rotate_raw(x, y, steps, fit)
-
-    def scale(col, constant):
-        return fit(csd[constant].apply_raw(col))
-
-    cols = _flow(engine, x, rotate, scale, fit)
-    if not engine.fold_into_quantizer:
-        cols = [scale(c, s) for c, s in zip(cols, engine.post_scales.tolist())]
-    return cols
 
 
 def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.ndarray, int]:
@@ -436,11 +414,12 @@ def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.nd
     values = arr.tolist() if arr.ndim == 1 else arr
     check_input(values, engine.input_limit, _refusal)
     if not engine.mode.is_fixed:
-        return _transform8_float(engine, values, _axis), 0
+        cols = _flow(engine, _columns(values, _axis), rotate_float, operator.mul, _unchecked)
+        return _stack(cols, _axis), 0
     fmt = engine.mode.fmt
 
     def graph(raw, fit):
-        return _flow_raw(engine, _columns(raw, _axis), fit)
+        return _flow(engine, _columns(raw, _axis), rotate_raw, engine._scale_raw, fit)
 
     # Below the safe input bound no node can leave the word, and
     # ``run_raw`` skips every check.
@@ -475,9 +454,8 @@ def _dct2d_planes(engine: DctEngine, planes: np.ndarray) -> tuple[np.ndarray, in
     and stacks its outputs along axis 1, which leaves each row of every
     block as one contiguous (8, n) plane; the column pass runs on those
     and stacks along axis 0, straight into coefficient planes.  Each pass
-    is one :func:`transform8` call over all ``8 n`` rows, its post-scales
-    one multiply, so the planes are never transposed or copied between
-    passes.
+    is one :func:`transform8` call over all ``8 n`` rows, so the planes are
+    never transposed or copied between passes.
     """
     n = planes.shape[1]
     # [row, column, block]; one block as an 8x8 array, whose columns are

@@ -13,11 +13,13 @@ carried out by a canonical-signed-digit expansion so the whole datapath
 stays multiplier-free.
 
 The kernels -- :func:`rotate_float`, :func:`rotate_raw` and
-:meth:`CsdScale.apply_raw` -- are written once, here.  The scalar API runs
-them on Python numbers; the batched DCT in ``dct8`` runs them on NumPy
-columns.  Both cross the same input boundary, in ``fixedpoint``: one
-refusal of complex, non-finite and too large components, and in fixed
-point one quantizer and range check (:func:`~cordic_dct.fixedpoint.run_raw`).
+:meth:`CsdScale.apply_raw` -- are written once, here.  Both rotations pass
+each value they form through a ``fit`` their caller gives: the word's range
+check, or no check.  The scalar API runs them on Python numbers; the
+batched DCT in ``dct8`` runs them on NumPy columns.  Both cross the same
+input boundary, in ``fixedpoint``: one refusal of complex, non-finite and
+too large components, and in fixed point one quantizer and range check
+(:func:`~cordic_dct.fixedpoint.run_raw`).
 A float rotation refuses a component beyond :func:`overflow_limit` of its
 growth, a fixed one beyond ``overflow_limit(2**frac_bits)``, where the
 quantizing multiply would overflow binary64.
@@ -28,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fixedpoint import ArithmeticMode, check_input, datapath_limit, overflow_limit, run_raw
+from .fixedpoint import (ArithmeticMode, _unchecked, check_input, datapath_limit, overflow_limit,
+                         run_raw)
 from .planner import MicroRotation, RotationPlan
 
 
@@ -71,8 +74,8 @@ def ideal_rotation_matrix(theta: float) -> Matrix2:
 def plan_matrix(plan: RotationPlan) -> Matrix2:
     """Product of the plan's unscaled step matrices, in step order: its
     columns are :func:`rotate_float` of (1,0) and (0,1)."""
-    a, c = rotate_float(1.0, 0.0, plan.steps)
-    b, d = rotate_float(0.0, 1.0, plan.steps)
+    a, c = rotate_float(1.0, 0.0, plan.steps, _unchecked)
+    b, d = rotate_float(0.0, 1.0, plan.steps, _unchecked)
     return Matrix2(a, b, c, d)
 
 
@@ -90,14 +93,16 @@ def micro_rotate(v: Vector2, step: MicroRotation, mode: ArithmeticMode = Arithme
     return _rotate_vector(v, (step,), math.hypot(1.0, 2.0 ** -step.index), None, mode)
 
 
-def rotate_float(x, y, steps):
-    """Fold unscaled micro-rotations over ``(x, y)`` in binary64.
+def rotate_float(x, y, steps, fit):
+    """Fold unscaled micro-rotations over ``(x, y)`` in binary64, each new
+    value passed through ``fit`` before the next step, as in
+    :func:`rotate_raw`.
 
     ``x`` and ``y`` are floats or NumPy arrays of them alike.
     """
     for step in steps:
         t = step.direction * 2.0 ** -step.index
-        x, y = x - t * y, y + t * x
+        x, y = fit(x - t * y), fit(y + t * x)
     return x, y
 
 
@@ -163,7 +168,7 @@ def _rotate_vector(
         f"{limit:.4g}, where the rotation could overflow binary64"
     ))
     if not mode.is_fixed:
-        x, y = rotate_float(v.x, v.y, steps)
+        x, y = rotate_float(v.x, v.y, steps, _unchecked)
         return Vector2(x, y) if gain is None else Vector2(x * gain, y * gain)
 
     lsb = mode.fmt.lsb

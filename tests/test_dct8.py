@@ -34,7 +34,7 @@ from cordic_dct.fixedpoint import (
     OverflowPolicy,
     fit_raw,
 )
-from cordic_dct.rotator import CsdScale, rotate_float
+from cordic_dct.rotator import CsdScale, rotate_float, rotate_raw
 
 RNG = np.random.default_rng(20240601)
 WORD_FORMATS = [(24, 8), (16, 5), (20, 10), (32, 16), (12, 3)]
@@ -207,6 +207,29 @@ class TestFlowGraph:
             else:
                 expected = [half, half, half, eighth_norm, half, eighth_norm, half, half]
             assert engine.post_scales.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_every_op_set_fits_the_same_nodes(self, compensation, fold, eps):
+        # One node set in either arithmetic: the 20 butterfly sums, both
+        # values of each micro-rotation step, and each scaled column.  The
+        # k-th node of the float walk is the k-th of the raw walk, so on
+        # the same input (in units of 2**-20) the two agree to the
+        # floor-shift error.
+        engine = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold)
+        steps = sum(len(plan.steps) for plan in engine.plans.values())
+        x = RNG.integers(-2**20, 2**20, size=8).tolist()
+        walks = []
+        for cols, rotate, scale in (([v * 2.0 ** -20 for v in x], rotate_float, operator.mul),
+                                    (x, rotate_raw, engine._scale_raw)):
+            nodes = []
+            dct8._flow(engine, cols, rotate, scale, lambda node: nodes.append(node) or node)
+            assert len(nodes) == 20 + 2 * steps + len(engine._row_constants)
+            walks.append(nodes)
+        assert all(type(node) is float for node in walks[0])
+        assert all(type(node) is int for node in walks[1])
+        assert np.abs(np.array(walks[0]) - np.array(walks[1]) * 2.0 ** -20).max() < 1e-3
 
     def test_post_scales_positive_and_plans_share_epsilon(self):
         eng = DctEngine(epsilon=1e-3)
@@ -677,7 +700,8 @@ class TestSafeInputBound:
             peak = max(peak, int(np.abs(col).max()))
             return col
 
-        dct8._flow_raw(engine, list((signs * engine.safe_input_bound(fmt)).T), record)
+        x = list((signs * engine.safe_input_bound(fmt)).T)
+        dct8._flow(engine, x, rotate_raw, engine._scale_raw, record)
         assert 0.99 * fmt.max_raw <= peak <= fmt.max_raw
 
     @pytest.mark.parametrize("bits", [(24, 8), (16, 5)])
@@ -693,7 +717,8 @@ class TestSafeInputBound:
 
         def nodes_of(x):
             nodes = []
-            dct8._flow_raw(engine, x, lambda node: nodes.append(node) or node)
+            dct8._flow(engine, x, rotate_raw, engine._scale_raw,
+                       lambda node: nodes.append(node) or node)
             return nodes
 
         units = [dct8._Affine(tuple(int(j == k) for k in range(8)), 0, 0, 0) for j in range(8)]
@@ -800,7 +825,10 @@ class TestInputLimit:
     def test_limit_keeps_the_graph_within_half_of_dbl_max(self, eps, compensation):
         # At the limit, no sign vertex drives an unscaled output past
         # DBL_MAX / 2, so a caller can still subtract a reference from it.
-        engine = DctEngine(eps, compensation=compensation)
+        # Folded into the quantizer, the post-scales (at most 1/2) do not
+        # shrink the outputs; the engine's limit is the same either way.
+        engine = DctEngine(eps, compensation=compensation, fold_into_quantizer=True)
+        assert engine.input_limit == DctEngine(eps, compensation=compensation).input_limit
         vertices = np.array(list(itertools.product((-1.0, 1.0), repeat=8)))
         x = list((vertices * engine.input_limit).T)
         cols = dct8._flow(engine, x, rotate_float, operator.mul, dct8._unchecked)
@@ -821,13 +849,8 @@ class TestInputLimit:
             peak = max(peak, float(np.abs(col).max()))
             return col
 
-        def rotate(x, y, steps):
-            for step in steps:
-                x, y = map(record, rotate_float(x, y, (step,)))
-            return x, y
-
         x = list((vertices * engine.input_limit).T)
-        dct8._flow(engine, x, rotate, lambda col, c: record(col * c), record)
+        dct8._flow(engine, x, rotate_float, operator.mul, record)
         assert 0.99 * DBL_MAX / 2 <= peak <= DBL_MAX / 2
 
     def test_1e300_is_answered(self):
