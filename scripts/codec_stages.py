@@ -15,6 +15,11 @@ quality.
 Each line gives the minimum wall time of 5 runs and the median of their
 minor page faults (``resource.getrusage(...).ru_minflt``).
 
+Then the forward transform of the 128x128 image's one tile in saturating
+24.8 and 16.5 fixed point, at the two epsilons of the fixed sweep, with
+the number of nodes each pass range-checks out of the flow graph's nodes:
+those whose threshold the pass's quantized input peak exceeds.
+
 The last lines time benchmark-shaped ops, each a fresh ``read_pgm`` of
 the image, one ``sweep`` and ``to_csv``: one epsilon and five qualities
 on the 512x512 image in float, and two epsilons and two qualities on a
@@ -30,13 +35,15 @@ from pathlib import Path
 import numpy as np
 
 from cordic_dct import codec
-from cordic_dct.dct8 import DctEngine, _dct2d_planes, _planes, dct2d_oracle
-from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy
+from cordic_dct.dct8 import DctEngine, _dct2d_planes, _planes, dct2d_oracle, transform8
+from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy, _round_half_away
 from cordic_dct.images import photo_proxy
 from cordic_dct.pgm import read_pgm, write_pgm
 
 EPSILON = 1e-4
 QUALITIES = (95, 90, 85, 80, 75)
+FIXED_EPSILONS = (1e-3, 1e-4)
+FIXED_WORDS = {"24.8": (24, 8), "16.5": (16, 5)}
 REPEAT = 5
 
 
@@ -109,6 +116,36 @@ def tile_stages(img) -> list:
     return rows
 
 
+def checked_nodes(engine: DctEngine, x: np.ndarray) -> int:
+    """How many nodes a fixed-point pass over ``x`` range-checks: those
+    whose threshold the peak of ``x`` in raw units exceeds."""
+    per_node, _, _ = engine._node_thresholds
+    peak = np.abs(_round_half_away(x * engine.mode.fmt.raw_scale)).max()
+    return sum(peak > t for t in per_node)
+
+
+def fixed_tile_rows(img) -> list:
+    """``(name, ms, faults, checks)`` of the forward transform of the one
+    tile of ``img`` in each fixed word and epsilon; ``checks`` gives the
+    nodes the row and the column pass range-check, of all nodes."""
+    blocks = codec._blocks_of(codec._pad_to_blocks(img.samples)).reshape(-1, 64)
+    shifted = np.subtract(_planes(blocks[: codec._TILE_BLOCKS]), 128.0, dtype=np.float64)
+    n = shifted.shape[1]
+    row_input = shifted.reshape(8, 8, n)  # as _dct2d_planes runs its row pass
+    rows = []
+    for word, bits in FIXED_WORDS.items():
+        mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+        for eps in FIXED_EPSILONS:
+            engine = DctEngine(eps, mode=mode)
+            column_input = transform8(engine, row_input, _axis=1)[0].reshape(8, 8 * n)
+            nodes = len(engine._node_thresholds[0])
+            checks = (f"{checked_nodes(engine, row_input)}/{nodes}",
+                      f"{checked_nodes(engine, column_input)}/{nodes}")
+            ms, faults = measure(lambda: _dct2d_planes(engine, shifted))
+            rows.append((f"{word} forward, eps {eps:g}", ms, faults, checks))
+    return rows
+
+
 def op_rows(directory: Path) -> list:
     """``(name, ms, faults)`` of benchmark-shaped ops: fresh ``read_pgm``,
     one ``sweep`` and ``to_csv``."""
@@ -136,12 +173,20 @@ def main():
     tiles = -(-len(codec._blocks_of(codec._pad_to_blocks(img.samples))) // codec._TILE_BLOCKS)
     with tempfile.TemporaryDirectory() as directory:
         ops = op_rows(Path(directory))  # before the stages, which grow the heap
-    rows = tile_stages(img) + ops
+    rows = tile_stages(img)
+    fixed = fixed_tile_rows(photo_proxy(128))
 
     print(f"{img.width}x{img.height} photo_proxy: {tiles} tiles of {codec._TILE_BLOCKS} "
           f"blocks; eps {EPSILON:g}, float; min ms and median faults of {REPEAT} runs")
     print(f"{'per tile':<32} {'ms':>8} {'faults':>8}")
     for name, ms, faults in rows:
+        print(f"{name:<32} {ms:8.2f} {faults:8.0f}")
+    print(f"{'128x128 tile, saturating':<32} {'ms':>8} {'faults':>8} "
+          f"{'row checks':>11} {'col checks':>11}")
+    for name, ms, faults, (row_checks, column_checks) in fixed:
+        print(f"{name:<32} {ms:8.2f} {faults:8.0f} {row_checks:>11} {column_checks:>11}")
+    print(f"{'per op':<32} {'ms':>8} {'faults':>8}")
+    for name, ms, faults in ops:
         print(f"{name:<32} {ms:8.2f} {faults:8.0f}")
 
 

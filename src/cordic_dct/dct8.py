@@ -22,12 +22,15 @@ with the exact-matrix oracle to the plan tolerance.
 Samples enter either arithmetic through the input boundary the scalar
 rotator uses too, in ``fixedpoint``: one refusal (complex, non-finite, or
 beyond :attr:`DctEngine.input_limit`) and, in fixed point, one quantizer
-and range check (:func:`~cordic_dct.fixedpoint.run_raw`).  There every
-add, micro-rotation step and constant scale is range-checked against the
-word, unless the quantized input stays within the engine's
-:meth:`DctEngine.safe_input_bound`, below which no node can leave the
-word and the checks are skipped as provable no-ops.  Under ``SATURATE``
-the transform returns how many values it clipped.
+and range check (:func:`~cordic_dct.fixedpoint.run_raw`).  There each
+add, micro-rotation step and constant scale is a node, range-checked
+against the word only when the quantized input's peak exceeds the node's
+threshold: the largest peak at which neither the node nor a node it is
+formed from can leave the word, so the checks skipped are provable
+no-ops.  The thresholds come from each node's exact affine form
+(:class:`_Affine`), derived once for all the engines that share a plan
+set.  Under ``SATURATE`` the transform returns how many values it
+clipped.
 """
 
 from __future__ import annotations
@@ -60,6 +63,13 @@ _OUTPUT_SCALES = tuple(zip(
 ))
 _CSD_TOLERANCE = 2.0 ** -14  # constant-scale expansion error, fixed-point path
 _BUTTERFLY_ADDS = 20  # adds and subtracts of the flow graph outside its rotators
+
+# The derivations the engines of one plan set share, keyed by
+# ``DctEngine._plan_set``: the four plans' steps, the compensation and the
+# fold fix every node's affine form, and so the raw nodes' data and the
+# float limit.  The whole epsilon range [1e-9, 1e-1] gives 27 distinct sets
+# of four plans, so this holds at most 108 entries.
+_PLAN_SETS: dict[tuple, dict] = {}
 
 
 def dct_matrix() -> np.ndarray:
@@ -217,18 +227,42 @@ class DctEngine:
         return _BUTTERFLY_ADDS + 2 * steps + csd, 2 * steps + csd
 
     def safe_input_bound(self, fmt: FixedPointFormat) -> int:
-        """Largest input ``max|raw|`` for which no range-checked node of the
-        fixed-point transform in ``fmt`` can leave the word, so the checks
-        skipped below it are no-ops: ``floor((max_raw - E) / L)`` for the
-        largest l1 norm ``L`` and floor-shift error ``E`` of a node's
-        exact affine form (:class:`_Affine`)."""
-        gain, error, exp = self._raw_reach
+        """Largest input ``max|raw|`` for which no node of the fixed-point
+        transform in ``fmt`` can leave the word, so a call at or below it
+        checks no node: the least node threshold (:func:`_thresholds`).
+        Above it, a call checks only the nodes whose threshold its peak
+        exceeds."""
         # An all-zero input keeps every node at 0, so 0 is always safe.
-        return max(0, ((fmt.max_raw << exp) - error) // gain)
+        return max(0, min(_thresholds(self._raw_nodes, fmt)))
 
     @cached_property
-    def _raw_reach(self) -> tuple[int, int, int]:
-        return _reach(self, rotate_raw, self._scale_raw, 0, 0)
+    def _node_thresholds(self) -> tuple[tuple[int, ...], int, int]:
+        """The node thresholds in the engine's own word, with their least
+        and greatest value: what :func:`~cordic_dct.fixedpoint.run_raw`
+        reads on every fixed-point call."""
+        per_node = _thresholds(self._raw_nodes, self.mode.fmt)
+        return per_node, min(per_node), max(per_node)
+
+    @cached_property
+    def _raw_nodes(self) -> tuple:
+        """:func:`_node_data`, derived once for the plan set."""
+        return self._shared(_node_data)
+
+    @cached_property
+    def _plan_set(self) -> tuple:
+        """What fixes every node of the flow graph: the four plans' steps,
+        the compensation and the fold."""
+        steps = tuple((p.indices, p.directions) for p in self.plans.values())
+        return steps, self.compensation, self.fold_into_quantizer
+
+    def _shared(self, derive):
+        """``derive(self)``, run once for all the engines of this plan set
+        (``_PLAN_SETS``).  Two threads may both derive it first; they store
+        equal values."""
+        entry = _PLAN_SETS.setdefault(self._plan_set, {})
+        if derive not in entry:
+            entry[derive] = derive(self)
+        return entry[derive]
 
     @cached_property
     def input_limit(self) -> float:
@@ -249,12 +283,7 @@ class DctEngine:
         ``gamma_d``, also covers rounding.  The walk also takes the
         post-scale products, but they never set the limit: each is at most
         half of the output it scales, a node already taken."""
-        return datapath_limit(self.mode, self._float_limit)
-
-    def _float_limit(self) -> float:
-        steps = sum(len(p.steps) for p in self.plans.values())
-        gain, error, exp = _reach(self, rotate_float, operator.mul, 52, 5 + steps)
-        return overflow_limit((gain + error) / (1 << exp))
+        return datapath_limit(self.mode, lambda: self._shared(_float_limit))
 
 
 class _Affine:
@@ -265,12 +294,17 @@ class _Affine:
     shift ``v >> i`` of an integer is ``v / 2**i - f``, ``f`` in ``[0, 1 -
     2**-i]`` (Hu, "The quantization effects of the CORDIC algorithm", IEEE
     Trans. Signal Processing 1992).  The graph's constants are below 1.5,
-    so no CSD term shifts left, and the type has no ``<<``."""
+    so no CSD term shifts left, and the type has no ``<<``.
 
-    __slots__ = ("lanes", "lo", "hi", "exp")
+    ``parents`` has bit ``j`` set when the value is formed from node ``j``,
+    the ``j``-th value a walk of :func:`_flow` passed through ``fit``, since
+    the last ``fit``; the operations keep the union of their operands'."""
 
-    def __init__(self, lanes: tuple, lo: int, hi: int, exp: int):
+    __slots__ = ("lanes", "lo", "hi", "exp", "parents")
+
+    def __init__(self, lanes: tuple, lo: int, hi: int, exp: int, parents: int = 0):
         self.lanes, self.lo, self.hi, self.exp = lanes, lo, hi, exp
+        self.parents = parents
 
     def _at(self, exp: int) -> tuple:  # (lanes, lo, hi) at a finer scale 2**exp
         k = exp - self.exp
@@ -281,42 +315,82 @@ class _Affine:
     def __add__(self, other: "_Affine") -> "_Affine":
         exp = max(self.exp, other.exp)
         (a, alo, ahi), (b, blo, bhi) = self._at(exp), other._at(exp)
-        return _Affine(tuple(map(operator.add, a, b)), alo + blo, ahi + bhi, exp)
+        return _Affine(tuple(map(operator.add, a, b)), alo + blo, ahi + bhi, exp,
+                       self.parents | other.parents)
 
     def __sub__(self, other: "_Affine") -> "_Affine":
         exp = max(self.exp, other.exp)
         (a, alo, ahi), (b, blo, bhi) = self._at(exp), other._at(exp)
-        return _Affine(tuple(map(operator.sub, a, b)), alo - bhi, ahi - blo, exp)
+        return _Affine(tuple(map(operator.sub, a, b)), alo - bhi, ahi - blo, exp,
+                       self.parents | other.parents)
 
     def __rshift__(self, i: int) -> "_Affine":
-        return _Affine(self.lanes, self.lo - (((1 << i) - 1) << self.exp), self.hi, self.exp + i)
+        return _Affine(self.lanes, self.lo - (((1 << i) - 1) << self.exp), self.hi, self.exp + i,
+                       self.parents)
 
     def __mul__(self, c: float) -> "_Affine":
         num, den = c.as_integer_ratio()
         lo, hi = sorted((self.lo * num, self.hi * num))
-        return _Affine(tuple([v * num for v in self.lanes]), lo, hi, self.exp + den.bit_length() - 1)
+        return _Affine(tuple([v * num for v in self.lanes]), lo, hi,
+                       self.exp + den.bit_length() - 1, self.parents)
 
     __rmul__ = __mul__
 
 
-def _reach(engine: DctEngine, rotate, scale, exp: int, error: int) -> tuple[int, int, int]:
+def _walk(engine: DctEngine, rotate, scale, exp: int, error: int) -> list[_Affine]:
     """Walk :func:`_flow` on the op set ``rotate``, ``scale`` over the eight
     unit inputs, at the scale ``2**exp`` with the error ``[-error, error]``,
-    with a ``fit`` that records every node; return the nodes' largest l1
-    norm and error magnitude, both at their finest scale ``exp``."""
+    with a ``fit`` that records every node; return the nodes in ``fit``
+    order, each with the ``parents`` it was formed from."""
     nodes = []
 
     def record(node: _Affine) -> _Affine:
         nodes.append(node)
-        return node
+        return _Affine(node.lanes, node.lo, node.hi, node.exp, 1 << (len(nodes) - 1))
 
     units = [_Affine((0,) * j + (1 << exp,) + (0,) * (7 - j), -error, error, exp)
              for j in range(8)]
     _flow(engine, units, rotate, scale, record)
+    return nodes
+
+
+def _node_data(engine: DctEngine) -> tuple:
+    """``(l1, err, exp, parents)`` of each node of the raw op set, in ``fit``
+    order: its affine form's l1 norm and floor-shift error magnitude, both
+    at its scale ``2**exp``, and the indices of the nodes it is formed from.
+    Nothing here depends on the word format."""
+    return tuple(
+        (sum(map(abs, node.lanes)), max(-node.lo, node.hi), node.exp,
+         tuple(j for j in range(node.parents.bit_length()) if node.parents >> j & 1))
+        for node in _walk(engine, rotate_raw, engine._scale_raw, 0, 0)
+    )
+
+
+def _thresholds(nodes: tuple, fmt: FixedPointFormat) -> tuple[int, ...]:
+    """Each node's threshold in ``fmt``: the largest input ``max|raw|`` at
+    which neither it nor a node it is formed from can leave the word.
+
+    A node whose ancestors stay in the word is its affine form, so it stays
+    in the word up to ``T = floor((max_raw * 2**exp - err) / l1)``; its
+    threshold is the least of ``T`` and its parents' thresholds.  Under
+    ``SATURATE`` a clamped ancestor breaks the form, so every node
+    downstream of one that may clamp is checked too."""
+    per_node = []
+    for l1, err, exp, parents in nodes:
+        own = ((fmt.max_raw << exp) - err) // l1
+        per_node.append(min([own] + [per_node[j] for j in parents]))
+    return tuple(per_node)
+
+
+def _float_limit(engine: DctEngine) -> float:
+    """:attr:`DctEngine.input_limit` in float: the nodes' largest l1 norm
+    and error magnitude on the float op set, at their finest scale."""
+    steps = sum(len(p.steps) for p in engine.plans.values())
+    nodes = _walk(engine, rotate_float, operator.mul, 52, 5 + steps)
     exp = max(node.exp for node in nodes)
     gain = max(sum(map(abs, node.lanes)) << (exp - node.exp) for node in nodes)
     error = max(max(-node.lo, node.hi) << (exp - node.exp) for node in nodes)
-    return gain, error, exp
+    return overflow_limit((gain + error) / (1 << exp))
 
 
 def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
@@ -333,11 +407,12 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     Float passes :func:`rotate_float`, ``operator.mul`` and
     :func:`_unchecked`; fixed point passes :func:`rotate_raw`,
     ``DctEngine._scale_raw`` (shift-add only, at the cost
-    ``DctEngine._row_cost``) and the word's range check, or
-    :func:`_unchecked` within the engine's safe input bound.  The columns
-    are Python numbers (one sample vector) or NumPy arrays (a batch of
-    rows) alike, with the same bits either way, or :class:`_Affine` nodes,
-    from which the input limits come.
+    ``DctEngine._row_cost``) and the word's range check on each node whose
+    threshold the input's peak exceeds (:func:`_thresholds`), the ``i``-th
+    call of ``fit`` being node ``i``.  The columns are Python numbers (one
+    sample vector) or NumPy arrays (a batch of rows) alike, with the same
+    bits either way, or :class:`_Affine` nodes, from which the input limits
+    and node thresholds come.
     """
     plans = engine.plans
     x0, x1, x2, x3, x4, x5, x6, x7 = x
@@ -391,8 +466,11 @@ def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.nd
     Returns the coefficients and the number of values clipped under
     ``OverflowPolicy.SATURATE``, at input quantization and at every
     range-checked node; the count is 0 in float, under ``ERROR``, and for
-    input within :meth:`DctEngine.safe_input_bound`.  The cost in adds and
-    shifts is ``rows x DctEngine.operation_counts()``.
+    input within :meth:`DctEngine.safe_input_bound`.  In fixed point a node
+    is range-checked only when the input's ``max|raw|`` exceeds its
+    threshold (:func:`_thresholds`), so every check skipped is a no-op and
+    the bits and counts are those of checking every node.  The cost in adds
+    and shifts is ``rows x DctEngine.operation_counts()``.
 
     One ``(8,)`` vector runs the flow graph on Python numbers; a batch
     runs the same graph on NumPy columns, for the same bits.  Raises
@@ -421,9 +499,8 @@ def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.nd
     def graph(raw, fit):
         return _flow(engine, _columns(raw, _axis), rotate_raw, engine._scale_raw, fit)
 
-    # Below the safe input bound no node can leave the word, and
-    # ``run_raw`` skips every check.
-    cols, saturations = run_raw(values, engine.mode, graph, engine.safe_input_bound(fmt))
+    # ``run_raw`` checks only the nodes whose threshold the peak exceeds.
+    cols, saturations = run_raw(values, engine.mode, graph, engine._node_thresholds)
     return _stack(cols, _axis) * fmt.lsb, saturations
 
 

@@ -13,7 +13,8 @@ The scalar rotator and the DCT cross into their datapaths here, the same
 way: :func:`check_input` refuses complex input and input that is
 non-finite or beyond :func:`datapath_limit`, and in fixed point
 :func:`run_raw` quantizes the input into the word, runs the caller's raw
-graph with the word's range check, and counts what it clipped.
+graph with the word's range check on every node the caller has not
+proved to stay in the word, and counts what it clipped.
 
 A mode is a pure value.  The datapath's cost is not kept on it: adds and
 shifts come from a static cost model (``DctEngine.operation_counts``),
@@ -179,8 +180,11 @@ def fit_raw(raw: int, mode: ArithmeticMode) -> int:
 
 def _fit_array(raw: np.ndarray, mode: ArithmeticMode) -> tuple[np.ndarray, int]:
     """Clamp or reject the values of ``raw`` outside the word; also return
-    how many were clamped."""
+    how many were clamped.  Within the rails that is ``raw`` itself and 0,
+    found by two reductions that make no temporary."""
     fmt = mode.fmt
+    if fmt.min_raw <= raw.min(initial=0) and raw.max(initial=0) <= fmt.max_raw:
+        return raw, 0
     low = (raw < fmt.min_raw)
     high = (raw > fmt.max_raw)
     n_out = int(low.sum()) + int(high.sum())
@@ -236,7 +240,7 @@ def _unchecked(value):
     return value
 
 
-def run_raw(values, mode: ArithmeticMode, graph, safe_peak: int | None):
+def run_raw(values, mode: ArithmeticMode, graph, thresholds: tuple | None):
     """Quantize ``values`` into the word of ``mode``, run ``graph(raw,
     fit)`` on the raw integers and return its raw outputs and the number of
     values clipped, at quantization and by ``fit``.
@@ -244,10 +248,14 @@ def run_raw(values, mode: ArithmeticMode, graph, safe_peak: int | None):
     ``values`` is a list of Python numbers, quantized by
     :meth:`FixedPointFormat.to_raw` into Python ints checked by
     :func:`fit_raw`, or a float64 array, quantized by ``_round_half_away``
-    into int64 checked by ``_fit_array``.  ``fit`` is that check, or
-    :func:`_unchecked` when the input's ``max|raw|`` is at most
-    ``safe_peak``, below which the caller has proved that no node of its
-    graph can leave the word (``None``: always check).
+    into int64 checked by ``_fit_array``.  ``graph`` passes each node it
+    forms through ``fit``, and ``fit`` checks node ``i``, the ``i``-th, only
+    when the input's ``max|raw|`` exceeds ``thresholds[0][i]``: at or
+    below it the caller has proved that node ``i`` stays in the word.  The
+    rule is the same for ints and arrays.  ``thresholds`` is that tuple
+    with its least and greatest value, so a call whose peak lies outside
+    them checks no node or every node without a per-node lookup; ``None``
+    checks every node.
     """
     fmt = mode.fmt
     clipped = 0
@@ -276,5 +284,19 @@ def run_raw(values, mode: ArithmeticMode, graph, safe_peak: int | None):
             # undefined (INT64_MIN on x86, whatever the sign).
             raw = check(raw)
         raw = raw.astype(np.int64)
-    out = graph(raw, check if safe_peak is None or peak > safe_peak else _unchecked)
+    out = graph(raw, _node_fit(check, peak, thresholds))
     return out, clipped
+
+
+def _node_fit(check, peak, thresholds):
+    """The ``fit`` of :func:`run_raw`: ``check`` on each node whose
+    threshold ``peak`` exceeds, :func:`_unchecked` on the others."""
+    if thresholds is None:
+        return check
+    per_node, least, greatest = thresholds
+    if peak <= least:
+        return _unchecked
+    if peak > greatest:
+        return check
+    fits = iter([check if peak > t else _unchecked for t in per_node])
+    return lambda raw: next(fits)(raw)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cordic_dct import dct8, fixedpoint
+from cordic_dct import codec, dct8, fixedpoint
 from cordic_dct.dct8 import (
     DCT_MATRIX,
     DctEngine,
@@ -34,6 +34,7 @@ from cordic_dct.fixedpoint import (
     OverflowPolicy,
     fit_raw,
 )
+from cordic_dct.images import photo_proxy
 from cordic_dct.rotator import CsdScale, rotate_float, rotate_raw
 
 RNG = np.random.default_rng(20240601)
@@ -770,7 +771,165 @@ class TestSafeInputBound:
         dct8_cordic(np.full(8, -128.0), engine)
         assert checked == []
         dct8_cordic(np.full(8, (engine.safe_input_bound(mode.fmt) + 1) * mode.fmt.lsb), engine)
-        assert checked  # above the bound every node is range-checked
+        assert checked  # above the bound, the nodes whose threshold it exceeds are checked
+
+
+def _all_checked(engine: DctEngine, X: np.ndarray) -> tuple[np.ndarray, int]:
+    """``transform8`` of one vector or a batch of rows with every node
+    range-checked: ``run_raw`` with no thresholds, on the same graph."""
+    axis = X.ndim - 1
+
+    def graph(raw, fit):
+        return dct8._flow(engine, dct8._columns(raw, axis), rotate_raw, engine._scale_raw, fit)
+
+    values = X.tolist() if X.ndim == 1 else X
+    cols, saturations = fixedpoint.run_raw(values, engine.mode, graph, None)
+    return dct8._stack(cols, axis) * engine.mode.fmt.lsb, saturations
+
+
+def _outcome(transform, engine, X):
+    """The bytes and saturations of ``transform(engine, X)``, or the type
+    and message of the overflow that refused it."""
+    try:
+        out, saturations = transform(engine, X)
+    except FixedPointOverflowError as exc:
+        return type(exc), str(exc)
+    return out.shape, out.tobytes(), saturations
+
+
+SIGN_VERTICES = np.array(list(itertools.product((-1, 1), repeat=8)))
+
+
+class TestNodeThresholds:
+    """A node is range-checked only when the input's peak exceeds its
+    threshold; the checks skipped must be no-ops."""
+
+    @pytest.mark.parametrize("bits", [(12, 2), (16, 5), (16, 8), (24, 8)])
+    @pytest.mark.parametrize("policy", [OverflowPolicy.SATURATE, OverflowPolicy.ERROR])
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_elided_checks_change_nothing(self, bits, policy, compensation, fold, eps):
+        # A node may go unchecked only where its affine form keeps it in
+        # the word, and that form holds only while no node it is formed
+        # from has been clamped: its threshold is at most its own bound
+        # and each parent's threshold.
+        mode = ArithmeticMode(FixedPointFormat(*bits), policy)
+        engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+        per_node, least, greatest = engine._node_thresholds
+        assert (least, greatest) == (min(per_node), max(per_node))
+        assert least == engine.safe_input_bound(mode.fmt)
+        own = [((mode.fmt.max_raw << exp) - err) // l1 for l1, err, exp, _ in engine._raw_nodes]
+        for i, (*_, parents) in enumerate(engine._raw_nodes):
+            assert per_node[i] <= min([own[i]] + [per_node[j] for j in parents])
+        # At each threshold or own bound t some node starts to be checked,
+        # or would without its parents: the sign vertices of peaks t and
+        # t + 1 drive it to the rail and past it.  Batch and single vector
+        # must give the bytes, saturations and refusals of checking every
+        # node.
+        rng = np.random.default_rng(bits[0] * 100 + bits[1])
+        for peak in sorted({p for t in per_node + tuple(own) for p in (t, t + 1) if p > 0}):
+            noise = rng.integers(-peak, peak + 1, size=(16, 8))
+            noise[np.arange(16), rng.integers(8, size=16)] = peak * rng.choice((-1, 1), size=16)
+            X = np.concatenate([SIGN_VERTICES * peak, noise]) * mode.fmt.lsb
+            assert np.abs(X).max() == peak * mode.fmt.lsb
+            assert _outcome(transform8, engine, X) == _outcome(_all_checked, engine, X)
+            for row in X[rng.choice(len(X), size=3, replace=False)]:
+                assert _outcome(transform8, engine, row) == _outcome(_all_checked, engine, row)
+
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    def test_each_node_knows_the_nodes_it_is_formed_from(self, compensation):
+        # The first butterfly sums come from inputs only; p = u0 + u3 and
+        # q = u1 + u2 from those; every later node from one or two earlier.
+        nodes = DctEngine(1e-4, compensation=compensation)._raw_nodes
+        parents = [node[3] for node in nodes]
+        assert parents[:8] == [()] * 8
+        assert parents[8:10] == [(0, 3), (1, 2)]
+        assert all(1 <= len(p) <= 2 and max(p) < i for i, p in enumerate(parents) if i >= 8)
+
+    def test_fit_array_within_the_rails_returns_its_input(self):
+        mode = ArithmeticMode.fixed(16, 5, OverflowPolicy.ERROR)
+        raw = np.array([mode.fmt.min_raw, -1, 0, 5, mode.fmt.max_raw], dtype=np.int64)
+        out, n = fixedpoint._fit_array(raw, mode)
+        assert out is raw and n == 0
+        empty = np.zeros(0, dtype=np.int64)
+        assert fixedpoint._fit_array(empty, mode) == (empty, 0)
+        with pytest.raises(FixedPointOverflowError, match="1 value"):
+            fixedpoint._fit_array(raw + 1, mode)
+
+    @pytest.mark.parametrize("bits,eps,row_checks,col_checks,nodes", [
+        ((16, 5), 1e-3, 0, 22, 54),
+        ((16, 5), 1e-4, 0, 26, 60),
+        ((24, 8), 1e-3, 0, 0, 54),
+        ((24, 8), 1e-4, 0, 0, 60),
+    ])
+    def test_checks_per_pass_on_a_photo_tile(self, monkeypatch, bits, eps, row_checks,
+                                            col_checks, nodes):
+        # The 128x128 sweep tile of the benchmark, level-shifted as ``sweep``
+        # transforms it: the 16.5 row pass (peak 3424 raw) stays within the
+        # safe input bound, and the column pass (peak 6335 raw) checks only
+        # the nodes whose threshold lies below its peak.
+        mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+        engine = DctEngine(eps, mode=mode)
+        assert len(engine._node_thresholds[0]) == nodes
+        blocks = codec._blocks_of(codec._pad_to_blocks(photo_proxy(128).samples))
+        planes = np.subtract(dct8._planes(blocks.reshape(-1, 64)), 128.0, dtype=np.float64)
+        expected = dct8._dct2d_planes(engine, planes)
+
+        calls, passes = [0], []
+        fit_array, transform = fixedpoint._fit_array, dct8.transform8
+
+        def counting_fit_array(raw, mode):
+            calls[0] += 1
+            return fit_array(raw, mode)
+
+        def counting_transform8(*args, **kwargs):
+            calls[0] = 0
+            result = transform(*args, **kwargs)
+            passes.append(calls[0])
+            return result
+
+        monkeypatch.setattr(fixedpoint, "_fit_array", counting_fit_array)
+        monkeypatch.setattr(dct8, "transform8", counting_transform8)
+        coefs, saturations = dct8._dct2d_planes(engine, planes)
+        assert coefs.tobytes() == expected[0].tobytes() and saturations == expected[1]
+        assert passes == [row_checks, col_checks]
+
+
+class TestSharedDerivation:
+    """The node data and the float limit are derived once per plan set."""
+
+    def test_equal_plans_derive_once(self, monkeypatch):
+        monkeypatch.setattr(dct8, "_PLAN_SETS", {})
+        walks = []
+        walk = dct8._walk
+
+        def counting_walk(engine, *args):
+            walks.append(engine._plan_set)
+            return walk(engine, *args)
+
+        monkeypatch.setattr(dct8, "_walk", counting_walk)
+        x = np.full((1, 8), 100.0)
+        for bits in ((16, 5), (24, 8), (16, 5)):
+            transform8(DctEngine(1e-4, mode=ArithmeticMode.fixed(*bits)), x)
+        # 8e-5 gives the plans of 1e-4, and the float limit is its own walk
+        DctEngine(8e-5).safe_input_bound(FixedPointFormat(12, 2))
+        assert DctEngine(8e-5)._plan_set == DctEngine(1e-4)._plan_set
+        assert len(walks) == 1
+        DctEngine(1e-4).input_limit
+        DctEngine(8e-5).input_limit
+        assert len(walks) == 2
+        DctEngine(1e-4, compensation="per_rotator").safe_input_bound(FixedPointFormat(16, 5))
+        DctEngine(1e-4, fold_into_quantizer=True).safe_input_bound(FixedPointFormat(16, 5))
+        assert len(walks) == 4 and len(set(walks)) == 3
+        assert len(dct8._PLAN_SETS) == 3
+
+    def test_the_epsilon_range_has_27_plan_sets(self, monkeypatch):
+        monkeypatch.setattr(dct8, "_PLAN_SETS", {})
+        fmt = FixedPointFormat(16, 5)
+        for eps in np.geomspace(1e-9, 1e-1, 2000):
+            DctEngine(float(eps)).safe_input_bound(fmt)
+        assert len(dct8._PLAN_SETS) <= 27
 
 
 DBL_MAX = sys.float_info.max

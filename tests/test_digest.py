@@ -13,14 +13,21 @@ two runs.  To move these bytes on purpose, regenerate the golden with::
 import importlib.util
 from pathlib import Path
 
+from cordic_dct import dct8
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_exact_digest_lines_match_the_golden():
+def test_exact_digest_lines_match_the_golden(monkeypatch):
     spec = importlib.util.spec_from_file_location("sweep_digest",
                                                   ROOT / "scripts" / "sweep_digest.py")
     sweep_digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep_digest)
     golden = (ROOT / "tests" / "golden" / "digest_exact.txt").read_text().splitlines()
     assert len(golden) == 52
+    # Cold, every plan set derives its nodes and limits afresh; warm, the
+    # engines read what the first run derived.  Both must give the golden.
+    monkeypatch.setattr(dct8, "_PLAN_SETS", {})
+    assert list(sweep_digest.exact_lines()) == golden
+    assert dct8._PLAN_SETS
     assert list(sweep_digest.exact_lines()) == golden
