@@ -16,8 +16,9 @@ Each line gives the minimum wall time of 5 runs and the median of their
 minor page faults (``resource.getrusage(...).ru_minflt``).
 
 Then the forward transform of the 128x128 image's one tile in saturating
-24.8 and 16.5 fixed point, at the two epsilons of the fixed sweep, with
-the number of nodes each pass range-checks out of the flow graph's nodes:
+24.8 and 16.5 fixed point, at the two epsilons of the fixed sweep, in the
+``folded`` compensation the sweep uses and in ``per_rotator``, with the
+number of nodes each pass range-checks out of the flow graph's nodes:
 those whose threshold the pass's quantized input peak exceeds.
 
 The last lines time benchmark-shaped ops, each a fresh ``read_pgm`` of
@@ -26,6 +27,7 @@ on the 512x512 image in float, and two epsilons and two qualities on a
 128x128 one in saturating 24.8 and 16.5 fixed point.
 """
 
+import itertools
 import resource
 import statistics
 import tempfile
@@ -44,6 +46,7 @@ EPSILON = 1e-4
 QUALITIES = (95, 90, 85, 80, 75)
 FIXED_EPSILONS = (1e-3, 1e-4)
 FIXED_WORDS = {"24.8": (24, 8), "16.5": (16, 5)}
+COMPENSATIONS = ("folded", "per_rotator")
 REPEAT = 5
 
 
@@ -119,15 +122,16 @@ def tile_stages(img) -> list:
 def checked_nodes(engine: DctEngine, x: np.ndarray) -> int:
     """How many nodes a fixed-point pass over ``x`` range-checks: those
     whose threshold the peak of ``x`` in raw units exceeds."""
-    per_node, _, _ = engine._node_thresholds
+    per_node, _ = engine._node_thresholds
     peak = np.abs(_round_half_away(x * engine.mode.fmt.raw_scale)).max()
     return sum(peak > t for t in per_node)
 
 
 def fixed_tile_rows(img) -> list:
     """``(name, ms, faults, checks)`` of the forward transform of the one
-    tile of ``img`` in each fixed word and epsilon; ``checks`` gives the
-    nodes the row and the column pass range-check, of all nodes."""
+    tile of ``img`` in each fixed word, compensation and epsilon; ``checks``
+    gives the nodes the row and the column pass range-check, of all
+    nodes."""
     blocks = codec._blocks_of(codec._pad_to_blocks(img.samples)).reshape(-1, 64)
     shifted = np.subtract(_planes(blocks[: codec._TILE_BLOCKS]), 128.0, dtype=np.float64)
     n = shifted.shape[1]
@@ -135,14 +139,14 @@ def fixed_tile_rows(img) -> list:
     rows = []
     for word, bits in FIXED_WORDS.items():
         mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
-        for eps in FIXED_EPSILONS:
-            engine = DctEngine(eps, mode=mode)
+        for compensation, eps in itertools.product(COMPENSATIONS, FIXED_EPSILONS):
+            engine = DctEngine(eps, mode=mode, compensation=compensation)
             column_input = transform8(engine, row_input, _axis=1)[0].reshape(8, 8 * n)
             nodes = len(engine._node_thresholds[0])
             checks = (f"{checked_nodes(engine, row_input)}/{nodes}",
                       f"{checked_nodes(engine, column_input)}/{nodes}")
             ms, faults = measure(lambda: _dct2d_planes(engine, shifted))
-            rows.append((f"{word} forward, eps {eps:g}", ms, faults, checks))
+            rows.append((f"{word} {compensation}, eps {eps:g}", ms, faults, checks))
     return rows
 
 

@@ -23,13 +23,13 @@ Samples enter either arithmetic through the input boundary the scalar
 rotator uses too, in ``fixedpoint``: one refusal (complex, non-finite, or
 beyond :attr:`DctEngine.input_limit`) and, in fixed point, one quantizer
 and range check (:func:`~cordic_dct.fixedpoint.run_raw`).  There each
-add, micro-rotation step and constant scale is a node, range-checked
-against the word only when the quantized input's peak exceeds the node's
-threshold: the largest peak at which neither the node nor a node it is
-formed from can leave the word, so the checks skipped are provable
-no-ops.  The thresholds come from each node's exact affine form
-(:class:`_Affine`), derived once for all the engines that share a plan
-set.  Under ``SATURATE`` the transform returns how many values it
+add, micro-rotation step and compensation product is a node,
+range-checked against the word only when the quantized input's peak
+exceeds the node's threshold: the largest peak at which neither the node
+nor a node it is formed from can leave the word, so the checks skipped
+are provable no-ops.  The thresholds come from each node's exact affine
+form (:class:`_Affine`), derived once for all the engines that share a
+plan set.  Under ``SATURATE`` the transform returns how many values it
 clipped.
 """
 
@@ -236,12 +236,11 @@ class DctEngine:
         return max(0, min(_thresholds(self._raw_nodes, fmt)))
 
     @cached_property
-    def _node_thresholds(self) -> tuple[tuple[int, ...], int, int]:
-        """The node thresholds in the engine's own word, with their least
-        and greatest value: what :func:`~cordic_dct.fixedpoint.run_raw`
-        reads on every fixed-point call."""
+    def _node_thresholds(self) -> tuple[tuple[int, ...], int]:
+        """The node thresholds in the engine's own word and their least value:
+        what :func:`~cordic_dct.fixedpoint.run_raw` reads on every fixed-point call."""
         per_node = _thresholds(self._raw_nodes, self.mode.fmt)
-        return per_node, min(per_node), max(per_node)
+        return per_node, min(per_node)
 
     @cached_property
     def _raw_nodes(self) -> tuple:
@@ -280,9 +279,8 @@ class DctEngine:
         most ``gamma_d`` (Higham, "Accuracy and Stability of Numerical
         Algorithms", 3.1) times its sum of |path products|, the error of unit
         inputs carrying ``[-gamma, gamma]``.  ``gamma = d * 2**-52``, twice
-        ``gamma_d``, also covers rounding.  The walk also takes the
-        post-scale products, but they never set the limit: each is at most
-        half of the output it scales, a node already taken."""
+        ``gamma_d``, also covers rounding.  A post-scale product is at most
+        half of the node it scales."""
         return datapath_limit(self.mode, lambda: self._shared(_float_limit))
 
 
@@ -403,7 +401,7 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     folds a plan's unscaled micro-rotations, ``scale(column, constant)``
     multiplies by one of the engine's constants, and ``fit`` takes every
     node: each butterfly sum, both values of each micro-rotation step and
-    each scaled column, in the order of ``DctEngine._row_constants``.
+    each compensation product.  The post-scale products are not nodes.
     Float passes :func:`rotate_float`, ``operator.mul`` and
     :func:`_unchecked`; fixed point passes :func:`rotate_raw`,
     ``DctEngine._scale_raw`` (shift-add only, at the cost
@@ -433,8 +431,8 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     (g0, g1), (h0, h1), (a0, a1), (b0, b1) = pairs.values()
 
     # Under ERROR the first node that leaves the word raises, so this
-    # order (rotators, compensation, then 1, 7, 3, 5, then the post-scales
-    # F0 to F7) fixes which error a call reports.
+    # order (rotators, compensation, then 1, 7, 3, 5) fixes which error a
+    # call reports.
     f1, f7 = fit(a0 + b0), fit(b1 - a1)
     f3 = fit(fit(a0 - a1) - fit(b0 + b1))
     f5 = fit(fit(a0 + a1) - fit(b0 - b1))
@@ -444,7 +442,9 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     del u0, u1, u2, u3, v0, v1, v2, v3, p, q, r, s, pairs, a0, a1, b0, b1
     if engine.fold_into_quantizer:
         return cols
-    return [fit(scale(col, c)) for col, c in zip(cols, engine.post_scales.tolist())]
+    # No fit: a post-scale is at most 1/2 (a norm times a gain <= 1), so its CSD
+    # product of a node in an n-bit word is below 2**(n-2) + 2**(n-15) + 16 < max_raw.
+    return [scale(col, c) for col, c in zip(cols, engine.post_scales.tolist())]
 
 
 def _columns(X, axis: int) -> list:

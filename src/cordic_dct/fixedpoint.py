@@ -249,13 +249,13 @@ def run_raw(values, mode: ArithmeticMode, graph, thresholds: tuple | None):
     :meth:`FixedPointFormat.to_raw` into Python ints checked by
     :func:`fit_raw`, or a float64 array, quantized by ``_round_half_away``
     into int64 checked by ``_fit_array``.  ``graph`` passes each node it
-    forms through ``fit``, and ``fit`` checks node ``i``, the ``i``-th, only
-    when the input's ``max|raw|`` exceeds ``thresholds[0][i]``: at or
-    below it the caller has proved that node ``i`` stays in the word.  The
-    rule is the same for ints and arrays.  ``thresholds`` is that tuple
-    with its least and greatest value, so a call whose peak lies outside
-    them checks no node or every node without a per-node lookup; ``None``
-    checks every node.
+    forms, each value that could leave the word, through ``fit``, and
+    ``fit`` checks node ``i``, the ``i``-th, only when the input's
+    ``max|raw|`` exceeds ``thresholds[0][i]``: at or below it the caller
+    has proved that node ``i`` stays in the word.  The rule is the same for
+    ints and arrays.  ``thresholds`` is that tuple with its least value, so
+    a call whose peak is at or below it checks no node without a per-node
+    lookup; ``None`` checks every node.
     """
     fmt = mode.fmt
     clipped = 0
@@ -293,10 +293,8 @@ def _node_fit(check, peak, thresholds):
     threshold ``peak`` exceeds, :func:`_unchecked` on the others."""
     if thresholds is None:
         return check
-    per_node, least, greatest = thresholds
+    per_node, least = thresholds
     if peak <= least:
         return _unchecked
-    if peak > greatest:
-        return check
     fits = iter([check if peak > t else _unchecked for t in per_node])
     return lambda raw: next(fits)(raw)

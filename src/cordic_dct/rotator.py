@@ -230,6 +230,8 @@ def csd_scale(value: float, max_terms: int = 16, tolerance: float = 1e-6) -> Csd
         raise ValueError(f"value {value!r} outside (0, 2)")
     if not 1 <= max_terms <= 16:
         raise ValueError(f"max_terms {max_terms} outside [1, 16]")
+    if not tolerance >= 0.0:  # NaN too: the loop would stop at once, with no terms
+        raise ValueError(f"tolerance {tolerance!r} is not a number >= 0")
 
     remainder = value
     terms = []

@@ -214,7 +214,8 @@ class TestFlowGraph:
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
     def test_every_op_set_fits_the_same_nodes(self, compensation, fold, eps):
         # One node set in either arithmetic: the 20 butterfly sums, both
-        # values of each micro-rotation step, and each scaled column.  The
+        # values of each micro-rotation step, and both compensation products
+        # of each compensated rotator; the post-scale products are not.  The
         # k-th node of the float walk is the k-th of the raw walk, so on
         # the same input (in units of 2**-20) the two agree to the
         # floor-shift error.
@@ -226,7 +227,7 @@ class TestFlowGraph:
                                     (x, rotate_raw, engine._scale_raw)):
             nodes = []
             dct8._flow(engine, cols, rotate, scale, lambda node: nodes.append(node) or node)
-            assert len(nodes) == 20 + 2 * steps + len(engine._row_constants)
+            assert len(nodes) == 20 + 2 * steps + 2 * len(engine._compensation)
             walks.append(nodes)
         assert all(type(node) is float for node in walks[0])
         assert all(type(node) is int for node in walks[1])
@@ -816,8 +817,8 @@ class TestNodeThresholds:
         # and each parent's threshold.
         mode = ArithmeticMode(FixedPointFormat(*bits), policy)
         engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
-        per_node, least, greatest = engine._node_thresholds
-        assert (least, greatest) == (min(per_node), max(per_node))
+        per_node, least = engine._node_thresholds
+        assert least == min(per_node)
         assert least == engine.safe_input_bound(mode.fmt)
         own = [((mode.fmt.max_raw << exp) - err) // l1 for l1, err, exp, _ in engine._raw_nodes]
         for i, (*_, parents) in enumerate(engine._raw_nodes):
@@ -847,6 +848,33 @@ class TestNodeThresholds:
         assert parents[8:10] == [(0, 3), (1, 2)]
         assert all(1 <= len(p) <= 2 and max(p) < i for i, p in enumerate(parents) if i >= 8)
 
+    def test_post_scale_products_stay_in_the_word(self):
+        # ``_flow`` passes no post-scale product through ``fit``: each
+        # post-scale is at most 1/2 and scales a node in the word, so its
+        # CSD product, at most 2**(n-2) + 2**(n-15) + 16, stays in the word
+        # for every raw value of an n-bit word.  Every plan set of the
+        # epsilon range, both compensations; every raw value of the short
+        # words and the rails of the long ones.
+        expansions = {}
+        for eps in np.geomspace(1e-9, 1e-1, 2000):
+            for compensation in ("folded", "per_rotator"):
+                engine = DctEngine(float(eps), compensation=compensation)
+                for c in engine.post_scales.tolist():
+                    if c not in expansions:
+                        assert 0 < c <= 0.5
+                        expansions[c] = engine._csd[c]
+        for bits, frac in ((8, 0), (12, 0), (16, 0), (24, 8), (32, 20)):
+            fmt = FixedPointFormat(bits, frac)
+            if bits <= 16:
+                raw = np.arange(fmt.min_raw, fmt.max_raw + 1, dtype=np.int64)
+            else:
+                raw = np.array([fmt.min_raw, fmt.max_raw], dtype=np.int64)
+            bound = 2 ** (bits - 2) + 2 ** (bits - 15) + 16
+            for csd in expansions.values():
+                product = csd.apply_raw(raw)
+                assert fmt.min_raw <= product.min() and product.max() <= fmt.max_raw
+                assert np.abs(product).max() <= bound
+
     def test_fit_array_within_the_rails_returns_its_input(self):
         mode = ArithmeticMode.fixed(16, 5, OverflowPolicy.ERROR)
         raw = np.array([mode.fmt.min_raw, -1, 0, 5, mode.fmt.max_raw], dtype=np.int64)
@@ -857,20 +885,23 @@ class TestNodeThresholds:
         with pytest.raises(FixedPointOverflowError, match="1 value"):
             fixedpoint._fit_array(raw + 1, mode)
 
-    @pytest.mark.parametrize("bits,eps,row_checks,col_checks,nodes", [
-        ((16, 5), 1e-3, 0, 22, 54),
-        ((16, 5), 1e-4, 0, 26, 60),
-        ((24, 8), 1e-3, 0, 0, 54),
-        ((24, 8), 1e-4, 0, 0, 60),
+    @pytest.mark.parametrize("bits,eps,row_checks,col_checks,nodes,compensation", [
+        ((16, 5), 1e-3, 0, 14, 46, "folded"),
+        ((16, 5), 1e-4, 0, 18, 52, "folded"),
+        ((16, 5), 1e-3, 0, 16, 52, "per_rotator"),
+        ((16, 5), 1e-4, 0, 20, 58, "per_rotator"),
+        ((24, 8), 1e-3, 0, 0, 46, "folded"),
+        ((24, 8), 1e-4, 0, 0, 52, "folded"),
     ])
     def test_checks_per_pass_on_a_photo_tile(self, monkeypatch, bits, eps, row_checks,
-                                            col_checks, nodes):
+                                            col_checks, nodes, compensation):
         # The 128x128 sweep tile of the benchmark, level-shifted as ``sweep``
         # transforms it: the 16.5 row pass (peak 3424 raw) stays within the
         # safe input bound, and the column pass (peak 6335 raw) checks only
-        # the nodes whose threshold lies below its peak.
+        # the nodes whose threshold lies below its peak.  The post-scale
+        # products are not nodes.
         mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
-        engine = DctEngine(eps, mode=mode)
+        engine = DctEngine(eps, mode=mode, compensation=compensation)
         assert len(engine._node_thresholds[0]) == nodes
         blocks = codec._blocks_of(codec._pad_to_blocks(photo_proxy(128).samples))
         planes = np.subtract(dct8._planes(blocks.reshape(-1, 64)), 128.0, dtype=np.float64)

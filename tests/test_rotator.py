@@ -214,6 +214,15 @@ class TestCsdScale:
         with pytest.raises(ValueError):
             csd_scale(value)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1e-6])
+    def test_tolerance_must_be_a_number_at_least_zero(self, tolerance):
+        # NaN would end the expansion at once, an empty one (a multiplier of
+        # 0) passing as exact, and no expansion meets a negative tolerance:
+        # both are refused before expanding, not as a CsdToleranceError.
+        with pytest.raises(ValueError, match="tolerance") as info:
+            csd_scale(0.7, tolerance=tolerance)
+        assert type(info.value) is ValueError
+
     @given(value=st.floats(1e-3, 1.999))
     def test_value_within_tolerance(self, value):
         s = csd_scale(value, max_terms=16, tolerance=1e-3)
