@@ -21,6 +21,12 @@ Then the forward transform of the 128x128 image's one tile in saturating
 number of nodes each pass range-checks out of the flow graph's nodes:
 those whose threshold the pass's quantized input peak exceeds.
 
+Then the per-call section: one-vector ``dct8_cordic`` and one-block
+``dct2d`` on a level-shifted block of the 128x128 image, at epsilon 1e-4
+in float and in saturating 24.8, each the minimum over ``REPEAT`` runs of
+``CALLS`` calls, per call: the calls the ``calls`` benchmark workload
+spends most of its time in.
+
 The last lines time benchmark-shaped ops, each a fresh ``read_pgm`` of
 the image, one ``sweep`` and ``to_csv``: one epsilon and five qualities
 on the 512x512 image in float, and two epsilons and two qualities on a
@@ -37,7 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from cordic_dct import codec
-from cordic_dct.dct8 import DctEngine, _dct2d_planes, _planes, dct2d_oracle, transform8
+from cordic_dct.dct8 import (DctEngine, _dct2d_planes, _planes, dct2d, dct2d_oracle, dct8_cordic,
+                             transform8)
 from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy, _round_half_away
 from cordic_dct.images import photo_proxy
 from cordic_dct.pgm import read_pgm, write_pgm
@@ -48,6 +55,7 @@ FIXED_EPSILONS = (1e-3, 1e-4)
 FIXED_WORDS = {"24.8": (24, 8), "16.5": (16, 5)}
 COMPENSATIONS = ("folded", "per_rotator")
 REPEAT = 5
+CALLS = 200  # calls per timed run of the per-call section
 
 
 def _minflt() -> int:
@@ -119,11 +127,11 @@ def tile_stages(img) -> list:
     return rows
 
 
-def checked_nodes(engine: DctEngine, x: np.ndarray) -> int:
-    """How many nodes a fixed-point pass over ``x`` range-checks: those
-    whose threshold the peak of ``x`` in raw units exceeds."""
+def checked_nodes(engine: DctEngine, words: np.ndarray) -> int:
+    """How many nodes a fixed-point pass over the raw ``words`` range-checks:
+    those whose threshold the peak of ``words`` exceeds."""
     per_node, _ = engine._node_thresholds
-    peak = np.abs(_round_half_away(x * engine.mode.fmt.raw_scale)).max()
+    peak = np.abs(words).max()
     return sum(peak > t for t in per_node)
 
 
@@ -141,12 +149,39 @@ def fixed_tile_rows(img) -> list:
         mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
         for compensation, eps in itertools.product(COMPENSATIONS, FIXED_EPSILONS):
             engine = DctEngine(eps, mode=mode, compensation=compensation)
-            column_input = transform8(engine, row_input, _axis=1)[0].reshape(8, 8 * n)
+            # the row pass quantizes the samples and hands its raw words on
+            row_words = _round_half_away(row_input * engine.mode.fmt.raw_scale)
+            column_words = transform8(engine, row_input, _axis=1)[0]
             nodes = len(engine._node_thresholds[0])
-            checks = (f"{checked_nodes(engine, row_input)}/{nodes}",
-                      f"{checked_nodes(engine, column_input)}/{nodes}")
+            checks = (f"{checked_nodes(engine, row_words)}/{nodes}",
+                      f"{checked_nodes(engine, column_words)}/{nodes}")
             ms, faults = measure(lambda: _dct2d_planes(engine, shifted))
             rows.append((f"{word} {compensation}, eps {eps:g}", ms, faults, checks))
+    return rows
+
+
+def per_call_rows(img) -> list:
+    """``(name, us)`` of one ``dct8_cordic`` of a vector and one ``dct2d``
+    of a block of ``img``, in float and saturating 24.8: the minimum over
+    ``REPEAT`` runs of ``CALLS`` calls, divided by ``CALLS``."""
+    block = np.subtract(img.samples[64:72, 64:72], 128.0, dtype=np.float64)
+    engines = {
+        "float": DctEngine(EPSILON),
+        "24.8": DctEngine(EPSILON, mode=ArithmeticMode.fixed(24, 8, OverflowPolicy.SATURATE)),
+    }
+    rows = []
+    for arith, engine in engines.items():
+        calls = {"dct8_cordic, one vector": lambda: dct8_cordic(block[0], engine),
+                 "dct2d, one block": lambda: dct2d(block, engine)}
+        for name, call in calls.items():
+            call()  # warm-up: the engine's constants are built on first use
+            times = []
+            for _ in range(REPEAT):
+                t0 = time.perf_counter()
+                for _ in range(CALLS):
+                    call()
+                times.append(time.perf_counter() - t0)
+            rows.append((f"{name}, {arith}", 1e6 * min(times) / CALLS))
     return rows
 
 
@@ -179,6 +214,7 @@ def main():
         ops = op_rows(Path(directory))  # before the stages, which grow the heap
     rows = tile_stages(img)
     fixed = fixed_tile_rows(photo_proxy(128))
+    per_call = per_call_rows(photo_proxy(128))
 
     print(f"{img.width}x{img.height} photo_proxy: {tiles} tiles of {codec._TILE_BLOCKS} "
           f"blocks; eps {EPSILON:g}, float; min ms and median faults of {REPEAT} runs")
@@ -189,6 +225,9 @@ def main():
           f"{'row checks':>11} {'col checks':>11}")
     for name, ms, faults, (row_checks, column_checks) in fixed:
         print(f"{name:<32} {ms:8.2f} {faults:8.0f} {row_checks:>11} {column_checks:>11}")
+    print(f"{f'per call, min of {REPEAT} x {CALLS}':<32} {'us':>8}")
+    for name, us in per_call:
+        print(f"{name:<32} {us:8.1f}")
     print(f"{'per op':<32} {'ms':>8} {'faults':>8}")
     for name, ms, faults in ops:
         print(f"{name:<32} {ms:8.2f} {faults:8.0f}")

@@ -30,7 +30,14 @@ nor a node it is formed from can leave the word, so the checks skipped
 are provable no-ops.  The thresholds come from each node's exact affine
 form (:class:`_Affine`), derived once for all the engines that share a
 plan set.  Under ``SATURATE`` the transform returns how many values it
-clipped.
+clipped.  The fixed 2-D transform quantizes its input once: the row pass
+hands its raw words to the column pass as they are, and only the
+coefficients are multiplied by the LSB.
+
+On NumPy columns the kernels take their constants as 0-d arrays, which a
+ufunc does not convert on every call as it converts a Python number: the
+shift tables of ``rotator``, and each engine's scale constants
+(``DctEngine._array_constants``), built on first use.
 """
 
 from __future__ import annotations
@@ -201,6 +208,20 @@ class DctEngine:
         """``raw`` times ``constant``, shift-add only: the raw op set's
         scale, through the constant's CSD expansion in :attr:`_csd`."""
         return self._csd[constant].apply_raw(raw)
+
+    @cached_property
+    def _array_constants(self) -> dict[float, np.ndarray]:
+        """Each constant of :attr:`_row_constants` as a 0-d float64 array,
+        keyed by the constant: the operand a ufunc takes without converting
+        it on every call.  Built on first use: a fixed engine never reads
+        it."""
+        return {c: np.array(c) for c in self._row_constants}
+
+    def _scale_array(self, column: np.ndarray, constant: float) -> np.ndarray:
+        """``column`` times ``constant``: the float op set's scale on a NumPy
+        column, through :attr:`_array_constants`.  On Python numbers it is
+        ``operator.mul``."""
+        return column * self._array_constants[constant]
 
     def operation_counts(self) -> dict:
         """Adds/shifts/multiplies for one 8-point transform, JSON-friendly.
@@ -402,7 +423,8 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     multiplies by one of the engine's constants, and ``fit`` takes every
     node: each butterfly sum, both values of each micro-rotation step and
     each compensation product.  The post-scale products are not nodes.
-    Float passes :func:`rotate_float`, ``operator.mul`` and
+    Float passes :func:`rotate_float`, ``operator.mul`` (on Python numbers)
+    or ``DctEngine._scale_array`` (on NumPy columns) and
     :func:`_unchecked`; fixed point passes :func:`rotate_raw`,
     ``DctEngine._scale_raw`` (shift-add only, at the cost
     ``DctEngine._row_cost``) and the word's range check on each node whose
@@ -482,26 +504,33 @@ def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.nd
     ``_axis`` is internal to :func:`_dct2d_planes`: it runs the graph
     along that axis of an array of any shape, whose slices along it are
     the graph's eight input columns, and stacks the outputs back along it.
+    In fixed point such a pass returns raw int64 words, not multiplied by
+    the LSB, and takes float64 samples or the int64 words a pass returned.
     """
-    arr = _real(X)
-    if _axis is None:
+    words = _axis is not None  # a pass of ``_dct2d_planes``: raw words out
+    if not words:
+        arr = _real(X)
         if arr.shape != (8,) and (arr.ndim != 2 or arr.shape[1] != 8):
             raise ValueError(f"expected rows of 8 samples, got shape {arr.shape}")
         _axis = arr.ndim - 1
-    # One vector runs on Python floats, cheaper than NumPy per call.
-    values = arr.tolist() if arr.ndim == 1 else arr
-    check_input(values, engine.input_limit, _refusal)
+        # One vector runs on Python floats, cheaper than NumPy per call.
+        X = arr.tolist() if arr.ndim == 1 else arr
+    # Words a pass returned are fitted nodes or post-scale products of them,
+    # in the word: they need no refusal, and ``run_raw`` does not quantize them.
+    if not words or X.dtype != np.int64:
+        check_input(X, engine.input_limit, _refusal)
     if not engine.mode.is_fixed:
-        cols = _flow(engine, _columns(values, _axis), rotate_float, operator.mul, _unchecked)
+        scale = operator.mul if isinstance(X, list) else engine._scale_array
+        cols = _flow(engine, _columns(X, _axis), rotate_float, scale, _unchecked)
         return _stack(cols, _axis), 0
-    fmt = engine.mode.fmt
 
     def graph(raw, fit):
         return _flow(engine, _columns(raw, _axis), rotate_raw, engine._scale_raw, fit)
 
     # ``run_raw`` checks only the nodes whose threshold the peak exceeds.
-    cols, saturations = run_raw(values, engine.mode, graph, engine._node_thresholds)
-    return _stack(cols, _axis) * fmt.lsb, saturations
+    cols, saturations = run_raw(X, engine.mode, graph, engine._node_thresholds)
+    out = _stack(cols, _axis)
+    return (out if words else out * engine.mode.fmt.lsb), saturations
 
 
 def _refusal(limit: float) -> str:
@@ -522,10 +551,10 @@ def _planes(blocks: np.ndarray) -> np.ndarray:
 
 
 def _dct2d_planes(engine: DctEngine, planes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Separable 8x8 transform of a C-ordered (64, n) plane array: row
-    ``p`` holds in-block position ``p`` (raster order) of all ``n``
-    blocks, and so does row ``p`` of the (64, n) result.  Also returns
-    the values both passes clipped (see :func:`transform8`).
+    """Separable 8x8 transform of a C-ordered float64 (64, n) plane
+    array: row ``p`` holds in-block position ``p`` (raster order) of all
+    ``n`` blocks, and so does row ``p`` of the (64, n) result.  Also
+    returns the values both passes clipped (see :func:`transform8`).
 
     The row pass runs the flow graph on the eight (8, n) column planes
     and stacks its outputs along axis 1, which leaves each row of every
@@ -533,6 +562,13 @@ def _dct2d_planes(engine: DctEngine, planes: np.ndarray) -> tuple[np.ndarray, in
     and stacks along axis 0, straight into coefficient planes.  Each pass
     is one :func:`transform8` call over all ``8 n`` rows, so the planes are
     never transposed or copied between passes.
+
+    In fixed point the input is quantized once: the row pass hands its raw
+    words to the column pass as they are, as a row-column datapath keeps
+    them in its transposition memory, and only the coefficients are
+    multiplied by the LSB.  Each row output is in the word, so the column
+    pass's refusal and quantization would change nothing, and its node
+    checks read the peak they would read after them.
     """
     n = planes.shape[1]
     # [row, column, block]; one block as an 8x8 array, whose columns are
@@ -540,7 +576,10 @@ def _dct2d_planes(engine: DctEngine, planes: np.ndarray) -> tuple[np.ndarray, in
     blocks = planes.reshape(8, 8) if n == 1 else planes.reshape(8, 8, n)
     rows, row_sats = transform8(engine, blocks, _axis=1)  # [row, horizontal frequency, block]
     coefs, col_sats = transform8(engine, rows.reshape(8, 8 * n), _axis=0)
-    return coefs.reshape(64, n), row_sats + col_sats
+    coefs = coefs.reshape(64, n)
+    if engine.mode.is_fixed:
+        coefs = coefs * engine.mode.fmt.lsb
+    return coefs, row_sats + col_sats
 
 
 def dct2d(block, engine: DctEngine) -> np.ndarray:

@@ -248,7 +248,10 @@ def run_raw(values, mode: ArithmeticMode, graph, thresholds: tuple | None):
     ``values`` is a list of Python numbers, quantized by
     :meth:`FixedPointFormat.to_raw` into Python ints checked by
     :func:`fit_raw`, or a float64 array, quantized by ``_round_half_away``
-    into int64 checked by ``_fit_array``.  ``graph`` passes each node it
+    into int64 checked by ``_fit_array``.  An int64 array is taken as raw
+    words a graph in this word returned, in the word already: run as they
+    are, they clip nothing, and their peak is the one quantizing them
+    again would give.  ``graph`` passes each node it
     forms, each value that could leave the word, through ``fit``, and
     ``fit`` checks node ``i``, the ``i``-th, only when the input's
     ``max|raw|`` exceeds ``thresholds[0][i]``: at or below it the caller
@@ -277,13 +280,17 @@ def run_raw(values, mode: ArithmeticMode, graph, thresholds: tuple | None):
             clipped += n
             return raw
 
-        raw = _round_half_away(values * float(fmt.raw_scale))
-        peak = float(np.abs(raw).max(initial=0.0))
-        if peak > fmt.max_raw:
-            # Range-check while still in float: casting a float beyond int64 is
-            # undefined (INT64_MIN on x86, whatever the sign).
-            raw = check(raw)
-        raw = raw.astype(np.int64)
+        if values.dtype == np.int64:
+            raw = values
+            peak = int(np.abs(raw).max(initial=0))
+        else:
+            raw = _round_half_away(values * float(fmt.raw_scale))
+            peak = float(np.abs(raw).max(initial=0.0))
+            if peak > fmt.max_raw:
+                # Range-check while still in float: casting a float beyond int64 is
+                # undefined (INT64_MIN on x86, whatever the sign).
+                raw = check(raw)
+            raw = raw.astype(np.int64)
     out = graph(raw, _node_fit(check, peak, thresholds))
     return out, clipped
 

@@ -16,8 +16,11 @@ The kernels -- :func:`rotate_float`, :func:`rotate_raw` and
 :meth:`CsdScale.apply_raw` -- are written once, here.  Both rotations pass
 each value they form through a ``fit`` their caller gives: the word's range
 check, or no check.  The scalar API runs them on Python numbers; the
-batched DCT in ``dct8`` runs them on NumPy columns.  Both cross the same
-input boundary, in ``fixedpoint``: one refusal of complex, non-finite and
+batched DCT in ``dct8`` runs them on NumPy columns, and then they take
+their shift amounts and ``2**-i`` factors as 0-d NumPy arrays, built once
+at import: a ufunc converts a Python-number operand again on every call,
+a third to a half of one op's cost on an 8-element column.  Both cross
+the same input boundary, in ``fixedpoint``: one refusal of complex, non-finite and
 too large components, and in fixed point one quantizer and range check
 (:func:`~cordic_dct.fixedpoint.run_raw`).
 A float rotation refuses a component beyond :func:`overflow_limit` of its
@@ -30,9 +33,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from numpy import ndarray
+
 from .fixedpoint import (ArithmeticMode, _unchecked, check_input, datapath_limit, overflow_limit,
                          run_raw)
 from .planner import MicroRotation, RotationPlan
+
+
+# The kernels' constants for each shift i in 0..63, the shifts an int64 word
+# takes: the factor 2**-i as a float, and the shift and the factor as 0-d
+# arrays, the operands a ufunc takes without converting them on every call.
+# A NumPy column gets the arrays; every other operand (Python numbers, and
+# the affine and traced values that derive the limits and check the
+# datapath) gets Python ints and floats.
+_POWERS = tuple(2.0 ** -i for i in range(64))
+_ARRAY_POWERS = tuple(np.array(p) for p in _POWERS)
+_ARRAY_SHIFTS = tuple(np.array(i, dtype=np.int64) for i in range(64))
 
 
 class CsdToleranceError(ValueError):
@@ -98,11 +115,19 @@ def rotate_float(x, y, steps, fit):
     value passed through ``fit`` before the next step, as in
     :func:`rotate_raw`.
 
-    ``x`` and ``y`` are floats or NumPy arrays of them alike.
+    ``x`` and ``y`` are floats or NumPy arrays of them alike.  A step
+    branches on its direction with the factor ``p = 2**-i``, as
+    :func:`rotate_raw` does with its shift, for the bits of the signed
+    factor ``t = direction * p``: ``t*y`` is ``-(p*y)`` exactly, and ``x -
+    (-a)`` is ``x + a``.
     """
+    powers = _ARRAY_POWERS if type(x) is ndarray else _POWERS
     for step in steps:
-        t = step.direction * 2.0 ** -step.index
-        x, y = fit(x - t * y), fit(y + t * x)
+        p = powers[step.index]
+        if step.direction > 0:
+            x, y = fit(x - p * y), fit(y + p * x)
+        else:
+            x, y = fit(x + p * y), fit(y - p * x)
     return x, y
 
 
@@ -114,9 +139,11 @@ def rotate_raw(x, y, steps, fit):
     ``x`` and ``y`` are Python ints or int64 NumPy arrays alike; ``>>`` on
     either is an arithmetic (floor) shift, like a hardware shifter.
     """
+    arrays = type(x) is ndarray
     for step in steps:
-        sx = x >> step.index
-        sy = y >> step.index
+        i = _ARRAY_SHIFTS[step.index] if arrays else step.index
+        sx = x >> i
+        sy = y >> i
         if step.direction > 0:
             x, y = fit(x - sy), fit(y + sx)
         else:
@@ -208,9 +235,13 @@ class CsdScale:
         negated only for a leading ``-`` term, which :func:`csd_scale`
         never emits (it expands a positive constant).
         """
+        arrays = type(raw) is ndarray
         acc = None
         for shift, sign in self.terms:
-            term = raw >> shift if shift >= 0 else raw << -shift
+            if shift >= 0:  # a shift beyond the table stays a Python int
+                term = raw >> (_ARRAY_SHIFTS[shift] if arrays and shift < 64 else shift)
+            else:
+                term = raw << -shift
             if acc is None:
                 acc = term if sign > 0 else -term
             else:

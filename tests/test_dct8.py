@@ -282,6 +282,31 @@ class TestDct2d:
             per_block = np.array([oracle(b) for b in stack])
             assert np.array_equal(oracle(stack), per_block)
 
+    @pytest.mark.parametrize("bits", [None, (24, 8), (16, 5)])
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 8, 8), (5, 8, 8)])
+    def test_fixed_input_is_quantized_once(self, monkeypatch, bits, shape):
+        # The row pass hands its raw words to the column pass, which runs
+        # them as they are: one quantization per call in fixed point, none
+        # in float.  Samples up to 4000 saturate 16.5 at quantization.
+        calls = [0]
+        round_half_away = fixedpoint._round_half_away
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return round_half_away(*args, **kwargs)
+
+        monkeypatch.setattr(fixedpoint, "_round_half_away", counting)
+        mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+        engine = DctEngine(1e-4, mode=mode)
+        blocks = RNG.uniform(-4000.0, 4000.0, size=shape)
+        expected = 0 if bits is None else 1
+        dct2d(blocks, engine)
+        assert calls[0] == expected
+        calls[0] = 0
+        _, saturations = dct8._dct2d_planes(engine, dct8._planes(blocks))
+        assert calls[0] == expected
+        assert (saturations > 0) == (bits == (16, 5))
+
     @pytest.mark.parametrize("shape", [(8,), (8, 7), (4, 8, 9), (64,)])
     def test_bad_trailing_shape_rejected(self, shape):
         eng = DctEngine(epsilon=1e-3)
@@ -479,6 +504,38 @@ class TestFixedPointPath:
                 dct2d(X, eng)
         with pytest.raises(AssertionError, match="csd_scale called"):
             DctEngine(1e-4).operation_counts()  # the cost model reads the expansions
+
+    def test_building_an_engine_derives_no_constant_table(self, monkeypatch):
+        # The scale constants, as CSD expansions or as 0-d arrays, are built
+        # on first use, never by the constructor.
+        def refuse(*args, **kwargs):
+            raise AssertionError("constant table derived")
+
+        monkeypatch.setattr(dct8, "csd_scale", refuse)
+        monkeypatch.setattr(DctEngine, "_array_constants", property(refuse))
+        modes = [None, ArithmeticMode.fixed(24, 8),
+                 ArithmeticMode.fixed(16, 5, OverflowPolicy.SATURATE)]
+        for mode, compensation, fold in itertools.product(
+                modes, ("folded", "per_rotator"), (False, True)):
+            DctEngine(1e-4, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+        with pytest.raises(AssertionError, match="constant table derived"):
+            DctEngine(1e-4)._array_constants
+
+    def test_fixed_engine_builds_no_array_constants(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("array constants read")
+
+        monkeypatch.setattr(DctEngine, "_array_constants", property(refuse))
+        X = RNG.integers(-128, 128, size=(4, 8, 8)).astype(np.float64)
+        mode = ArithmeticMode.fixed(24, 8)
+        for compensation, fold in itertools.product(("folded", "per_rotator"), (False, True)):
+            eng = DctEngine(1e-4, mode=mode, compensation=compensation, fold_into_quantizer=fold)
+            transform8(eng, X[0])
+            dct8_cordic(X[0, 0], eng)
+            dct2d(X, eng)
+        dct8_cordic(X[0, 0], DctEngine(1e-4))  # one float vector runs on Python floats
+        with pytest.raises(AssertionError, match="array constants read"):
+            dct2d(X, DctEngine(1e-4))
 
     def test_fixed_engine_operation_counts_match_benchmark_golden(self):
         golden = json.loads((GOLDEN_DIR / "op_counts.json").read_text())

@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from cordic_dct.fixedpoint import (
     FixedPointOverflowError,
     OverflowPolicy,
     _round_half_away,
+    _unchecked,
     fit_raw,
 )
 from cordic_dct.dct8 import DctEngine
 from cordic_dct.planner import MicroRotation, decompose
 from cordic_dct.rotator import (
+    CsdScale,
     CsdToleranceError,
     Matrix2,
     Vector2,
@@ -31,6 +34,7 @@ from cordic_dct.rotator import (
     micro_rotate,
     overflow_limit,
     plan_matrix,
+    rotate_float,
     rotate_raw,
 )
 
@@ -232,6 +236,84 @@ class TestCsdScale:
         s = csd_scale(0.625, tolerance=0.0)  # 1/2 + 1/8
         assert s.apply_raw(256) == 160
         assert s.apply_raw(-256) == -160
+
+
+# Values the kernels must treat alike on arrays and on Python numbers: signed
+# zeros, floats near 2**+-1000 (scaled products there stay exact or round,
+# but never overflow), ordinary ones, and raw words at the 32-bit rails.
+FLOAT_OPERANDS = [0.0, -0.0, 1.0, -1.5, math.pi, 2.0 ** 1000, -(2.0 ** 1000) * 1.75,
+                  math.nextafter(2.0 ** 1000, 0.0), 2.0 ** -1000, -(2.0 ** -1000) * 1.25,
+                  math.nextafter(2.0 ** -1000, 1.0), 5e-324, 1e-300, 123456.789]
+RAW_OPERANDS = [0, 1, -1, 2, -2, 255, -256, 12345, -54321, 2 ** 31 - 1, -(2 ** 31),
+                2 ** 31 - 2, -(2 ** 31) + 1, 2 ** 30, -(2 ** 30)]
+SHIFTS = range(63)
+
+
+class TestKernelOperands:
+    """The kernels take their constants as 0-d arrays on NumPy operands and
+    as Python numbers on every other: both must give the same bits, for
+    every shift a word takes and both directions."""
+
+    @staticmethod
+    def _pairs(values):
+        # every value against every other, as the x and y columns
+        return [(a, b) for a in values for b in values]
+
+    @staticmethod
+    def _steps(index):
+        return [SimpleNamespace(index=index, direction=d) for d in (1, -1)]
+
+    @pytest.mark.parametrize("index", SHIFTS)
+    def test_rotate_float(self, index):
+        x, y = map(list, zip(*self._pairs(FLOAT_OPERANDS)))
+        for step in self._steps(index):
+            ax, ay = rotate_float(np.array(x), np.array(y), [step], _unchecked)
+            scalar = [rotate_float(a, b, [step], _unchecked) for a, b in zip(x, y)]
+            assert all(type(v) is float for pair in scalar for v in pair)
+            # the signed factor t = direction * 2**-i: a step branches on the
+            # direction instead, for the same bits
+            t = step.direction * 2.0 ** -index
+            signed = [(a - t * b, b + t * a) for a, b in zip(x, y)]
+            sx, sy = (np.array(column) for column in zip(*scalar))
+            rx, ry = (np.array(column) for column in zip(*signed))
+            assert ax.dtype == ay.dtype == np.float64
+            assert ax.tobytes() == sx.tobytes() == rx.tobytes()
+            assert ay.tobytes() == sy.tobytes() == ry.tobytes()
+
+    @pytest.mark.parametrize("index", SHIFTS)
+    def test_rotate_raw(self, index):
+        x, y = map(list, zip(*self._pairs(RAW_OPERANDS)))
+        for step in self._steps(index):
+            ax, ay = rotate_raw(np.array(x, np.int64), np.array(y, np.int64), [step], _unchecked)
+            scalar = [rotate_raw(a, b, [step], _unchecked) for a, b in zip(x, y)]
+            assert all(type(v) is int for pair in scalar for v in pair)
+            assert ax.dtype == ay.dtype == np.int64
+            assert (ax.tolist(), ay.tolist()) == tuple(map(list, zip(*scalar)))
+
+    @pytest.mark.parametrize("index", SHIFTS)
+    def test_apply_raw(self, index):
+        expansions = [CsdScale(((index, 1),), 0.0), CsdScale(((index, -1),), 0.0),
+                      CsdScale(((-1, 1), (index, -1)), 0.0),
+                      CsdScale(((index, 1), (index + 1, -1), (64 + index, 1)), 0.0)]
+        for scale in expansions:
+            out = scale.apply_raw(np.array(RAW_OPERANDS, np.int64))
+            scalar = [scale.apply_raw(v) for v in RAW_OPERANDS]
+            assert all(type(v) is int for v in scalar)
+            assert out.dtype == np.int64 and out.tolist() == scalar
+
+    @pytest.mark.parametrize("theta", [PI / 16, -PI / 3, 0.2])
+    def test_whole_plans(self, theta):
+        # chained steps of both directions, as the DCT's rotators run them
+        steps = decompose(theta, 1e-9).steps
+        x, y = map(list, zip(*self._pairs(FLOAT_OPERANDS)))
+        ax, ay = rotate_float(np.array(x), np.array(y), steps, _unchecked)
+        sx, sy = (np.array(c) for c in zip(*[rotate_float(a, b, steps, _unchecked)
+                                             for a, b in zip(x, y)]))
+        assert ax.tobytes() == sx.tobytes() and ay.tobytes() == sy.tobytes()
+        x, y = map(list, zip(*self._pairs(RAW_OPERANDS)))
+        ax, ay = rotate_raw(np.array(x, np.int64), np.array(y, np.int64), steps, _unchecked)
+        scalar = [rotate_raw(a, b, steps, _unchecked) for a, b in zip(x, y)]
+        assert (ax.tolist(), ay.tolist()) == tuple(map(list, zip(*scalar)))
 
 
 class TestFixedPointFormat:
