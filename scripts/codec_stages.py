@@ -27,6 +27,13 @@ in float and in saturating 24.8, each the minimum over ``REPEAT`` runs of
 ``CALLS`` calls, per call: the calls the ``calls`` benchmark workload
 spends most of its time in.
 
+Then the construction section: ``photo_proxy(512)`` and
+``photo_proxy(128)``, and ``DctEngine(3e-4)`` in float and in saturating
+24.8, alone and with its first one-block ``dct2d``, which derives what the
+engines of its plan set share (the plan-set cache is emptied before each
+run), each the minimum time and median faults of ``REPEAT`` runs: what the
+benchmark's ``calls`` set-up spends its time in.
+
 The last lines time benchmark-shaped ops, each a fresh ``read_pgm`` of
 the image, one ``sweep`` and ``to_csv``: one epsilon and five qualities
 on the 512x512 image in float, and two epsilons and two qualities on a
@@ -42,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cordic_dct import codec
+from cordic_dct import codec, dct8
 from cordic_dct.dct8 import (DctEngine, _dct2d_planes, _planes, dct2d, dct2d_oracle, dct8_cordic,
                              transform8)
 from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy, _round_half_away
@@ -56,6 +63,7 @@ FIXED_WORDS = {"24.8": (24, 8), "16.5": (16, 5)}
 COMPENSATIONS = ("folded", "per_rotator")
 REPEAT = 5
 CALLS = 200  # calls per timed run of the per-call section
+CONSTRUCTION_EPSILON = 3e-4
 
 
 def _minflt() -> int:
@@ -185,6 +193,22 @@ def per_call_rows(img) -> list:
     return rows
 
 
+def construction_rows(img) -> list:
+    """``(name, ms, faults)`` of building the test images and engines; an
+    engine's first ``dct2d`` of a block of ``img`` derives its plan set's
+    shared data, from an empty plan-set cache."""
+    block = np.subtract(img.samples[64:72, 64:72], 128.0, dtype=np.float64)
+    rows = [(f"photo_proxy({size})", *measure(lambda: photo_proxy(size))) for size in (512, 128)]
+    for arith, mode in (("float", None),
+                        ("24.8", ArithmeticMode.fixed(24, 8, OverflowPolicy.SATURATE))):
+        rows.append((f"DctEngine({CONSTRUCTION_EPSILON:g}), {arith}",
+                     *measure(lambda: DctEngine(CONSTRUCTION_EPSILON, mode=mode))))
+        rows.append((f"  and first dct2d, {arith}",
+                     *measure(lambda: dct2d(block, DctEngine(CONSTRUCTION_EPSILON, mode=mode)),
+                              dct8._PLAN_SETS.clear)))
+    return rows
+
+
 def op_rows(directory: Path) -> list:
     """``(name, ms, faults)`` of benchmark-shaped ops: fresh ``read_pgm``,
     one ``sweep`` and ``to_csv``."""
@@ -212,6 +236,7 @@ def main():
     tiles = -(-len(codec._blocks_of(codec._pad_to_blocks(img.samples))) // codec._TILE_BLOCKS)
     with tempfile.TemporaryDirectory() as directory:
         ops = op_rows(Path(directory))  # before the stages, which grow the heap
+    construction = construction_rows(photo_proxy(128))
     rows = tile_stages(img)
     fixed = fixed_tile_rows(photo_proxy(128))
     per_call = per_call_rows(photo_proxy(128))
@@ -228,6 +253,9 @@ def main():
     print(f"{f'per call, min of {REPEAT} x {CALLS}':<32} {'us':>8}")
     for name, us in per_call:
         print(f"{name:<32} {us:8.1f}")
+    print(f"{'construction':<32} {'ms':>8} {'faults':>8}")
+    for name, ms, faults in construction:
+        print(f"{name:<32} {ms:8.3f} {faults:8.0f}")
     print(f"{'per op':<32} {'ms':>8} {'faults':>8}")
     for name, ms, faults in ops:
         print(f"{name:<32} {ms:8.2f} {faults:8.0f}")

@@ -34,6 +34,14 @@ clipped.  The fixed 2-D transform quantizes its input once: the row pass
 hands its raw words to the column pass as they are, and only the
 coefficients are multiplied by the LSB.
 
+An engine runs no decomposition: each of its four plans is the shortest
+prefix within its epsilon of the angle's decomposition at ``EPSILON_MIN``,
+taken once at import (``_DECOMPOSITIONS``), which is
+:func:`~cordic_dct.planner.decompose`'s plan bit for bit (the prefix rule
+in ``planner``).  What the engines of one plan set share -- the CSD
+expansions, the node data, the thresholds in each word and the float
+limit -- is derived once, on first use, and kept in ``_PLAN_SETS``.
+
 On NumPy columns the kernels take their constants as 0-d arrays, which a
 ufunc does not convert on every call as it converts a Python number: the
 shift tables of ``rotator``, and each engine's scale constants
@@ -50,7 +58,7 @@ import numpy as np
 
 from .fixedpoint import (ArithmeticMode, FixedPointFormat, _unchecked, check_input,
                          datapath_limit, overflow_limit, run_raw)
-from .planner import RotationPlan, decompose
+from .planner import RotationPlan, _Decomposition
 from .rotator import CsdScale, csd_scale, rotate_float, rotate_raw
 
 # The four rotation angles the flow graph needs, keyed for readability.
@@ -60,6 +68,9 @@ DCT_ANGLES = {
     "pi/16": math.pi / 16,
     "3pi/16": 3 * math.pi / 16,
 }
+# Each angle's decomposition at EPSILON_MIN, from which every engine cuts
+# its plan for its own epsilon as a prefix (see ``planner``).
+_DECOMPOSITIONS = {name: _Decomposition(angle) for name, angle in DCT_ANGLES.items()}
 
 # Per output of ``_flow``, F0 to F7: its normalization (1/2, or 1/(2*sqrt2)
 # on F3/F5) and the rotator whose gain it carries.  The odd outputs carry
@@ -73,9 +84,10 @@ _BUTTERFLY_ADDS = 20  # adds and subtracts of the flow graph outside its rotator
 
 # The derivations the engines of one plan set share, keyed by
 # ``DctEngine._plan_set``: the four plans' steps, the compensation and the
-# fold fix every node's affine form, and so the raw nodes' data and the
-# float limit.  The whole epsilon range [1e-9, 1e-1] gives 27 distinct sets
-# of four plans, so this holds at most 108 entries.
+# fold fix every constant the graph scales by and every node's affine form,
+# and so the CSD expansions, the raw nodes' data, their thresholds in each
+# word format and the float limit.  The whole epsilon range [1e-9, 1e-1]
+# gives 27 distinct sets of four plans, so this holds at most 108 entries.
 _PLAN_SETS: dict[tuple, dict] = {}
 
 
@@ -136,7 +148,10 @@ class DctEngine:
     ----------
     epsilon:
         Shared angle tolerance for the four rotation plans, each
-        decomposed by :func:`~cordic_dct.planner.decompose`.
+        :func:`~cordic_dct.planner.decompose` of its angle, bit for bit: the
+        shortest prefix within ``epsilon`` of the angle's decomposition at
+        ``EPSILON_MIN`` (``_DECOMPOSITIONS``), so building an engine runs
+        no decomposition.
     mode:
         ``ArithmeticMode.exact()`` or an ``ArithmeticMode.fixed(...)``.
     compensation:
@@ -168,7 +183,7 @@ class DctEngine:
         self.fold_into_quantizer = fold_into_quantizer
 
         self.plans: dict[str, RotationPlan] = {
-            name: decompose(angle, epsilon) for name, angle in DCT_ANGLES.items()
+            name: sequence.plan(epsilon) for name, sequence in _DECOMPOSITIONS.items()
         }
         g = {name: plan.gain for name, plan in self.plans.items()}
 
@@ -198,11 +213,9 @@ class DctEngine:
 
     @cached_property
     def _csd(self) -> dict[float, CsdScale]:
-        """Shift-add expansion of each distinct constant in
-        :attr:`_row_constants`, and of nothing else, keyed by the constant.
-        Built on first use: a float engine never reads it."""
-        return {c: csd_scale(c, max_terms=16, tolerance=_CSD_TOLERANCE)
-                for c in dict.fromkeys(self._row_constants)}
+        """:func:`_csd_expansions`, derived once for the plan set on first
+        use: a float engine never reads it."""
+        return self._shared(_csd_expansions)
 
     def _scale_raw(self, raw, constant: float):
         """``raw`` times ``constant``, shift-add only: the raw op set's
@@ -254,14 +267,13 @@ class DctEngine:
         Above it, a call checks only the nodes whose threshold its peak
         exceeds."""
         # An all-zero input keeps every node at 0, so 0 is always safe.
-        return max(0, min(_thresholds(self._raw_nodes, fmt)))
+        return max(0, self._shared(_word_thresholds, fmt)[1])
 
     @cached_property
     def _node_thresholds(self) -> tuple[tuple[int, ...], int]:
         """The node thresholds in the engine's own word and their least value:
         what :func:`~cordic_dct.fixedpoint.run_raw` reads on every fixed-point call."""
-        per_node = _thresholds(self._raw_nodes, self.mode.fmt)
-        return per_node, min(per_node)
+        return self._shared(_word_thresholds, self.mode.fmt)
 
     @cached_property
     def _raw_nodes(self) -> tuple:
@@ -275,14 +287,15 @@ class DctEngine:
         steps = tuple((p.indices, p.directions) for p in self.plans.values())
         return steps, self.compensation, self.fold_into_quantizer
 
-    def _shared(self, derive):
-        """``derive(self)``, run once for all the engines of this plan set
-        (``_PLAN_SETS``).  Two threads may both derive it first; they store
-        equal values."""
+    def _shared(self, derive, *args):
+        """``derive(self, *args)``, run once for all the engines of this plan
+        set (``_PLAN_SETS``).  Two threads may both derive it first; they
+        store equal values."""
         entry = _PLAN_SETS.setdefault(self._plan_set, {})
-        if derive not in entry:
-            entry[derive] = derive(self)
-        return entry[derive]
+        key = (derive, *args)
+        if key not in entry:
+            entry[key] = derive(self, *args)
+        return entry[key]
 
     @cached_property
     def input_limit(self) -> float:
@@ -383,6 +396,20 @@ def _node_data(engine: DctEngine) -> tuple:
          tuple(j for j in range(node.parents.bit_length()) if node.parents >> j & 1))
         for node in _walk(engine, rotate_raw, engine._scale_raw, 0, 0)
     )
+
+
+def _csd_expansions(engine: DctEngine) -> dict[float, CsdScale]:
+    """Shift-add expansion of each distinct constant in
+    :attr:`DctEngine._row_constants`, and of nothing else, keyed by the
+    constant."""
+    return {c: csd_scale(c, max_terms=16, tolerance=_CSD_TOLERANCE)
+            for c in dict.fromkeys(engine._row_constants)}
+
+
+def _word_thresholds(engine: DctEngine, fmt: FixedPointFormat) -> tuple[tuple[int, ...], int]:
+    """:func:`_thresholds` of the engine's nodes in ``fmt``, and their least value."""
+    per_node = _thresholds(engine._raw_nodes, fmt)
+    return per_node, min(per_node)
 
 
 def _thresholds(nodes: tuple, fmt: FixedPointFormat) -> tuple[int, ...]:

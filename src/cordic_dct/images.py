@@ -1,4 +1,13 @@
-"""Deterministic synthetic grayscale test images for the codec harness."""
+"""Deterministic synthetic grayscale test images for the codec harness.
+
+The bytes are a contract: the benchmark's goldens and the sweep digests
+are computed from these images, and tests pin the sha256 of each
+generator's samples.  So every pixel comes from the same binary64
+operations in the same order whatever the layout: the index grids are 1-D
+axes broadcast against each other, ``zone_plate`` evaluates one quadrant
+and mirrors it, and the texture's blurs run through slices of two reused
+buffers.  Only ``np.round`` (half to even) rounds a value.
+"""
 
 from __future__ import annotations
 
@@ -7,33 +16,85 @@ import numpy as np
 from .codec import GrayImage
 
 
+def _to_bytes(v: np.ndarray) -> np.ndarray:
+    """``v``, with values in [0, 1], scaled to [0, 255] and rounded in place,
+    as uint8 samples."""
+    v *= 255.0
+    return np.round(v, out=v).astype(np.uint8)
+
+
 def gradient_image(width: int = 512, height: int = 512) -> GrayImage:
     """Smooth diagonal ramp, 0 at one corner to 255 at the opposite one."""
-    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
-    ramp = (xx / max(width - 1, 1) + yy / max(height - 1, 1)) / 2.0
-    return GrayImage.from_array(np.round(ramp * 255.0).astype(np.uint8))
+    x = np.arange(width, dtype=np.float64) / max(width - 1, 1)
+    y = np.arange(height, dtype=np.float64) / max(height - 1, 1)
+    ramp = np.add(x, y[:, None])
+    ramp /= 2.0
+    return GrayImage.from_array(_to_bytes(ramp))
 
 
 def zone_plate(size: int = 512) -> GrayImage:
-    """Circular chirp pattern sweeping from low to high spatial frequency."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    cy = cx = (size - 1) / 2.0
-    r2 = (xx - cx) ** 2 + (yy - cy) ** 2
-    v = 0.5 * (1.0 + np.cos(np.pi * r2 / size))
-    return GrayImage.from_array(np.round(v * 255.0).astype(np.uint8))
+    """Circular chirp pattern sweeping from low to high spatial frequency.
+
+    ``r2`` is symmetric under each mirror, since ``i - c`` and ``(size - 1 -
+    i) - c`` are exact opposites, so one quadrant of ``cos`` gives every
+    pixel."""
+    half = (size + 1) // 2
+    c = (size - 1) / 2.0
+    d = np.arange(half, dtype=np.float64) - c
+    d *= d
+    v = np.add(d, d[:, None])  # r2: the column term, then the row term
+    v *= np.pi
+    v /= size
+    np.cos(v, out=v)
+    v += 1.0
+    v *= 0.5
+    quadrant = _to_bytes(v)
+    out = np.empty((size, size), dtype=np.uint8)
+    mirrored = size - half
+    out[:half, :half] = quadrant
+    out[:half, half:] = quadrant[:, :mirrored][:, ::-1]
+    out[half:] = out[:mirrored][::-1]
+    return GrayImage.from_array(out)
+
+
+def _blur(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """``dst = (src + src shifted by +1 + src shifted by -1) / 3.0`` along
+    ``axis``, wrapping around, added left to right as written."""
+    s, d = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
+    np.add(s[1:], s[:-1], out=d[1:])
+    np.add(s[0], s[-1], out=d[0])
+    d[:-1] += s[1:]
+    d[-1] += s[0]
+    dst /= 3.0
 
 
 def seeded_texture(size: int = 512, seed: int = 7) -> GrayImage:
-    """Band-limited pseudo-random texture; same seed, same pixels."""
+    """Band-limited pseudo-random texture; same seed, same pixels.
+
+    A flat field maps to 0: ``size`` 1, and ``size`` 3, where each wrapping
+    blur averages a whole row or column."""
     rng = np.random.default_rng(seed)
     noise = rng.uniform(0.0, 1.0, size=(size, size))
+    blurred = np.empty_like(noise)
     # a few separable box-blur passes tame the spectrum without scipy
     for _ in range(3):
-        noise = (noise + np.roll(noise, 1, axis=0) + np.roll(noise, -1, axis=0)) / 3.0
-        noise = (noise + np.roll(noise, 1, axis=1) + np.roll(noise, -1, axis=1)) / 3.0
+        _blur(noise, blurred, 0)
+        _blur(blurred, noise, 1)
     lo, hi = noise.min(), noise.max()
-    v = (noise - lo) / (hi - lo)
-    return GrayImage.from_array(np.round(v * 255.0).astype(np.uint8))
+    noise -= lo
+    noise /= (hi - lo) or 1.0
+    return GrayImage.from_array(_to_bytes(noise))
+
+
+def _mix(ramp: GrayImage, rings: GrayImage, grain: GrayImage) -> GrayImage:
+    """``0.55 ramp + 0.25 rings + 0.20 grain``, added left to right."""
+    v = np.multiply(ramp.samples, 0.55, dtype=np.float64)
+    term = np.multiply(rings.samples, 0.25, dtype=np.float64)
+    v += term
+    np.multiply(grain.samples, 0.20, out=term, dtype=np.float64)
+    v += term
+    np.clip(v, 0, 255, out=v)
+    return GrayImage.from_array(np.round(v, out=v).astype(np.uint8))
 
 
 def photo_proxy(size: int = 512, seed: int = 7) -> GrayImage:
@@ -42,17 +103,15 @@ def photo_proxy(size: int = 512, seed: int = 7) -> GrayImage:
     Mixes low-frequency shading, mid-frequency structure and fine texture
     so quantization quality factors separate cleanly in PSNR.
     """
-    ramp = gradient_image(size, size).samples.astype(np.float64)
-    rings = zone_plate(size).samples.astype(np.float64)
-    grain = seeded_texture(size, seed).samples.astype(np.float64)
-    v = 0.55 * ramp + 0.25 * rings + 0.20 * grain
-    return GrayImage.from_array(np.round(np.clip(v, 0, 255)).astype(np.uint8))
+    return _mix(gradient_image(size, size), zone_plate(size), seeded_texture(size, seed))
 
 
 def bundled_corpus(size: int = 512) -> dict[str, GrayImage]:
-    return {
+    """The three generators' images and the ``photo_proxy`` mixed from them."""
+    corpus = {
         "gradient": gradient_image(size, size),
         "zone_plate": zone_plate(size),
         "texture": seeded_texture(size),
-        "photo_proxy": photo_proxy(size),
     }
+    corpus["photo_proxy"] = _mix(*corpus.values())
+    return corpus

@@ -14,6 +14,13 @@ identity ``theta == sum(sigma_k * atan(2**-i_k)) + residual`` holds by
 construction.  All shipped rotation tables follow this rule, and the
 magnitude of the residual strictly decreases at every step.
 
+The rule never looks at ``epsilon``, which only decides where the loop
+stops.  So the plan for any ``epsilon`` is a prefix of one decomposition:
+the shortest whose residual is within ``epsilon``, with the steps, residual
+and gain the loop reaches there, bit for bit.  :class:`_Decomposition`
+takes an angle's sequence once, at ``EPSILON_MIN``, and cuts any plan from
+it; ``dct8.DctEngine`` builds its four plans that way.
+
 Everything here is pure binary64 arithmetic over immutable values; plans
 can be shared freely across threads.
 """
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from io import StringIO
 
@@ -52,6 +60,13 @@ class MicroRotation:
     def angle(self) -> float:
         """Signed micro-angle ``direction * atan(2**-index)``."""
         return self.direction * ATAN_TABLE[self.index]
+
+
+# Every micro-rotation a plan may use, built once: ``_STEPS[i][sigma < 0]``.
+_STEPS = tuple((MicroRotation(i, 1), MicroRotation(i, -1)) for i in range(INDEX_MAX + 1))
+# The gain factor of each shift: sqrt(1/(1+t)) rather than 1/sqrt(1+t), one
+# correctly-rounded operation per factor instead of two roundings.
+_GAIN_FACTORS = tuple(math.sqrt(1.0 / (1.0 + 2.0 ** (-2 * i))) for i in range(INDEX_MAX + 1))
 
 
 @dataclass(frozen=True)
@@ -95,23 +110,25 @@ class RotationPlan:
         return "".join("+" if d > 0 else "-" for d in self.directions)
 
 
-def decompose(theta: float, epsilon: float) -> RotationPlan:
-    """Compute the micro-rotation plan for ``theta`` to precision ``epsilon``,
-    taking shift ``max(round(-log2|residual|), 0)`` at every step.
-
-    Raises ValueError if |theta| > pi/2 or epsilon is outside [1e-9, 1e-1],
-    and RuntimeError if the loop fails to make progress (which would
-    indicate a bug in the index rule, not bad input).
-    """
+def _check_angle(theta: float) -> None:
     if not math.isfinite(theta) or abs(theta) > ANGLE_MAX:
         raise ValueError(f"angle {theta!r} outside [-pi/2, pi/2]")
+
+
+def _check_epsilon(epsilon: float) -> None:
     if not (EPSILON_MIN <= epsilon <= EPSILON_MAX):
         raise ValueError(f"epsilon {epsilon!r} outside [{EPSILON_MIN:g}, {EPSILON_MAX:g}]")
 
+
+def _micro_rotations(theta: float, epsilon: float):
+    """Yield ``(step, residual, gain)`` after each step of the loop of
+    :func:`decompose`: the step, and the residual and gain of the plan that
+    ends with it."""
     residual = theta
-    steps = []
+    gain = 1.0
+    n = 0
     while abs(residual) > epsilon:
-        if len(steps) >= MAX_STEPS:
+        if n >= MAX_STEPS:
             raise RuntimeError(f"no convergence after {MAX_STEPS} steps")
         # The loop runs only while |residual| > epsilon >= 1e-9, where
         # the rule picks i <= 30 = INDEX_MAX.
@@ -120,13 +137,24 @@ def decompose(theta: float, epsilon: float) -> RotationPlan:
         nxt = residual - sigma * ATAN_TABLE[i]
         assert abs(nxt) < abs(residual), "micro-rotation must shrink the residual"
         residual = nxt
-        steps.append(MicroRotation(i, sigma))
+        gain *= _GAIN_FACTORS[i]
+        n += 1
+        yield _STEPS[i][sigma < 0], residual, gain
 
-    gain = 1.0
-    for step in steps:
-        # sqrt(1/(1+t)) rather than 1/sqrt(1+t): one correctly-rounded
-        # operation per factor instead of two roundings
-        gain *= math.sqrt(1.0 / (1.0 + 2.0 ** (-2 * step.index)))
+
+def decompose(theta: float, epsilon: float) -> RotationPlan:
+    """Compute the micro-rotation plan for ``theta`` to precision ``epsilon``,
+    taking shift ``max(round(-log2|residual|), 0)`` at every step.
+
+    Raises ValueError if |theta| > pi/2 or epsilon is outside [1e-9, 1e-1],
+    and RuntimeError if the loop fails to make progress (which would
+    indicate a bug in the index rule, not bad input).
+    """
+    _check_angle(theta)
+    _check_epsilon(epsilon)
+    steps, residual, gain = [], theta, 1.0
+    for step, residual, gain in _micro_rotations(theta, epsilon):
+        steps.append(step)
     return RotationPlan(
         target=theta,
         tolerance=epsilon,
@@ -134,6 +162,32 @@ def decompose(theta: float, epsilon: float) -> RotationPlan:
         residual=residual,
         gain=gain,
     )
+
+
+class _Decomposition:
+    """The decomposition of ``theta`` at ``EPSILON_MIN``, from which
+    :meth:`plan` cuts the plan for any ``epsilon``: ``decompose(theta,
+    epsilon)``, bit for bit, without running the loop again."""
+
+    def __init__(self, theta: float):
+        _check_angle(theta)
+        entries = list(_micro_rotations(theta, EPSILON_MIN))
+        self.theta = theta
+        self.steps = tuple(step for step, _, _ in entries)
+        # The residual and gain after each prefix, the empty one first, and
+        # -|residual|, which rises with the prefix's length.
+        self.residuals = (theta,) + tuple(residual for _, residual, _ in entries)
+        self.gains = (1.0,) + tuple(gain for _, _, gain in entries)
+        self._keys = [-abs(residual) for residual in self.residuals]
+
+    def plan(self, epsilon: float) -> RotationPlan:
+        """The shortest prefix whose |residual| is within ``epsilon``.
+        Raises the ValueError of :func:`decompose` on an ``epsilon`` outside
+        [1e-9, 1e-1] or NaN."""
+        _check_epsilon(epsilon)
+        k = bisect_left(self._keys, -epsilon)
+        # by position, which is cheaper than by keyword
+        return RotationPlan(self.theta, epsilon, self.steps[:k], self.residuals[k], self.gains[k])
 
 
 def reconstruct_angle(plan: RotationPlan) -> float:

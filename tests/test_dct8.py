@@ -35,6 +35,7 @@ from cordic_dct.fixedpoint import (
     fit_raw,
 )
 from cordic_dct.images import photo_proxy
+from cordic_dct.planner import ATAN_TABLE, EPSILON_MAX, EPSILON_MIN, decompose
 from cordic_dct.rotator import CsdScale, rotate_float, rotate_raw
 
 RNG = np.random.default_rng(20240601)
@@ -494,6 +495,9 @@ class TestFixedPointPath:
         def refuse(*args, **kwargs):
             raise AssertionError("csd_scale called")
 
+        # Cold: the expansions are shared per plan set, and another test's
+        # fixed engine may already have derived these.
+        monkeypatch.setattr(dct8, "_PLAN_SETS", {})
         monkeypatch.setattr(dct8, "csd_scale", refuse)
         X = RNG.integers(-128, 128, size=(4, 8, 8)).astype(np.float64)
         for compensation in ("folded", "per_rotator"):
@@ -511,6 +515,7 @@ class TestFixedPointPath:
         def refuse(*args, **kwargs):
             raise AssertionError("constant table derived")
 
+        monkeypatch.setattr(dct8, "_PLAN_SETS", {})
         monkeypatch.setattr(dct8, "csd_scale", refuse)
         monkeypatch.setattr(DctEngine, "_array_constants", property(refuse))
         modes = [None, ArithmeticMode.fixed(24, 8),
@@ -982,6 +987,84 @@ class TestNodeThresholds:
         coefs, saturations = dct8._dct2d_planes(engine, planes)
         assert coefs.tobytes() == expected[0].tobytes() and saturations == expected[1]
         assert passes == [row_checks, col_checks]
+
+
+def _residuals(theta: float) -> list[float]:
+    """|residual| after each prefix of ``decompose(theta, EPSILON_MIN)``, the
+    empty prefix first, replayed with the loop's own subtraction."""
+    residual, out = theta, [abs(theta)]
+    for step in decompose(theta, EPSILON_MIN).steps:
+        residual = residual - step.direction * ATAN_TABLE[step.index]
+        out.append(abs(residual))
+    return out
+
+
+def _prefix_epsilons() -> list[float]:
+    """Every epsilon where a DCT angle's plan gains or loses a step, and its
+    neighbours both ways, within [EPSILON_MIN, EPSILON_MAX]."""
+    edges = {EPSILON_MIN, EPSILON_MAX}
+    for theta in dct8.DCT_ANGLES.values():
+        for r in _residuals(theta):
+            edges.update((math.nextafter(r, 0.0), r, math.nextafter(r, 1.0)))
+    return sorted(e for e in edges if EPSILON_MIN <= e <= EPSILON_MAX)
+
+
+class TestPlanPrefixes:
+    """An engine cuts its plans from one decomposition per angle, and gets
+    :func:`decompose`'s plans bit for bit."""
+
+    EPSILONS = _prefix_epsilons() + np.geomspace(EPSILON_MIN, EPSILON_MAX, 301).tolist()
+
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    def test_plans_equal_decompose(self, compensation):
+        cut = set()
+        for eps in self.EPSILONS:
+            engine = DctEngine(eps, compensation=compensation)
+            expected = {name: decompose(theta, eps) for name, theta in dct8.DCT_ANGLES.items()}
+            assert list(engine.plans) == list(expected)
+            for name, plan in engine.plans.items():
+                want = expected[name]
+                # dataclass equality, and the floats' bits
+                assert plan == want and plan.tolerance is eps
+                assert [plan.residual.hex(), plan.gain.hex()] == [want.residual.hex(),
+                                                                  want.gain.hex()]
+                cut.add((name, len(plan.steps)))
+        # every prefix of every angle was cut at least once
+        for name, theta in dct8.DCT_ANGLES.items():
+            lengths = {k for n, k in cut if n == name}
+            reachable = [k for k, r in enumerate(_residuals(theta)) if r <= EPSILON_MAX]
+            assert lengths == set(range(min(reachable), len(_residuals(theta))))
+
+    def test_boundaries_move_by_one_step(self):
+        for theta in dct8.DCT_ANGLES.values():
+            for k, r in enumerate(_residuals(theta)):
+                if not EPSILON_MIN <= r <= EPSILON_MAX:
+                    continue
+                assert len(decompose(theta, r).steps) == k
+                if math.nextafter(r, 0.0) >= EPSILON_MIN:
+                    assert len(decompose(theta, math.nextafter(r, 0.0)).steps) == k + 1
+
+    def test_gains_and_residuals_are_the_loops_arithmetic(self):
+        for theta in dct8.DCT_ANGLES.values():
+            for eps in (EPSILON_MIN, 1e-6, 3e-4, EPSILON_MAX):
+                plan = decompose(theta, eps)
+                residual, gain = theta, 1.0
+                for step in plan.steps:
+                    residual = residual - step.direction * ATAN_TABLE[step.index]
+                for step in plan.steps:
+                    gain *= math.sqrt(1.0 / (1.0 + 2.0 ** (-2 * step.index)))
+                assert (plan.residual, plan.gain) == (residual, gain)
+
+    @pytest.mark.parametrize("eps", [1e-12, 0.5, math.nan, math.nextafter(EPSILON_MIN, 0.0),
+                                     math.nextafter(EPSILON_MAX, 1.0)])
+    @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
+    def test_refusals_match_decompose(self, eps, compensation):
+        with pytest.raises(ValueError) as want:
+            decompose(math.pi / 4, eps)
+        with pytest.raises(ValueError) as got:
+            DctEngine(eps, compensation=compensation)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"epsilon {eps!r} outside [1e-09, 0.1]")
 
 
 class TestSharedDerivation:
