@@ -34,17 +34,33 @@ engines of its plan set share (the plan-set cache is emptied before each
 run), each the minimum time and median faults of ``REPEAT`` runs: what the
 benchmark's ``calls`` set-up spends its time in.
 
-The last lines time benchmark-shaped ops, each a fresh ``read_pgm`` of
-the image, one ``sweep`` and ``to_csv``: one epsilon and five qualities
-on the 512x512 image in float, and two epsilons and two qualities on a
-128x128 one in saturating 24.8 and 16.5 fixed point.
+Then benchmark-shaped ops, each a fresh ``read_pgm`` of the image, one
+``sweep`` and ``to_csv``: one epsilon and five qualities on the 512x512
+image in float, and two epsilons and two qualities on a 128x128 one in
+saturating 24.8 and 16.5 fixed point.
+
+Whether an op takes page faults depends on the process's history: glibc
+trims the top of its heap when freed memory there exceeds a threshold
+that earlier frees of large blocks move.  This process reads none.  So
+the last lines run the ops of perfbench's ``sweep-float`` and
+``sweep-fixed`` workloads each in a fresh process, with BLAS capped at
+one thread, after the workload's own set-up ran ``SETUP_REPEATS`` times
+as ``perfbench/run.py`` runs it (``photo_proxy``, PGM write and read,
+the oracle-PSNR table and the op-count engines): the median wall time
+and minor faults of ``SHAPED_OPS`` ops, in which every op's heap growth
+is given back and faulted in again if the op's transient arrays outgrow
+the space that set-up left.
 """
 
 import itertools
+import multiprocessing
+import os
 import resource
 import statistics
+import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +80,9 @@ COMPENSATIONS = ("folded", "per_rotator")
 REPEAT = 5
 CALLS = 200  # calls per timed run of the per-call section
 CONSTRUCTION_EPSILON = 3e-4
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SETUP_REPEATS = 21  # as perfbench/run.py
+SHAPED_OPS = 30
 
 
 def _minflt() -> int:
@@ -231,6 +250,42 @@ def op_rows(directory: Path) -> list:
     return rows
 
 
+def shaped_op(workload: str) -> tuple[float, float]:
+    """Median ms and minor faults per op of a perfbench sweep workload,
+    run in this process after ``SETUP_REPEATS`` of its set-ups."""
+    sys.path.insert(0, str(PERFBENCH))
+    import layers
+    import workloads
+
+    with tempfile.TemporaryDirectory() as directory:
+        wl = workloads.WORKLOADS[workload](workloads.DEFAULT_SEED, Path(directory))
+        api = layers.api()
+        for _ in range(SETUP_REPEATS):
+            wl.setup(api)
+        times, faults = [], []
+        for i in range(SHAPED_OPS):
+            f0 = _minflt()
+            result = wl.op(i, api)
+            faults.append(_minflt() - f0)
+            if result.problem:
+                raise RuntimeError(f"{workload} op {i}: {result.problem}")
+            times.append(result.latency_s)
+    return 1e3 * statistics.median(times), statistics.median(faults)
+
+
+def shaped_rows() -> list:
+    """``(name, ms, faults)`` of each sweep workload's ops, each workload
+    in a fresh process with BLAS capped at one thread, as the benchmark
+    runs it."""
+    os.environ.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                            "MKL_NUM_THREADS")})
+    rows = []
+    for workload in ("sweep-float", "sweep-fixed"):
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            rows.append((f"{workload} op", *pool.submit(shaped_op, workload).result()))
+    return rows
+
+
 def main():
     img = photo_proxy(512)
     tiles = -(-len(codec._blocks_of(codec._pad_to_blocks(img.samples))) // codec._TILE_BLOCKS)
@@ -240,6 +295,7 @@ def main():
     rows = tile_stages(img)
     fixed = fixed_tile_rows(photo_proxy(128))
     per_call = per_call_rows(photo_proxy(128))
+    shaped = shaped_rows()
 
     print(f"{img.width}x{img.height} photo_proxy: {tiles} tiles of {codec._TILE_BLOCKS} "
           f"blocks; eps {EPSILON:g}, float; min ms and median faults of {REPEAT} runs")
@@ -258,6 +314,9 @@ def main():
         print(f"{name:<32} {ms:8.3f} {faults:8.0f}")
     print(f"{'per op':<32} {'ms':>8} {'faults':>8}")
     for name, ms, faults in ops:
+        print(f"{name:<32} {ms:8.2f} {faults:8.0f}")
+    print(f"{'per op after perfbench set-up':<32} {'ms':>8} {'faults':>8}")
+    for name, ms, faults in shaped:
         print(f"{name:<32} {ms:8.2f} {faults:8.0f}")
 
 

@@ -144,20 +144,27 @@ def _decode(levels: np.ndarray, step: np.ndarray, out=None) -> np.ndarray:
     first product is one matrix product ``D.T @ (8, 8n)`` over every
     block at once, and its second one ``D.T @ (8, n)`` per row of the
     blocks: nine large BLAS products instead of two small ones per
-    block, with the same length-8 sums and so the same bits.
+    block.  For n >= 2 they have given the oracle's bits on every stack
+    tried.  For one block (n = 1) the second product is eight
+    matrix-vector products, whose last bits can differ from the oracle's
+    before rounding; the pixels have not been seen to differ (random
+    blocks, and half-step DC ties at every quality in
+    ``test_one_block_decodes_as_inside_a_stack``).
     """
     n = levels.shape[1]
     coefs = np.multiply(levels, step, out=out)
     rows = np.matmul(DCT_MATRIX.T, coefs.reshape(8, 8 * n), out=levels.reshape(8, 8 * n))
     pixels = np.matmul(DCT_MATRIX.T, rows.reshape(8, 8, n), out=coefs.reshape(8, 8, n))
     pixels = pixels.reshape(64, n)
-    np.add(pixels, 128.0, out=pixels)
-    # Round half away from zero, then clamp.  At or above zero that is
-    # floor(v + 0.5), the same addition; below zero both clamp to 0.
-    np.add(pixels, 0.5, out=pixels)
+    # De-level-shift, round half away from zero and clamp.  At or above
+    # zero the rounding of v = x + 128 is floor(v + 0.5); below zero both
+    # clamp to 0.  The two additions are one, x + 128.5: it can round
+    # differently only where x + 128 and x + 128.5 lie in different
+    # binades, just below a power of two M, and there both floors are M
+    # (``test_decode_rounds_one_addition_as_two``).
+    np.add(pixels, 128.5, out=pixels)
     np.floor(pixels, out=pixels)
-    np.maximum(pixels, 0.0, out=pixels)
-    return np.minimum(pixels, 255.0, out=pixels)
+    return np.clip(pixels, 0.0, 255.0, out=pixels)
 
 
 def _unplane(planes: np.ndarray, shape: tuple) -> np.ndarray:
@@ -332,17 +339,24 @@ def _block_coef_errors(coefs: np.ndarray, oracle: np.ndarray, engine: DctEngine,
     np.abs(np.subtract(coefs, oracle, out=scratch), out=scratch).sum(axis=1, out=out)
 
 
-# Blocks per tile of ``sweep``.  A tile's forward transform runs the flow
-# graph on columns of 1024 * 8 rows, 64 KiB of float64 each: under glibc's
-# default 128 KiB mmap threshold, so those temporaries come from the heap
-# and are reused, instead of being mapped and faulted in on every ufunc.
-# One-epsilon, five-quality float sweeps of a 512x512 image, repeated in
-# one process (2-vCPU Xeon KVM guest, Python 3.11, NumPy 2.4): 1024-block
-# tiles take 12.4 ms and no minor page faults per sweep; 2048-block tiles
-# 15.8 ms and 2848 faults; 4096 (the whole image) 18.2 ms and 4000 faults;
-# 512-block tiles 12.7-13.4 ms and 256-block ones 13.7-13.9 ms, in
-# per-tile Python work.
-_TILE_BLOCKS = 1024
+# Blocks per tile of ``sweep``, sized in bytes.  One float64 (64, n) plane
+# of a tile takes 512 * n bytes, 256 KiB here, and a tile's transient
+# arrays peak at about a dozen planes (2.9 MiB traced by tracemalloc for
+# a 512x512 float op; 5.2 MiB at 1024-block tiles).  The forward
+# transform's columns of 8 * n rows, 32 KiB each, stay under glibc's
+# default 128 KiB mmap threshold, so they come from the heap and are
+# reused.  And the whole peak has to fit in the heap a process already
+# holds, or glibc trims the op's growth when the op ends and every op
+# faults it in again.  In a process set up as the benchmark's
+# sweep-float workload (2-vCPU Xeon KVM guest, Python 3.11, NumPy 2.4,
+# BLAS on one thread), a one-epsilon, five-quality float op on a 512x512
+# image, median of 40 ops in 6 fresh processes each, took:
+#   256-block tiles    17.8 ms,    0 minor page faults (per-tile Python work)
+#   512-block tiles    15.8 ms,    0 faults
+#   1024-block tiles   16.7 ms, 1072 faults (the heap grew 4.6 MiB and was
+#                                            trimmed back in every op)
+#   2048-block tiles   20.0 ms, 2304 faults
+_TILE_BLOCKS = 512
 
 
 def sweep(
@@ -418,7 +432,9 @@ def sweep(
                 # space its temporaries freed and the next transform reuses
                 # that space; below it, the freed top of the heap goes back
                 # to the system and every transform pays its page faults
-                # again.
+                # again.  A sweep-fixed op of the benchmark (one 256-block
+                # tile) took a median of 144 minor faults so, and 181 with
+                # both buffers taken before the tile loop.
                 levels, decoded = np.empty(coefs.size), np.empty(coefs.size)
             tile_levels = levels[: coefs.size].reshape(coefs.shape)
             tile_decoded = decoded[: coefs.size].reshape(coefs.shape)

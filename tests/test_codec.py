@@ -386,6 +386,61 @@ def test_plane_decode_equals_per_block_inverse(n, quality, spread, seed):
     assert np.array_equal(decode_block(levels, q), want)
 
 
+def test_decode_rounds_one_addition_as_two(monkeypatch):
+    """``_decode`` adds 128.5 where the per-block reference adds 128 and
+    then rounds half away from zero: the same pixels on the values where
+    the two can differ.  With an identity matrix in place of the DCT the
+    decoded pixel of a level ``x`` (step 1) is the rounding of ``x``
+    alone, probed around every half tie ``k + 0.5`` and every power of
+    two ``M`` up to 256, where ``x + 128`` and ``x + 128.5`` can lie in
+    different binades, below zero and above 255."""
+    from cordic_dct import codec
+
+    edges = np.concatenate([np.arange(-2, 259) - 128.5, 2.0 ** np.arange(-8, 9) - 128.5])
+    near = [edges + j * 2.0**-46 for j in range(-8, 9)] + [edges + j * 2.0**-45 for j in (-3, 3)]
+    for direction in (-np.inf, np.inf):
+        x = edges
+        for _ in range(6):
+            x = np.nextafter(x, direction)
+            near.append(x)
+    x = np.concatenate(near + [np.random.default_rng(5).uniform(-200.0, 400.0, 4096)])
+    x = x[: len(x) // 64 * 64]
+    want = np.clip(_round_half_away(x + 128.0), 0, 255) + 0.0
+    monkeypatch.setattr(codec, "DCT_MATRIX", np.eye(8))
+    got = codec._decode(codec._planes(x.reshape(-1, 8, 8)), np.ones((64, 1)))
+    assert got.T.reshape(-1).tobytes() == want.tobytes()
+
+
+def _dc_tie_levels(quality: int, rng) -> np.ndarray:
+    """Level blocks whose DC term ``level * step`` is 4 mod 8, so the DC
+    share of every pixel, ``level * step / 8``, sits on a half: the blocks
+    whose rounding a last-bit difference in the inverse would flip.  Every
+    such DC term in [-1024, 1024] comes alone and with small AC levels.  A
+    quality whose DC step is 0 mod 8 has no tie and gets random blocks."""
+    step = int(quant_table_for_quality(quality)[0, 0])
+    dc = [v // step for v in range(-1020, 1021, 8) if v % step == 0]
+    levels = rng.integers(-3, 4, size=(2 * len(dc) or 16, 8, 8)).astype(np.float64)
+    if dc:
+        levels[::2] = 0.0
+        levels[::2, 0, 0] = levels[1::2, 0, 0] = dc
+    return levels
+
+
+@pytest.mark.parametrize("quality", range(1, 101))
+def test_one_block_decodes_as_inside_a_stack(quality):
+    """A block decoded alone gives the pixels it gets inside a stack.
+
+    Alone, ``_decode``'s plane products are matrix-vector products, whose
+    last bits can differ from the stack's matrix products; after rounding
+    to pixels they agree, on DC-tie blocks (see :func:`_dc_tie_levels`)
+    at every quality."""
+    levels = _dc_tie_levels(quality, np.random.default_rng(quality))
+    q = quant_table_for_quality(quality)
+    stacked = decode_block(levels, q)
+    alone = np.array([decode_block(block, q) for block in levels])
+    assert np.array_equal(alone, stacked)
+
+
 def _blockwise_reference(img: GrayImage, engine: DctEngine, qualities):
     """The codec as a loop over 8x8 blocks, one forward transform (the
     ``dct2d`` of one block, with its saturation count) and one
@@ -466,7 +521,7 @@ class TestBatchedCodecMatchesBlockLoop:
     flat=st.one_of(st.none(), st.just(128), st.integers(0, 255)),
     seed=st.integers(0, 2**32 - 1),
 )
-# Larger than one sweep tile (1024 blocks): edge padding in every tile
+# Larger than one sweep tile (512 blocks): edge padding in every tile
 # (257x260), in none (264x264, 8x8200), and in a last tile of one block
 # (8x8199).
 @example(size=(264, 264), qualities=[90, 50], bits=None, fold=False, flat=None, seed=1)
@@ -530,7 +585,7 @@ class TestSweepMechanism:
             return dct2d_oracle(block)
 
         monkeypatch.setattr(codec, "dct2d_oracle", recording)
-        # 3 x 513 blocks: two tiles, with edge padding in both
+        # 3 x 513 blocks: four tiles, with edge padding in the last three
         img = GrayImage.from_array(RNG.integers(0, 256, size=(17, 4100)).astype(np.uint8))
         sweep(img, [1e-3, 1e-4, 1e-6], [95, 75])
         blocks = codec._blocks_of(codec._pad_to_blocks(img.samples))
@@ -541,15 +596,16 @@ class TestSweepMechanism:
     def test_saturations_add_up_over_tiles(self):
         from cordic_dct import codec
 
-        # 1089 blocks: two tiles, and 16.5 with fold clips values in both
+        # 1089 blocks: three tiles, and 16.5 with fold clips values in each
         img = photo_proxy(264)
         mode = ArithmeticMode.fixed(16, 5, OverflowPolicy.SATURATE)
         rows = sweep(img, [1e-3, 1e-4], [90], mode=mode, fold_into_quantizer=True).rows
         for row in rows:
             engine = DctEngine(row.epsilon, mode=mode, fold_into_quantizer=True)
             _, _, ref_sats = _blockwise_reference(img, engine, [])
-            tiles = np.split(ref_sats, [codec._TILE_BLOCKS])
-            assert len(tiles[1]) and all(tile.sum() > 0 for tile in tiles)
+            size = codec._TILE_BLOCKS
+            tiles = np.split(ref_sats, range(size, len(ref_sats), size))
+            assert len(tiles) == 3 and all(tile.sum() > 0 for tile in tiles)
             assert row.saturations == ref_sats.sum()
 
     def test_psnr_takes_no_blas_dot(self, monkeypatch):
@@ -599,6 +655,55 @@ class TestSweepMechanism:
     def test_decode_block_refuses_a_bad_shape(self):
         with pytest.raises(ValueError):
             decode_block(np.zeros((4, 16)), quant_table_for_quality(50))
+
+
+def _bright_noise(shape, seed) -> GrayImage:
+    """Noise whose left half is white, which 16.5 arithmetic saturates on."""
+    samples = np.random.default_rng(seed).integers(0, 256, size=shape).astype(np.uint8)
+    samples[:, : shape[1] // 2] = 255
+    return GrayImage.from_array(samples)
+
+
+class TestTileInvariance:
+    """A sweep's report does not depend on its tile size, byte for byte:
+    tiles of one block, tiles that leave a remainder of one block or of a
+    few, and one tile for the whole image.  The PSNR they share is that of
+    the decoded image, so an error every tile size makes alike (masking
+    the padding one block off, say) fails too."""
+
+    IMAGES = {
+        "8x8200": (8, 8200),    # 1025 blocks, no padding
+        "17x4100": (17, 4100),  # 3 x 513 blocks, edge padding in both directions
+    }
+    MODES = {
+        "float": (None, False),
+        "fold": (None, True),
+        "24.8": ((24, 8), False),
+        "16.5": ((16, 5), False),
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("image", IMAGES)
+    def test_report_bytes_are_the_same_for_every_tile(self, image, mode, monkeypatch):
+        from cordic_dct import codec
+
+        shape = self.IMAGES[image]
+        img = _bright_noise(shape, seed=shape[1])
+        bits, fold = self.MODES[mode]
+        arith = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+        blocks = -(-shape[0] // 8) * -(-shape[1] // 8)
+        reports = {}
+        for tile in (1, 2, 7, 511, 512, 1024, blocks):
+            monkeypatch.setattr(codec, "_TILE_BLOCKS", tile)
+            report = sweep(img, [1e-3, 1e-4], [90, 30], mode=arith, fold_into_quantizer=fold)
+            reports[tile] = report.to_csv(), report.to_json()
+        for tile, texts in reports.items():
+            assert texts == reports[blocks], f"tiles of {tile} blocks"
+        for row in report.rows:
+            engine = DctEngine(row.epsilon, mode=arith, fold_into_quantizer=fold)
+            assert row.psnr_db == psnr(img, roundtrip_image(img, engine, row.quality))
+            if mode == "16.5":
+                assert row.saturations > 0
 
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
