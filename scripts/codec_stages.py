@@ -8,10 +8,13 @@ Usage:
 script times each stage it runs on one full tile of the bundled 512x512
 ``photo_proxy`` image, through the same helpers, for one epsilon (1e-4,
 exact float): the transpose of the tile into (64, n) planes with the level
-shift, and the oracle transform with its own level shift (once per tile),
-the forward transform on the planes and the coefficient errors (once per
-tile and epsilon), and quantize, decode and the squared-error sum per
-quality.
+shift, and the oracle transform with its own level shift (once per tile);
+the forward transform on the planes, the signed halves of its coefficients
+that every quality's rounding adds, the reference pixels (128 added to the
+planes after the transform and taken off again before the next epsilon's)
+and the coefficient errors (once per tile and epsilon); and quantize
+(divide, add the halves, truncate), decode and the squared-error sum
+against the float reference per quality.
 Each line gives the minimum wall time of 5 runs and the median of their
 minor page faults (``resource.getrusage(...).ru_minflt``).
 
@@ -68,7 +71,7 @@ import numpy as np
 from cordic_dct import codec, dct8
 from cordic_dct.dct8 import (DctEngine, _dct2d_planes, _planes, dct2d, dct2d_oracle, dct8_cordic,
                              transform8)
-from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy, _round_half_away
+from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy, _round_half_away, _signed_half
 from cordic_dct.images import photo_proxy
 from cordic_dct.pgm import read_pgm, write_pgm
 
@@ -111,24 +114,30 @@ def tile_stages(img) -> list:
     tile = blocks[: codec._TILE_BLOCKS]
 
     def planes_and_shift():
-        pixels = _planes(tile)
-        return pixels, np.subtract(pixels, 128.0, dtype=np.float64)
+        return np.subtract(_planes(tile), 128.0, dtype=np.float64)
 
     def oracle():
         return dct2d_oracle(
             np.subtract(tile, 128.0, dtype=np.float64).reshape(-1, 8, 8)
         ).reshape(-1, 64)
 
-    pixels, shifted = planes_and_shift()
+    def reference():
+        np.add(shifted, 128.0, out=shifted)
+        np.subtract(shifted, 128.0, out=shifted)
+
+    shifted = planes_and_shift()
     exact = oracle()
     coefs, _ = _dct2d_planes(engine, shifted)
-    levels, decoded = np.empty_like(coefs), np.empty_like(coefs)
+    pixels = shifted + 128.0  # the reference the sweep makes of the shifted planes
+    levels, decoded, halves = (np.empty_like(coefs) for _ in range(3))
     errors = np.empty(len(tile))
     scratch = levels.reshape(-1, 64)
     rows = [
         ("planes and level shift", *measure(planes_and_shift)),
         ("oracle dct2d", *measure(oracle)),
         ("forward dct2d on planes", *measure(lambda: _dct2d_planes(engine, shifted))),
+        ("signed halves", *measure(lambda: _signed_half(coefs, out=halves))),
+        ("reference +128 and -128", *measure(reference)),
         ("coefficient errors",
          *measure(lambda: codec._block_coef_errors(coefs, exact, engine, scratch, errors))),
     ]
@@ -136,10 +145,9 @@ def tile_stages(img) -> list:
     for quality in QUALITIES:
         step = codec._step(codec.quant_table_for_quality(quality))
         divisor = codec._divisor(engine, step)
-        quantized = codec._quantize(coefs, divisor)
+        quantized = codec._quantize(coefs, divisor, halves)
         stages = {  # in order: each reads what the one before wrote
-            "quantize": (lambda: codec._quantize(coefs, divisor, out=levels, scratch=decoded),
-                         None),
+            "quantize": (lambda: codec._quantize(coefs, divisor, halves, out=levels), None),
             # decoding overwrites the levels, so each run starts from a copy
             "decode": (lambda: codec._decode(levels, step, out=decoded),
                        lambda: np.copyto(levels, quantized)),

@@ -19,7 +19,7 @@ from io import StringIO
 import numpy as np
 
 from .dct8 import DCT_MATRIX, DctEngine, _as_blocks, _dct2d_planes, _planes, dct2d_oracle
-from .fixedpoint import ArithmeticMode, _round_half_away
+from .fixedpoint import ArithmeticMode, _signed_half
 
 # ITU-T T.81 Annex K luminance quantization table.
 BASE_LUMA_QUANT = np.array(
@@ -99,7 +99,7 @@ def quant_table_for_quality(quality: int) -> np.ndarray:
 # over long contiguous rows and the inverse transform is a few large
 # matrix products.  Quantized coefficients stay integer-valued float64,
 # exact at these magnitudes.  Every step writes into a buffer it is given,
-# so a sweep reuses two buffers for all tiles and qualities: a fresh
+# so a sweep reuses three buffers for all tiles and qualities: a fresh
 # allocation of that size per step can be returned to the system when
 # freed and cost its page faults again.
 
@@ -128,10 +128,20 @@ def _fold_scales(engine: DctEngine) -> np.ndarray:
     return np.outer(ps, ps).reshape(64, 1)
 
 
-def _quantize(coefs: np.ndarray, divisor: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def _quantize(coefs: np.ndarray, divisor: np.ndarray, halves: np.ndarray,
+              out=None) -> np.ndarray:
     """Levels of (64, n) coefficient planes, rounded half away from zero,
-    into ``out``; the quotient goes through ``scratch``."""
-    return _round_half_away(np.divide(coefs, divisor, out=scratch), out=out)
+    into ``out``: ``trunc(coefs / divisor + halves)``, where ``halves`` is
+    :func:`~cordic_dct.fixedpoint._signed_half` of ``coefs``.
+
+    A quotient by a positive, finite step has the sign of its dividend,
+    ±0 and ±inf included, so these are the bits of
+    ``_round_half_away(coefs / divisor)``: three passes where that takes
+    five, and a sweep takes ``halves`` once for all its qualities.
+    """
+    levels = np.divide(coefs, divisor, out=out)
+    np.add(levels, halves, out=levels)
+    return np.trunc(levels, out=levels)
 
 
 def _decode(levels: np.ndarray, step: np.ndarray, out=None) -> np.ndarray:
@@ -179,7 +189,8 @@ def encode_block(block, engine: DctEngine, q: np.ndarray) -> np.ndarray:
     shifted = _planes(blocks)
     shifted -= 128.0
     coefs, _ = _dct2d_planes(engine, shifted)
-    return _unplane(_quantize(coefs, _divisor(engine, _step(q))), blocks.shape)
+    levels = _quantize(coefs, _divisor(engine, _step(q)), _signed_half(coefs))
+    return _unplane(levels, blocks.shape)
 
 
 def decode_block(coefs, q: np.ndarray) -> np.ndarray:
@@ -250,9 +261,9 @@ def _zero_padding(planes: np.ndarray, start: int, img: GrayImage) -> None:
 def _stack_sse(decoded: np.ndarray, pixels: np.ndarray, start: int, img: GrayImage,
                scratch: np.ndarray) -> int:
     """Sum of squared differences of decoded (64, n) pixel planes against
-    the original ones ``pixels`` (uint8 or float, subtracted exactly),
-    blocks ``start`` on of ``img``, over the image's
-    samples only: the differences in the edge padding are zeroed."""
+    the original ones ``pixels``, integer-valued float64, blocks ``start``
+    on of ``img``, over the image's samples only: the differences in the
+    edge padding are zeroed."""
     diff = np.subtract(decoded, pixels, out=scratch)
     _zero_padding(diff, start, img)
     return _sum_squares(diff.reshape(-1))
@@ -272,7 +283,7 @@ def roundtrip_image(img: GrayImage, engine: DctEngine, quality: int) -> GrayImag
     step = _step(quant_table_for_quality(quality))
     planes = _planes(_blocks_of(_pad_to_blocks(img.samples)))
     coefs, _ = _dct2d_planes(engine, np.subtract(planes, 128.0, dtype=np.float64))
-    decoded = _decode(_quantize(coefs, _divisor(engine, step)), step)
+    decoded = _decode(_quantize(coefs, _divisor(engine, step), _signed_half(coefs)), step)
     return _from_blocks(decoded.T, img)
 
 
@@ -371,14 +382,18 @@ def sweep(
     The padded image is cut once into a uint8 block stack in raster
     order, and the sweep runs over tiles of ``_TILE_BLOCKS`` blocks of it:
     tiles outside, epsilons inside, qualities innermost.  Per tile the
-    blocks are transposed once into uint8 (64, n) planes (see
-    ``_planes``), which serve as the reference pixels and, level-shifted
-    into float, as the forward input; the exact oracle transform of the
-    level-shifted block stack is taken once.  Per epsilon the forward transform runs
-    once over the planes, and every quality quantizes and decodes those
-    same coefficient planes, in two buffers that every tile and quality
-    reuses.  So no stage allocates a float array the size of the image.
-    Each epsilon's engine is built once, on the caller's ``mode``.
+    blocks are transposed once into (64, n) planes (see ``_planes``) and
+    level-shifted into float, the forward input; the exact oracle
+    transform of the level-shifted block stack is taken once.  Per
+    epsilon the forward transform runs once over the planes, and the
+    rounding's signed halves are taken once from its coefficients (see
+    ``_quantize``).  Then 128 is added back to the planes, which makes them
+    the reference pixels for the squared errors, and taken off again
+    before the next epsilon's transform: both exact on integers in
+    [0, 255].  Every quality quantizes and decodes those same coefficient
+    planes, in three buffers that every tile and quality reuses.  So no
+    stage allocates a float array the size of the image.  Each epsilon's
+    engine is built once, on the caller's ``mode``.
 
     A row's PSNR comes from an exact-integer sum of squared differences of
     the decoded planes against the original ones, with the edge padding
@@ -415,17 +430,19 @@ def sweep(
     divisors = [[_divisor(engine, step) for step in steps] for engine in engines]
     block_errors = np.empty((len(engines), len(blocks)))
     sse = [[0] * len(steps) for _ in engines]
-    levels = decoded = None
+    levels = decoded = halves = None
     for start in range(0, len(blocks), _TILE_BLOCKS):
         stop = min(start + _TILE_BLOCKS, len(blocks))
         tile = blocks[start:stop]
-        pixels = _planes(tile)  # uint8, the reference for the squared errors
-        shifted = np.subtract(pixels, 128.0, dtype=np.float64)
+        shifted = np.subtract(_planes(tile), 128.0, dtype=np.float64)
         oracle = dct2d_oracle(
             np.subtract(tile, 128.0, dtype=np.float64).reshape(-1, 8, 8)
         ).reshape(-1, 64)
         for e, engine in enumerate(engines):
+            if e:
+                shifted -= 128.0  # the forward input again
             coefs, clipped = _dct2d_planes(engine, shifted)
+            shifted += 128.0  # the reference pixels for the squared errors
             saturations[e] += clipped
             if levels is None:
                 # Taken after the first transform, so they sit above the
@@ -433,17 +450,19 @@ def sweep(
                 # that space; below it, the freed top of the heap goes back
                 # to the system and every transform pays its page faults
                 # again.  A sweep-fixed op of the benchmark (one 256-block
-                # tile) took a median of 144 minor faults so, and 181 with
-                # both buffers taken before the tile loop.
-                levels, decoded = np.empty(coefs.size), np.empty(coefs.size)
+                # tile) took a median of 144 minor faults so with two
+                # buffers, and 181 with both taken before the tile loop;
+                # the third, 128 KiB at that tile, takes 32 more.
+                levels, decoded, halves = (np.empty(coefs.size) for _ in range(3))
             tile_levels = levels[: coefs.size].reshape(coefs.shape)
             tile_decoded = decoded[: coefs.size].reshape(coefs.shape)
+            tile_halves = _signed_half(coefs, out=halves[: coefs.size].reshape(coefs.shape))
             _block_coef_errors(coefs, oracle, engine, tile_levels.reshape(-1, 64),
                                out=block_errors[e, start:stop])
             for k, step in enumerate(steps):
-                _quantize(coefs, divisors[e][k], out=tile_levels, scratch=tile_decoded)
+                _quantize(coefs, divisors[e][k], tile_halves, out=tile_levels)
                 _decode(tile_levels, step, out=tile_decoded)
-                sse[e][k] += _stack_sse(tile_decoded, pixels, start, img, tile_levels)
+                sse[e][k] += _stack_sse(tile_decoded, shifted, start, img, tile_levels)
     # Block sums added one after another in raster order (cumsum, not a
     # pairwise sum), so the total's last bits are those of a block loop.
     coef_errors = np.cumsum(block_errors, axis=1)[:, -1] / (64 * len(blocks))

@@ -460,6 +460,11 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     sample vector) or NumPy arrays (a batch of rows) alike, with the same
     bits either way, or :class:`_Affine` nodes, from which the input limits
     and node thresholds come.
+
+    The rotations update their two inputs by augmented assignment, NumPy
+    columns in place, so only values the graph forms and uses nowhere else
+    go into them: ``p``, ``q``, ``r``, ``s`` and ``v0`` to ``v3``.  The
+    input columns, views of the caller's array, are only read.
     """
     plans = engine.plans
     x0, x1, x2, x3, x4, x5, x6, x7 = x

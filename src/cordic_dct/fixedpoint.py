@@ -106,24 +106,35 @@ _SIGN_BIT = np.int64(-(1 << 63))  # a float64's sign bit, as int64
 _HALF_BITS = np.float64(_BELOW_HALF).view(np.int64)
 
 
-def _round_half_away(v, out: np.ndarray | None = None) -> np.ndarray:
-    """Round to the nearest integer, ties away from zero, as
-    :meth:`FixedPointFormat.to_raw` does one value: ``trunc(v + h)``
-    where ``h`` is ``_BELOW_HALF`` with the sign bit of ``v``.
+def _signed_half(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_BELOW_HALF`` with the sign bit of each value of the float64 array
+    ``v``, into ``out`` (a float64 array other than ``v``) if given: the
+    half that :func:`_round_half_away` adds before truncating.
 
-    ``h`` is made by masking ``v``'s bits down to the sign bit and or-ing
-    in the bits of ``_BELOW_HALF``: the bits ``np.copysign(_BELOW_HALF, v)``
+    It is made by masking ``v``'s bits down to the sign bit and or-ing in
+    the bits of ``_BELOW_HALF``: the bits ``np.copysign(_BELOW_HALF, v)``
     gives, for -0.0 and NaN too, in two integer passes that cost about
-    what an add does.
-    With ``out`` (a float64 array other than ``v``) the result is written
-    there and no temporary is made.
+    what an add does.  Any value with ``v``'s signs gives the same halves:
+    the codec takes them once from its coefficients for every quotient of
+    them by a positive step.
     """
-    v = np.asarray(v, dtype=np.float64)
     if out is None:
         out = np.empty_like(v)
     half = out.view(np.int64)
     np.bitwise_and(v.view(np.int64), _SIGN_BIT, out=half)
     np.bitwise_or(half, _HALF_BITS, out=half)
+    return out
+
+
+def _round_half_away(v, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to the nearest integer, ties away from zero, as
+    :meth:`FixedPointFormat.to_raw` does one value: ``trunc(v + h)``
+    where ``h`` is :func:`_signed_half` of ``v``.
+    With ``out`` (a float64 array other than ``v``) the result is written
+    there and no temporary is made.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    out = _signed_half(v, out)
     np.add(v, out, out=out)
     return np.trunc(out, out=out)
 

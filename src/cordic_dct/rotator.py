@@ -15,7 +15,9 @@ stays multiplier-free.
 The kernels -- :func:`rotate_float`, :func:`rotate_raw` and
 :meth:`CsdScale.apply_raw` -- are written once, here.  Both rotations pass
 each value they form through a ``fit`` their caller gives: the word's range
-check, or no check.  The scalar API runs them on Python numbers; the
+check, or no check.  Each updates by augmented assignment, in place on
+NumPy arrays, the values it forms, and a rotation its ``x`` and ``y`` too
+(see :func:`rotate_float`).  The scalar API runs them on Python numbers; the
 batched DCT in ``dct8`` runs them on NumPy columns, and then they take
 their shift amounts and ``2**-i`` factors as 0-d NumPy arrays, built once
 at import: a ufunc converts a Python-number operand again on every call,
@@ -120,14 +122,26 @@ def rotate_float(x, y, steps, fit):
     :func:`rotate_raw` does with its shift, for the bits of the signed
     factor ``t = direction * p``: ``t*y`` is ``-(p*y)`` exactly, and ``x -
     (-a)`` is ``x + a``.
+
+    A step takes both products from its old values, then updates ``x`` and
+    ``y`` by augmented assignment: NumPy arrays in place, so a caller's
+    float64 arrays ``x`` and ``y`` are overwritten with the result, and
+    must be values it formed and uses nowhere else.  Python numbers and
+    other values just rebind.
     """
     powers = _ARRAY_POWERS if type(x) is ndarray else _POWERS
     for step in steps:
         p = powers[step.index]
+        py, px = p * y, p * x
         if step.direction > 0:
-            x, y = fit(x - p * y), fit(y + p * x)
+            x -= py
+            x = fit(x)
+            y += px
         else:
-            x, y = fit(x + p * y), fit(y - p * x)
+            x += py
+            x = fit(x)
+            y -= px
+        y = fit(y)
     return x, y
 
 
@@ -137,7 +151,10 @@ def rotate_raw(x, y, steps, fit):
     through ``fit`` (the word's range check) before the next step.
 
     ``x`` and ``y`` are Python ints or int64 NumPy arrays alike; ``>>`` on
-    either is an arithmetic (floor) shift, like a hardware shifter.
+    either is an arithmetic (floor) shift, like a hardware shifter.  As in
+    :func:`rotate_float`, a step shifts both old values, then updates
+    ``x`` and ``y`` by augmented assignment: int64 arrays in place, so
+    they must be values the caller formed and uses nowhere else.
     """
     arrays = type(x) is ndarray
     for step in steps:
@@ -145,9 +162,14 @@ def rotate_raw(x, y, steps, fit):
         sx = x >> i
         sy = y >> i
         if step.direction > 0:
-            x, y = fit(x - sy), fit(y + sx)
+            x -= sy
+            x = fit(x)
+            y += sx
         else:
-            x, y = fit(x + sy), fit(y - sx)
+            x += sy
+            x = fit(x)
+            y -= sx
+        y = fit(y)
     return x, y
 
 
@@ -233,7 +255,9 @@ class CsdScale:
 
         ``raw`` is a Python int or an int64 NumPy array alike.  The seed is
         negated only for a leading ``-`` term, which :func:`csd_scale`
-        never emits (it expands a positive constant).
+        never emits (it expands a positive constant).  ``raw`` is only
+        read: the sum, which the kernel forms, is the one value it updates
+        by augmented assignment, an array in place.
         """
         arrays = type(raw) is ndarray
         acc = None
@@ -244,8 +268,10 @@ class CsdScale:
                 term = raw << -shift
             if acc is None:
                 acc = term if sign > 0 else -term
+            elif sign > 0:
+                acc += term
             else:
-                acc = acc + term if sign > 0 else acc - term
+                acc -= term
         return raw - raw if acc is None else acc
 
 def csd_scale(value: float, max_terms: int = 16, tolerance: float = 1e-6) -> CsdScale:

@@ -4,6 +4,7 @@ PGM io."""
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,12 @@ from cordic_dct.dct8 import (
     _planes,
     dct2d,
     dct2d_oracle,
+    dct8_cordic,
     idct2d_oracle,
+    transform8,
 )
-from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy, _round_half_away
+from cordic_dct.fixedpoint import (ArithmeticMode, OverflowPolicy, _round_half_away,
+                                   _signed_half)
 from cordic_dct.images import gradient_image, photo_proxy, seeded_texture, zone_plate
 from cordic_dct.pgm import read_pgm, write_pgm
 
@@ -353,6 +357,64 @@ def test_sign_bit_rounding_equals_copysign(values):
     out = np.full_like(v, 3.0)
     assert _round_half_away(v, out=out) is out
     assert out.tobytes() == want.tobytes()
+
+
+def _divisors() -> list:
+    """Every step of the quality tables, the fold divisors of both
+    compensations at three qualities, and tiny steps whose quotients
+    overflow to +-inf."""
+    from cordic_dct import codec
+
+    steps = {float(v) for quality in range(1, 101)
+             for v in quant_table_for_quality(quality).ravel()}
+    for compensation in ("folded", "per_rotator"):
+        engine = DctEngine(1e-4, compensation=compensation, fold_into_quantizer=True)
+        for quality in (10, 50, 100):
+            step = codec._step(quant_table_for_quality(quality))
+            steps.update(codec._divisor(engine, step).ravel().tolist())
+    return sorted(steps) + [2.0**-60, 1e-300, 2.0**-1022, 5e-324]
+
+
+@settings(max_examples=200)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, 0.49999999999999994,
+                             -0.49999999999999994, 5e-324, -5e-324]),
+            st.integers(-(2**20), 2**20).map(lambda k: k + 0.5),  # ties
+            st.integers(-8, 8).map(lambda k: 2.0**52 + k),  # adding 0.5 is inexact here
+            st.integers(-8, 8).map(lambda k: -(2.0**53) + k),
+            st.floats(-1e-300, 1e-300),  # subnormals and signed zeros
+            st.floats(1e300, 1.7e308).flatmap(lambda v: st.sampled_from([v, -v])),
+            st.floats(allow_nan=False),
+        ),
+        min_size=1, max_size=40,
+    ),
+    divisor=st.sampled_from(_divisors()),
+)
+@example(values=[0.49999999999999994, -0.49999999999999994, 2.0**52 + 1, -(2.0**52 + 1),
+                 2.5, -2.5, -0.0], divisor=1.0)
+def test_hoisted_sign_rounds_as_the_quotient(values, divisor):
+    """``_quantize`` rounds ``c / d`` with the signed halves of ``c``, taken
+    once for every step ``d``: ``trunc(c / d + half(c))`` has the bits of
+    ``_round_half_away(c / d)``, -0.0 and +-inf included, because a
+    quotient by a positive, finite step has the sign of its dividend.  Both
+    equal round-half-away of the quotient in exact arithmetic, which a half
+    of +0.5, or one without the sign bit, misses.  The coefficients are the
+    values and the values times the step, so that ties and the integers
+    about 2**52 are quotients too."""
+    from cordic_dct import codec
+
+    d = np.float64(divisor)
+    with np.errstate(over="ignore"):  # products and quotients beyond DBL_MAX are +-inf
+        c = np.array(values)
+        c = np.concatenate([c, c * d])
+        quotients = c / d
+        got = codec._quantize(c, d, _signed_half(c))
+    assert got.view(np.int64).tolist() == _round_half_away(quotients).view(np.int64).tolist()
+    want = np.array([q if math.isinf(q) else math.copysign(
+        float(math.floor(abs(Fraction(q)) + Fraction(1, 2))), q) for q in quotients.tolist()])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @settings(max_examples=40)
@@ -704,6 +766,82 @@ class TestTileInvariance:
             assert row.psnr_db == psnr(img, roundtrip_image(img, engine, row.quality))
             if mode == "16.5":
                 assert row.saturations > 0
+
+
+class TestSeveralEpsilons:
+    """A sweep over several epsilons gives, row for row and byte for byte,
+    the rows of one sweep per epsilon: the planes it adds 128 to after each
+    epsilon's transform, as the reference pixels, are the forward input
+    again before the next one's."""
+
+    EPSILONS = (1e-4, 1e-3, 1e-2)  # as the sweep sorts them
+
+    @pytest.mark.parametrize("mode", TestTileInvariance.MODES)
+    def test_rows_are_those_of_one_sweep_per_epsilon(self, mode, monkeypatch):
+        from cordic_dct import codec
+
+        monkeypatch.setattr(codec, "_TILE_BLOCKS", 7)
+        img = _bright_noise((37, 45), seed=45)  # 5 x 6 blocks, padded both ways: 5 tiles
+        bits, fold = TestTileInvariance.MODES[mode]
+        arith = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
+
+        def run(epsilons):
+            report = sweep(img, epsilons, [90, 30], mode=arith, fold_into_quantizer=fold)
+            return report.to_csv().splitlines()[1:], json.loads(report.to_json())
+
+        lines, entries = run([1e-3, 1e-2, 1e-4])
+        alone = [run([eps]) for eps in self.EPSILONS]
+        assert lines == [line for one, _ in alone for line in one]
+        assert entries == [entry for _, one in alone for entry in one]
+        if mode == "16.5":
+            assert all(entry["saturations"] > 0 for entry in entries)
+
+
+class TestInputsUntouched:
+    """No public entry point writes into an array its caller passed: the
+    kernels update in place only the values the flow graph forms."""
+
+    MODES = {
+        "float": None,
+        "24.8": ArithmeticMode.fixed(24, 8),
+        "16.5": ArithmeticMode.fixed(16, 5, OverflowPolicy.SATURATE),
+    }
+    CALLS = {
+        "transform8": lambda engine, a: transform8(engine, a["rows"]),
+        "dct8_cordic": lambda engine, a: dct8_cordic(a["vector"], engine),
+        "dct2d block": lambda engine, a: dct2d(a["block"], engine),
+        "dct2d stack": lambda engine, a: dct2d(a["stack"], engine),
+        "encode_block": lambda engine, a: encode_block(a["pixels"], engine, a["q"]),
+        "decode_block": lambda engine, a: decode_block(a["levels"], a["q"]),
+        "roundtrip_image": lambda engine, a: roundtrip_image(a["image"], engine, 50),
+        "sweep": lambda engine, a: sweep(a["image"], [1e-3, 1e-4], [90, 50], mode=engine.mode),
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("call", CALLS)
+    def test_caller_arrays_are_not_modified(self, call, mode):
+        rng = np.random.default_rng(11)
+        rows = rng.uniform(-255.0, 255.0, size=(6, 8))
+        rows[0] = 255.0  # saturates 16.5 arithmetic
+        pixels = rng.integers(0, 256, size=(3, 8, 8)).astype(np.float64)
+        pixels[0] = 255.0
+        args = {
+            "rows": rows,
+            "vector": rows[1].copy(),
+            "block": pixels[1] - 128.0,
+            "stack": pixels - 128.0,
+            "pixels": pixels,
+            "levels": rng.integers(-40, 41, size=(3, 8, 8)),
+            "q": quant_table_for_quality(50),
+            "image": _bright_noise((20, 27), seed=27),
+        }
+        arrays = {name: a.samples if name == "image" else a for name, a in args.items()}
+        before = {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}
+        self.CALLS[call](DctEngine(1e-4, mode=self.MODES[mode]), args)
+        for name, a in arrays.items():
+            assert (a.dtype, a.shape, a.tobytes()) == before[name], f"{call} modified {name}"
+        if mode == "16.5" and call == "transform8":
+            assert transform8(DctEngine(1e-4, mode=self.MODES[mode]), rows)[1] > 0
 
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
