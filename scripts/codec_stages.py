@@ -165,7 +165,7 @@ def tile_stages(img) -> list:
 def checked_nodes(engine: DctEngine, words: np.ndarray) -> int:
     """How many nodes a fixed-point pass over the raw ``words`` range-checks:
     those whose threshold the peak of ``words`` exceeds."""
-    per_node, _ = engine._node_thresholds
+    per_node, _ = engine._set.thresholds(engine.mode.fmt)
     peak = np.abs(words).max()
     return sum(peak > t for t in per_node)
 
@@ -187,7 +187,7 @@ def fixed_tile_rows(img) -> list:
             # the row pass quantizes the samples and hands its raw words on
             row_words = _round_half_away(row_input * engine.mode.fmt.raw_scale)
             column_words = transform8(engine, row_input, _axis=1)[0]
-            nodes = len(engine._node_thresholds[0])
+            nodes = len(engine._set.thresholds(engine.mode.fmt)[0])
             checks = (f"{checked_nodes(engine, row_words)}/{nodes}",
                       f"{checked_nodes(engine, column_words)}/{nodes}")
             ms, faults = measure(lambda: _dct2d_planes(engine, shifted))

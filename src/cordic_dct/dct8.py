@@ -29,23 +29,25 @@ exceeds the node's threshold: the largest peak at which neither the node
 nor a node it is formed from can leave the word, so the checks skipped
 are provable no-ops.  The thresholds come from each node's exact affine
 form (:class:`_Affine`), derived once for all the engines that share a
-plan set.  Under ``SATURATE`` the transform returns how many values it
-clipped.  The fixed 2-D transform quantizes its input once: the row pass
-hands its raw words to the column pass as they are, and only the
-coefficients are multiplied by the LSB.
+plan set (:class:`_PlanSet`).  Under ``SATURATE`` the transform returns
+how many values it clipped.  The fixed 2-D transform quantizes its input
+once: the row pass hands its raw words to the column pass as they are,
+and only the coefficients are multiplied by the LSB.
 
 An engine runs no decomposition: each of its four plans is the shortest
 prefix within its epsilon of the angle's decomposition at ``EPSILON_MIN``,
 taken once at import (``_DECOMPOSITIONS``), which is
 :func:`~cordic_dct.planner.decompose`'s plan bit for bit (the prefix rule
-in ``planner``).  What the engines of one plan set share -- the CSD
-expansions, the node data, the thresholds in each word and the float
-limit -- is derived once, on first use, and kept in ``_PLAN_SETS``.
+in ``planner``).  The engines of one plan set -- equal plans, compensation
+and fold -- read one :class:`_PlanSet` from ``_PLAN_SETS``: the steps and
+constants the graph runs on, and what is derived from them once, on first
+use: the CSD expansions, the node data, the thresholds in each word and
+the float limit.
 
 On NumPy columns the kernels take their constants as 0-d arrays, which a
 ufunc does not convert on every call as it converts a Python number: the
-shift tables of ``rotator``, and each engine's scale constants
-(``DctEngine._array_constants``), built on first use.
+shift tables of ``rotator``, and each plan set's scale constants
+(``_PlanSet.array_constants``), built on first use.
 """
 
 from __future__ import annotations
@@ -82,13 +84,12 @@ _OUTPUT_SCALES = tuple(zip(
 _CSD_TOLERANCE = 2.0 ** -14  # constant-scale expansion error, fixed-point path
 _BUTTERFLY_ADDS = 20  # adds and subtracts of the flow graph outside its rotators
 
-# The derivations the engines of one plan set share, keyed by
-# ``DctEngine._plan_set``: the four plans' steps, the compensation and the
-# fold fix every constant the graph scales by and every node's affine form,
-# and so the CSD expansions, the raw nodes' data, their thresholds in each
-# word format and the float limit.  The whole epsilon range [1e-9, 1e-1]
-# gives 27 distinct sets of four plans, so this holds at most 108 entries.
-_PLAN_SETS: dict[tuple, dict] = {}
+# The plan set of each engine built so far, keyed by its four plans' prefix
+# lengths, its compensation and its fold: each plan is a prefix of its
+# angle's ``_DECOMPOSITIONS`` entry, so its length fixes its steps.  The
+# whole epsilon range [1e-9, 1e-1] gives 27 distinct sets of four plans, so
+# this holds at most 108 entries.
+_PLAN_SETS: dict[tuple, "_PlanSet"] = {}
 
 
 def dct_matrix() -> np.ndarray:
@@ -144,6 +145,9 @@ def idct2d_oracle(block) -> np.ndarray:
 class DctEngine:
     """Immutable bundle of rotation plans, scales and arithmetic mode.
 
+    The engines of one plan set read one :class:`_PlanSet`, whose
+    read-only array is their ``post_scales``.
+
     Parameters
     ----------
     epsilon:
@@ -185,56 +189,13 @@ class DctEngine:
         self.plans: dict[str, RotationPlan] = {
             name: sequence.plan(epsilon) for name, sequence in _DECOMPOSITIONS.items()
         }
-        g = {name: plan.gain for name, plan in self.plans.items()}
-
-        # ``_compensation`` maps a rotator's name to the constant that
-        # scales both its outputs, in graph order; a rotator it leaves out
-        # stays uncompensated, and its gain goes into the post-scales.
-        if compensation == "folded":
-            # Odd-path equalizer puts the pi/16 pair on the 3pi/16 scale.
-            self._compensation = {"pi/16": g["pi/16"] / g["3pi/16"]}
-        else:
-            self._compensation = g
-        self.post_scales = np.array([
-            norm * (1.0 if rotator in self._compensation else g[rotator])
-            for norm, rotator in _OUTPUT_SCALES
-        ])
-
-    @cached_property
-    def _row_constants(self) -> list[float]:
-        """The constant of each column scale one row of the flow graph
-        applies, in order: each compensation constant on both outputs of
-        its rotator, then the post-scales unless they are folded into the
-        quantizer."""
-        scaled = [c for c in self._compensation.values() for _ in range(2)]
-        if not self.fold_into_quantizer:
-            scaled += self.post_scales.tolist()
-        return scaled
-
-    @cached_property
-    def _csd(self) -> dict[float, CsdScale]:
-        """:func:`_csd_expansions`, derived once for the plan set on first
-        use: a float engine never reads it."""
-        return self._shared(_csd_expansions)
-
-    def _scale_raw(self, raw, constant: float):
-        """``raw`` times ``constant``, shift-add only: the raw op set's
-        scale, through the constant's CSD expansion in :attr:`_csd`."""
-        return self._csd[constant].apply_raw(raw)
-
-    @cached_property
-    def _array_constants(self) -> dict[float, np.ndarray]:
-        """Each constant of :attr:`_row_constants` as a 0-d float64 array,
-        keyed by the constant: the operand a ufunc takes without converting
-        it on every call.  Built on first use: a fixed engine never reads
-        it."""
-        return {c: np.array(c) for c in self._row_constants}
-
-    def _scale_array(self, column: np.ndarray, constant: float) -> np.ndarray:
-        """``column`` times ``constant``: the float op set's scale on a NumPy
-        column, through :attr:`_array_constants`.  On Python numbers it is
-        ``operator.mul``."""
-        return column * self._array_constants[constant]
+        key = (*[len(p.steps) for p in self.plans.values()], compensation, fold_into_quantizer)
+        plan_set = _PLAN_SETS.get(key)
+        if plan_set is None:  # two threads may both build it; both keep the one stored
+            plan_set = _PLAN_SETS.setdefault(
+                key, _PlanSet(self.plans, compensation, fold_into_quantizer))
+        self._set = plan_set
+        self.post_scales = plan_set.post_scales
 
     def operation_counts(self) -> dict:
         """Adds/shifts/multiplies for one 8-point transform, JSON-friendly.
@@ -243,7 +204,7 @@ class DctEngine:
         shift-add realization is the same whatever the engine's own
         arithmetic mode or word format); nothing is run.
         """
-        adds, shifts = self._row_cost
+        adds, shifts = self._set.row_cost
         return {
             "adds": adds,
             "shifts": shifts,
@@ -251,51 +212,14 @@ class DctEngine:
             "rotation_steps": {name: len(p.steps) for name, p in self.plans.items()},
         }
 
-    @cached_property
-    def _row_cost(self) -> tuple[int, int]:
-        """(adds, shifts) of one row through :func:`_flow` on the raw op
-        set: 2 of each per micro-rotation step, 1 of each per CSD term
-        applied to a column, and the butterfly adds."""
-        steps = sum(len(p.steps) for p in self.plans.values())
-        csd = sum(len(self._csd[c].terms) for c in self._row_constants)
-        return _BUTTERFLY_ADDS + 2 * steps + csd, 2 * steps + csd
-
     def safe_input_bound(self, fmt: FixedPointFormat) -> int:
         """Largest input ``max|raw|`` for which no node of the fixed-point
         transform in ``fmt`` can leave the word, so a call at or below it
-        checks no node: the least node threshold (:func:`_thresholds`).
-        Above it, a call checks only the nodes whose threshold its peak
-        exceeds."""
+        checks no node: the least node threshold
+        (:meth:`_PlanSet.thresholds`).  Above it, a call checks only the
+        nodes whose threshold its peak exceeds."""
         # An all-zero input keeps every node at 0, so 0 is always safe.
-        return max(0, self._shared(_word_thresholds, fmt)[1])
-
-    @cached_property
-    def _node_thresholds(self) -> tuple[tuple[int, ...], int]:
-        """The node thresholds in the engine's own word and their least value:
-        what :func:`~cordic_dct.fixedpoint.run_raw` reads on every fixed-point call."""
-        return self._shared(_word_thresholds, self.mode.fmt)
-
-    @cached_property
-    def _raw_nodes(self) -> tuple:
-        """:func:`_node_data`, derived once for the plan set."""
-        return self._shared(_node_data)
-
-    @cached_property
-    def _plan_set(self) -> tuple:
-        """What fixes every node of the flow graph: the four plans' steps,
-        the compensation and the fold."""
-        steps = tuple((p.indices, p.directions) for p in self.plans.values())
-        return steps, self.compensation, self.fold_into_quantizer
-
-    def _shared(self, derive, *args):
-        """``derive(self, *args)``, run once for all the engines of this plan
-        set (``_PLAN_SETS``).  Two threads may both derive it first; they
-        store equal values."""
-        entry = _PLAN_SETS.setdefault(self._plan_set, {})
-        key = (derive, *args)
-        if key not in entry:
-            entry[key] = derive(self, *args)
-        return entry[key]
+        return max(0, self._set.thresholds(fmt)[1])
 
     @cached_property
     def input_limit(self) -> float:
@@ -315,8 +239,123 @@ class DctEngine:
         inputs carrying ``[-gamma, gamma]``.  ``gamma = d * 2**-52``, twice
         ``gamma_d``, also covers rounding.  A post-scale product is at most
         half of the node it scales."""
-        return datapath_limit(self.mode, lambda: self._shared(_float_limit))
+        return datapath_limit(self.mode, lambda: self._set.float_limit)
 
+
+class _PlanSet:
+    """What fixes every number of an engine's flow graph, shared by all
+    the engines of one plan set (``_PLAN_SETS``).  Set here: each rotator's
+    steps, the compensation constants, the fold, the post-scales and the
+    row constants.  Derived on first use, once for the set: the CSD
+    expansions, the 0-d array constants, the row cost, the node data, the
+    thresholds in each word and the float limit.  Two threads may both
+    derive one first; they store equal values."""
+
+    def __init__(self, plans: dict[str, RotationPlan], compensation: str,
+                 fold_into_quantizer: bool):
+        self.steps = {name: plan.steps for name, plan in plans.items()}
+        self.fold_into_quantizer = fold_into_quantizer
+        g = {name: plan.gain for name, plan in plans.items()}
+        # ``compensation`` maps a rotator's name to the constant that
+        # scales both its outputs, in graph order; a rotator it leaves out
+        # stays uncompensated, and its gain goes into the post-scales.
+        if compensation == "folded":
+            # Odd-path equalizer puts the pi/16 pair on the 3pi/16 scale.
+            self.compensation = {"pi/16": g["pi/16"] / g["3pi/16"]}
+        else:
+            self.compensation = g
+        # Every engine of the set holds this array: it must not be written.
+        self.post_scales = np.array([
+            norm * (1.0 if rotator in self.compensation else g[rotator])
+            for norm, rotator in _OUTPUT_SCALES
+        ])
+        self.post_scales.flags.writeable = False
+        # The constant of each column scale one row of the flow graph
+        # applies, in order: each compensation constant on both outputs of
+        # its rotator, then the post-scales unless they are folded into the
+        # quantizer.
+        self.row_constants = [c for c in self.compensation.values() for _ in range(2)]
+        if not fold_into_quantizer:
+            self.row_constants += self.post_scales.tolist()
+        self._thresholds: dict[FixedPointFormat, tuple[tuple[int, ...], int]] = {}
+
+    @cached_property
+    def csd(self) -> dict[float, CsdScale]:
+        """Shift-add expansion of each distinct row constant, and of nothing
+        else, keyed by the constant: a float engine never reads it."""
+        return {c: csd_scale(c, max_terms=16, tolerance=_CSD_TOLERANCE)
+                for c in dict.fromkeys(self.row_constants)}
+
+    def scale_raw(self, raw, constant: float):
+        """``raw`` times ``constant``, shift-add only: the raw op set's
+        scale, through the constant's CSD expansion in :attr:`csd`."""
+        return self.csd[constant].apply_raw(raw)
+
+    @cached_property
+    def array_constants(self) -> dict[float, np.ndarray]:
+        """Each row constant as a 0-d float64 array, keyed by the constant:
+        the operand a ufunc takes without converting it on every call.  A
+        fixed engine never reads it."""
+        return {c: np.array(c) for c in self.row_constants}
+
+    def scale_array(self, column: np.ndarray, constant: float) -> np.ndarray:
+        """``column`` times ``constant``: the float op set's scale on a NumPy
+        column, through :attr:`array_constants`.  On Python numbers it is
+        ``operator.mul``."""
+        return column * self.array_constants[constant]
+
+    @cached_property
+    def row_cost(self) -> tuple[int, int]:
+        """(adds, shifts) of one row through :func:`_flow` on the raw op
+        set: 2 of each per micro-rotation step, 1 of each per CSD term
+        applied to a column, and the butterfly adds."""
+        steps = sum(map(len, self.steps.values()))
+        csd = sum(len(self.csd[c].terms) for c in self.row_constants)
+        return _BUTTERFLY_ADDS + 2 * steps + csd, 2 * steps + csd
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """``(l1, err, exp, parents)`` of each node of the raw op set, in
+        ``fit`` order: its affine form's l1 norm and floor-shift error
+        magnitude, both at its scale ``2**exp``, and the indices of the
+        nodes it is formed from.  Nothing here depends on the word format."""
+        return tuple(
+            (sum(map(abs, node.lanes)), max(-node.lo, node.hi), node.exp,
+             tuple(j for j in range(node.parents.bit_length()) if node.parents >> j & 1))
+            for node in _walk(self, rotate_raw, self.scale_raw, 0, 0)
+        )
+
+    def thresholds(self, fmt: FixedPointFormat) -> tuple[tuple[int, ...], int]:
+        """Each node's threshold in ``fmt``, and their least value, derived
+        once per word: what :func:`~cordic_dct.fixedpoint.run_raw` reads on
+        every fixed-point call.  A node's threshold is the largest input
+        ``max|raw|`` at which neither it nor a node it is formed from can
+        leave the word.
+
+        A node whose ancestors stay in the word is its affine form, so it stays
+        in the word up to ``T = floor((max_raw * 2**exp - err) / l1)``; its
+        threshold is the least of ``T`` and its parents' thresholds.  Under
+        ``SATURATE`` a clamped ancestor breaks the form, so every node
+        downstream of one that may clamp is checked too."""
+        word = self._thresholds.get(fmt)
+        if word is None:
+            per_node = []
+            for l1, err, exp, parents in self.nodes:
+                own = ((fmt.max_raw << exp) - err) // l1
+                per_node.append(min([own] + [per_node[j] for j in parents]))
+            word = self._thresholds[fmt] = tuple(per_node), min(per_node)
+        return word
+
+    @cached_property
+    def float_limit(self) -> float:
+        """:attr:`DctEngine.input_limit` in float: the nodes' largest l1 norm
+        and error magnitude on the float op set, at their finest scale."""
+        steps = sum(map(len, self.steps.values()))
+        nodes = _walk(self, rotate_float, operator.mul, 52, 5 + steps)
+        exp = max(node.exp for node in nodes)
+        gain = max(sum(map(abs, node.lanes)) << (exp - node.exp) for node in nodes)
+        error = max(max(-node.lo, node.hi) << (exp - node.exp) for node in nodes)
+        return overflow_limit((gain + error) / (1 << exp))
 
 class _Affine:
     """A flow-graph node as an exact affine form in the eight inputs (Stolfi
@@ -369,8 +408,8 @@ class _Affine:
     __rmul__ = __mul__
 
 
-def _walk(engine: DctEngine, rotate, scale, exp: int, error: int) -> list[_Affine]:
-    """Walk :func:`_flow` on the op set ``rotate``, ``scale`` over the eight
+def _walk(plan_set: _PlanSet, rotate, scale, exp: int, error: int) -> list[_Affine]:
+    """Walk :func:`_flow` of ``plan_set`` on the op set ``rotate``, ``scale`` over the eight
     unit inputs, at the scale ``2**exp`` with the error ``[-error, error]``,
     with a ``fit`` that records every node; return the nodes in ``fit``
     order, each with the ``parents`` it was formed from."""
@@ -382,81 +421,28 @@ def _walk(engine: DctEngine, rotate, scale, exp: int, error: int) -> list[_Affin
 
     units = [_Affine((0,) * j + (1 << exp,) + (0,) * (7 - j), -error, error, exp)
              for j in range(8)]
-    _flow(engine, units, rotate, scale, record)
+    _flow(plan_set, units, rotate, scale, record)
     return nodes
 
 
-def _node_data(engine: DctEngine) -> tuple:
-    """``(l1, err, exp, parents)`` of each node of the raw op set, in ``fit``
-    order: its affine form's l1 norm and floor-shift error magnitude, both
-    at its scale ``2**exp``, and the indices of the nodes it is formed from.
-    Nothing here depends on the word format."""
-    return tuple(
-        (sum(map(abs, node.lanes)), max(-node.lo, node.hi), node.exp,
-         tuple(j for j in range(node.parents.bit_length()) if node.parents >> j & 1))
-        for node in _walk(engine, rotate_raw, engine._scale_raw, 0, 0)
-    )
-
-
-def _csd_expansions(engine: DctEngine) -> dict[float, CsdScale]:
-    """Shift-add expansion of each distinct constant in
-    :attr:`DctEngine._row_constants`, and of nothing else, keyed by the
-    constant."""
-    return {c: csd_scale(c, max_terms=16, tolerance=_CSD_TOLERANCE)
-            for c in dict.fromkeys(engine._row_constants)}
-
-
-def _word_thresholds(engine: DctEngine, fmt: FixedPointFormat) -> tuple[tuple[int, ...], int]:
-    """:func:`_thresholds` of the engine's nodes in ``fmt``, and their least value."""
-    per_node = _thresholds(engine._raw_nodes, fmt)
-    return per_node, min(per_node)
-
-
-def _thresholds(nodes: tuple, fmt: FixedPointFormat) -> tuple[int, ...]:
-    """Each node's threshold in ``fmt``: the largest input ``max|raw|`` at
-    which neither it nor a node it is formed from can leave the word.
-
-    A node whose ancestors stay in the word is its affine form, so it stays
-    in the word up to ``T = floor((max_raw * 2**exp - err) / l1)``; its
-    threshold is the least of ``T`` and its parents' thresholds.  Under
-    ``SATURATE`` a clamped ancestor breaks the form, so every node
-    downstream of one that may clamp is checked too."""
-    per_node = []
-    for l1, err, exp, parents in nodes:
-        own = ((fmt.max_raw << exp) - err) // l1
-        per_node.append(min([own] + [per_node[j] for j in parents]))
-    return tuple(per_node)
-
-
-def _float_limit(engine: DctEngine) -> float:
-    """:attr:`DctEngine.input_limit` in float: the nodes' largest l1 norm
-    and error magnitude on the float op set, at their finest scale."""
-    steps = sum(len(p.steps) for p in engine.plans.values())
-    nodes = _walk(engine, rotate_float, operator.mul, 52, 5 + steps)
-    exp = max(node.exp for node in nodes)
-    gain = max(sum(map(abs, node.lanes)) << (exp - node.exp) for node in nodes)
-    error = max(max(-node.lo, node.hi) << (exp - node.exp) for node in nodes)
-    return overflow_limit((gain + error) / (1 << exp))
-
-
-def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
-    """The DCT flow graph on eight input columns: the even/odd
-    butterflies, the four rotators, their compensation (the constants of
-    ``DctEngine._compensation``), the recombination butterflies and the
-    post-scales, unless they are folded into the quantizer.
+def _flow(plan_set: _PlanSet, x: list, rotate, scale, fit) -> list:
+    """The DCT flow graph of ``plan_set`` on eight input columns: the
+    even/odd butterflies, the four rotators, their compensation (the
+    constants of ``_PlanSet.compensation``), the recombination butterflies
+    and the post-scales, unless they are folded into the quantizer.
 
     The arithmetic comes from the op set: ``rotate(x, y, steps, fit)``
     folds a plan's unscaled micro-rotations, ``scale(column, constant)``
-    multiplies by one of the engine's constants, and ``fit`` takes every
+    multiplies by one of the set's constants, and ``fit`` takes every
     node: each butterfly sum, both values of each micro-rotation step and
     each compensation product.  The post-scale products are not nodes.
     Float passes :func:`rotate_float`, ``operator.mul`` (on Python numbers)
-    or ``DctEngine._scale_array`` (on NumPy columns) and
+    or ``_PlanSet.scale_array`` (on NumPy columns) and
     :func:`_unchecked`; fixed point passes :func:`rotate_raw`,
-    ``DctEngine._scale_raw`` (shift-add only, at the cost
-    ``DctEngine._row_cost``) and the word's range check on each node whose
-    threshold the input's peak exceeds (:func:`_thresholds`), the ``i``-th
-    call of ``fit`` being node ``i``.  The columns are Python numbers (one
+    ``_PlanSet.scale_raw`` (shift-add only, at the cost
+    ``_PlanSet.row_cost``) and the word's range check on each node whose
+    threshold the input's peak exceeds (``_PlanSet.thresholds``), the
+    ``i``-th call of ``fit`` being node ``i``.  The columns are Python numbers (one
     sample vector) or NumPy arrays (a batch of rows) alike, with the same
     bits either way, or :class:`_Affine` nodes, from which the input limits
     and node thresholds come.
@@ -466,7 +452,7 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     go into them: ``p``, ``q``, ``r``, ``s`` and ``v0`` to ``v3``.  The
     input columns, views of the caller's array, are only read.
     """
-    plans = engine.plans
+    steps = plan_set.steps
     x0, x1, x2, x3, x4, x5, x6, x7 = x
 
     u0, u1, u2, u3 = fit(x0 + x7), fit(x1 + x6), fit(x2 + x5), fit(x3 + x4)
@@ -475,12 +461,12 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     p, q = fit(u0 + u3), fit(u1 + u2)
     r, s = fit(u0 - u3), fit(u1 - u2)
     pairs = {  # each rotator's two outputs, in the order they are scaled
-        "pi/4": rotate(p, q, plans["pi/4"].steps, fit),  # (g0, g1)
-        "3pi/8": rotate(r, s, plans["3pi/8"].steps, fit),  # (h0, h1)
-        "pi/16": rotate(v3, v0, plans["pi/16"].steps, fit)[::-1],  # (a0, a1)
-        "3pi/16": rotate(v2, v1, plans["3pi/16"].steps, fit)[::-1],  # (b0, b1)
+        "pi/4": rotate(p, q, steps["pi/4"], fit),  # (g0, g1)
+        "3pi/8": rotate(r, s, steps["3pi/8"], fit),  # (h0, h1)
+        "pi/16": rotate(v3, v0, steps["pi/16"], fit)[::-1],  # (a0, a1)
+        "3pi/16": rotate(v2, v1, steps["3pi/16"], fit)[::-1],  # (b0, b1)
     }
-    for name, constant in engine._compensation.items():
+    for name, constant in plan_set.compensation.items():
         pairs[name] = [fit(scale(col, constant)) for col in pairs[name]]
     (g0, g1), (h0, h1), (a0, a1), (b0, b1) = pairs.values()
 
@@ -494,11 +480,11 @@ def _flow(engine: DctEngine, x: list, rotate, scale, fit) -> list:
     # Free the inner nodes before the post-scales allocate theirs: kept
     # alive, they made a fixed dct2d of 1024 blocks about 30% slower.
     del u0, u1, u2, u3, v0, v1, v2, v3, p, q, r, s, pairs, a0, a1, b0, b1
-    if engine.fold_into_quantizer:
+    if plan_set.fold_into_quantizer:
         return cols
     # No fit: a post-scale is at most 1/2 (a norm times a gain <= 1), so its CSD
     # product of a node in an n-bit word is below 2**(n-2) + 2**(n-15) + 16 < max_raw.
-    return [scale(col, c) for col, c in zip(cols, engine.post_scales.tolist())]
+    return [scale(col, c) for col, c in zip(cols, plan_set.post_scales.tolist())]
 
 
 def _columns(X, axis: int) -> list:
@@ -522,7 +508,7 @@ def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.nd
     range-checked node; the count is 0 in float, under ``ERROR``, and for
     input within :meth:`DctEngine.safe_input_bound`.  In fixed point a node
     is range-checked only when the input's ``max|raw|`` exceeds its
-    threshold (:func:`_thresholds`), so every check skipped is a no-op and
+    threshold (:meth:`_PlanSet.thresholds`), so every check skipped is a no-op and
     the bits and counts are those of checking every node.  The cost in adds
     and shifts is ``rows x DctEngine.operation_counts()``.
 
@@ -551,16 +537,17 @@ def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.nd
     # in the word: they need no refusal, and ``run_raw`` does not quantize them.
     if not words or X.dtype != np.int64:
         check_input(X, engine.input_limit, _refusal)
+    plan_set = engine._set
     if not engine.mode.is_fixed:
-        scale = operator.mul if isinstance(X, list) else engine._scale_array
-        cols = _flow(engine, _columns(X, _axis), rotate_float, scale, _unchecked)
+        scale = operator.mul if isinstance(X, list) else plan_set.scale_array
+        cols = _flow(plan_set, _columns(X, _axis), rotate_float, scale, _unchecked)
         return _stack(cols, _axis), 0
 
     def graph(raw, fit):
-        return _flow(engine, _columns(raw, _axis), rotate_raw, engine._scale_raw, fit)
+        return _flow(plan_set, _columns(raw, _axis), rotate_raw, plan_set.scale_raw, fit)
 
     # ``run_raw`` checks only the nodes whose threshold the peak exceeds.
-    cols, saturations = run_raw(X, engine.mode, graph, engine._node_thresholds)
+    cols, saturations = run_raw(X, engine.mode, graph, plan_set.thresholds(engine.mode.fmt))
     out = _stack(cols, _axis)
     return (out if words else out * engine.mode.fmt.lsb), saturations
 

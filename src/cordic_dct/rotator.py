@@ -73,15 +73,8 @@ class Matrix2:
     c: float
     d: float
 
-    @classmethod
-    def identity(cls) -> "Matrix2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
     def apply(self, v: Vector2) -> Vector2:
         return Vector2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
 
 
 def ideal_rotation_matrix(theta: float) -> Matrix2:

@@ -228,7 +228,7 @@ def test_criterion_09_shift_add_purity():
     # anything but shift-add (see _Traced below).
     eng = DctEngine(epsilon=1e-3, mode=ArithmeticMode.fixed(24, 8, OverflowPolicy.ERROR))
     ops = {"adds": 0, "shifts": 0}
-    _flow(eng, [_Traced(ops) for _ in range(8)], rotate_raw, eng._scale_raw, _unchecked)
+    _flow(eng._set, [_Traced(ops) for _ in range(8)], rotate_raw, eng._set.scale_raw, _unchecked)
     rotate_raw(_Traced(ops), _Traced(ops), decompose(PI / 16, 1e-4).steps, _unchecked)
 
     per_transform = eng.operation_counts()
@@ -287,7 +287,8 @@ class _Traced:
 def test_criterion_09_traced_flow_graph(compensation, fold, eps):
     engine = DctEngine(eps, compensation=compensation, fold_into_quantizer=fold)
     ops = {"adds": 0, "shifts": 0}
-    _flow(engine, [_Traced(ops) for _ in range(8)], rotate_raw, engine._scale_raw, _unchecked)
+    _flow(engine._set, [_Traced(ops) for _ in range(8)], rotate_raw, engine._set.scale_raw,
+          _unchecked)
     counts = engine.operation_counts()
     scaled_columns = (8 if compensation == "per_rotator" else 2) + (0 if fold else 8)
     assert ops["shifts"] == counts["shifts"]

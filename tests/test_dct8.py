@@ -225,10 +225,10 @@ class TestFlowGraph:
         x = RNG.integers(-2**20, 2**20, size=8).tolist()
         walks = []
         for cols, rotate, scale in (([v * 2.0 ** -20 for v in x], rotate_float, operator.mul),
-                                    (x, rotate_raw, engine._scale_raw)):
+                                    (x, rotate_raw, engine._set.scale_raw)):
             nodes = []
-            dct8._flow(engine, cols, rotate, scale, lambda node: nodes.append(node) or node)
-            assert len(nodes) == 20 + 2 * steps + 2 * len(engine._compensation)
+            dct8._flow(engine._set, cols, rotate, scale, lambda node: nodes.append(node) or node)
+            assert len(nodes) == 20 + 2 * steps + 2 * len(engine._set.compensation)
             walks.append(nodes)
         assert all(type(node) is float for node in walks[0])
         assert all(type(node) is int for node in walks[1])
@@ -239,6 +239,22 @@ class TestFlowGraph:
         assert np.all(eng.post_scales > 0)
         assert len(eng.post_scales) == 8
         assert {p.tolerance for p in eng.plans.values()} == {1e-3}
+
+    @pytest.mark.parametrize("bits", [None, (24, 8)])
+    def test_post_scales_are_read_only(self, bits):
+        # The engines of a plan set hold one post-scale array: a write
+        # through one engine is refused, and its sibling's output stays.
+        mode = None if bits is None else ArithmeticMode.fixed(*bits)
+        engine, sibling = DctEngine(1e-4, mode=mode), DctEngine(8e-5, mode=mode)
+        assert sibling._set is engine._set and sibling.post_scales is engine.post_scales
+        block = RNG.integers(-128, 128, size=(8, 8)).astype(np.float64)
+        before = dct2d(block, sibling).tobytes(), dct8_cordic(block[0], sibling).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            engine.post_scales *= 2
+        with pytest.raises(ValueError, match="read-only"):
+            engine.post_scales[0] = 1.0
+        after = dct2d(block, sibling).tobytes(), dct8_cordic(block[0], sibling).tobytes()
+        assert after == before
 
 
 class TestDct2d:
@@ -394,7 +410,7 @@ class TestFixedPointPath:
 
         monkeypatch.setattr(CsdScale, "apply_raw", record)
         dct8_cordic([10.0, -3.0, 7.5, 0.0, 1.0, -8.0, 2.0, 4.0], eng)
-        assert {id(s) for s in applied} == {id(s) for s in eng._csd.values()}
+        assert {id(s) for s in applied} == {id(s) for s in eng._set.csd.values()}
         assert len(applied) == (2 if compensation == "folded" else 8) + (0 if fold else 8)
 
     def test_tracks_float_path(self):
@@ -517,20 +533,20 @@ class TestFixedPointPath:
 
         monkeypatch.setattr(dct8, "_PLAN_SETS", {})
         monkeypatch.setattr(dct8, "csd_scale", refuse)
-        monkeypatch.setattr(DctEngine, "_array_constants", property(refuse))
+        monkeypatch.setattr(dct8._PlanSet, "array_constants", property(refuse))
         modes = [None, ArithmeticMode.fixed(24, 8),
                  ArithmeticMode.fixed(16, 5, OverflowPolicy.SATURATE)]
         for mode, compensation, fold in itertools.product(
                 modes, ("folded", "per_rotator"), (False, True)):
             DctEngine(1e-4, mode=mode, compensation=compensation, fold_into_quantizer=fold)
         with pytest.raises(AssertionError, match="constant table derived"):
-            DctEngine(1e-4)._array_constants
+            DctEngine(1e-4)._set.array_constants
 
     def test_fixed_engine_builds_no_array_constants(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("array constants read")
 
-        monkeypatch.setattr(DctEngine, "_array_constants", property(refuse))
+        monkeypatch.setattr(dct8._PlanSet, "array_constants", property(refuse))
         X = RNG.integers(-128, 128, size=(4, 8, 8)).astype(np.float64)
         mode = ArithmeticMode.fixed(24, 8)
         for compensation, fold in itertools.product(("folded", "per_rotator"), (False, True)):
@@ -611,7 +627,7 @@ def scalar_transform8(engine: DctEngine, row) -> tuple[list[float], dict]:
     h0, h1 = rotate(sub(u[0], u[3]), sub(u[1], u[2]), "3pi/8")
     a1, a0 = rotate(v[3], v[0], "pi/16")
     b1, b0 = rotate(v[2], v[1], "3pi/16")
-    csd = engine._csd
+    csd = engine._set.csd
     if engine.compensation == "per_rotator":
         gains = {name: csd[plan.gain] for name, plan in engine.plans.items()}
         g0, g1 = scale(g0, gains["pi/4"]), scale(g1, gains["pi/4"])
@@ -765,7 +781,7 @@ class TestSafeInputBound:
             return col
 
         x = list((signs * engine.safe_input_bound(fmt)).T)
-        dct8._flow(engine, x, rotate_raw, engine._scale_raw, record)
+        dct8._flow(engine._set, x, rotate_raw, engine._set.scale_raw, record)
         assert 0.99 * fmt.max_raw <= peak <= fmt.max_raw
 
     @pytest.mark.parametrize("bits", [(24, 8), (16, 5)])
@@ -781,7 +797,7 @@ class TestSafeInputBound:
 
         def nodes_of(x):
             nodes = []
-            dct8._flow(engine, x, rotate_raw, engine._scale_raw,
+            dct8._flow(engine._set, x, rotate_raw, engine._set.scale_raw,
                        lambda node: nodes.append(node) or node)
             return nodes
 
@@ -843,7 +859,8 @@ def _all_checked(engine: DctEngine, X: np.ndarray) -> tuple[np.ndarray, int]:
     axis = X.ndim - 1
 
     def graph(raw, fit):
-        return dct8._flow(engine, dct8._columns(raw, axis), rotate_raw, engine._scale_raw, fit)
+        return dct8._flow(engine._set, dct8._columns(raw, axis), rotate_raw, engine._set.scale_raw,
+                          fit)
 
     values = X.tolist() if X.ndim == 1 else X
     cols, saturations = fixedpoint.run_raw(values, engine.mode, graph, None)
@@ -879,11 +896,11 @@ class TestNodeThresholds:
         # and each parent's threshold.
         mode = ArithmeticMode(FixedPointFormat(*bits), policy)
         engine = DctEngine(eps, mode=mode, compensation=compensation, fold_into_quantizer=fold)
-        per_node, least = engine._node_thresholds
+        per_node, least = engine._set.thresholds(mode.fmt)
         assert least == min(per_node)
         assert least == engine.safe_input_bound(mode.fmt)
-        own = [((mode.fmt.max_raw << exp) - err) // l1 for l1, err, exp, _ in engine._raw_nodes]
-        for i, (*_, parents) in enumerate(engine._raw_nodes):
+        own = [((mode.fmt.max_raw << exp) - err) // l1 for l1, err, exp, _ in engine._set.nodes]
+        for i, (*_, parents) in enumerate(engine._set.nodes):
             assert per_node[i] <= min([own[i]] + [per_node[j] for j in parents])
         # At each threshold or own bound t some node starts to be checked,
         # or would without its parents: the sign vertices of peaks t and
@@ -904,7 +921,7 @@ class TestNodeThresholds:
     def test_each_node_knows_the_nodes_it_is_formed_from(self, compensation):
         # The first butterfly sums come from inputs only; p = u0 + u3 and
         # q = u1 + u2 from those; every later node from one or two earlier.
-        nodes = DctEngine(1e-4, compensation=compensation)._raw_nodes
+        nodes = DctEngine(1e-4, compensation=compensation)._set.nodes
         parents = [node[3] for node in nodes]
         assert parents[:8] == [()] * 8
         assert parents[8:10] == [(0, 3), (1, 2)]
@@ -924,7 +941,7 @@ class TestNodeThresholds:
                 for c in engine.post_scales.tolist():
                     if c not in expansions:
                         assert 0 < c <= 0.5
-                        expansions[c] = engine._csd[c]
+                        expansions[c] = engine._set.csd[c]
         for bits, frac in ((8, 0), (12, 0), (16, 0), (24, 8), (32, 20)):
             fmt = FixedPointFormat(bits, frac)
             if bits <= 16:
@@ -964,7 +981,7 @@ class TestNodeThresholds:
         # products are not nodes.
         mode = ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
         engine = DctEngine(eps, mode=mode, compensation=compensation)
-        assert len(engine._node_thresholds[0]) == nodes
+        assert len(engine._set.thresholds(mode.fmt)[0]) == nodes
         blocks = codec._blocks_of(codec._pad_to_blocks(photo_proxy(128).samples))
         planes = np.subtract(dct8._planes(blocks.reshape(-1, 64)), 128.0, dtype=np.float64)
         expected = dct8._dct2d_planes(engine, planes)
@@ -1075,9 +1092,9 @@ class TestSharedDerivation:
         walks = []
         walk = dct8._walk
 
-        def counting_walk(engine, *args):
-            walks.append(engine._plan_set)
-            return walk(engine, *args)
+        def counting_walk(plan_set, *args):
+            walks.append(plan_set)
+            return walk(plan_set, *args)
 
         monkeypatch.setattr(dct8, "_walk", counting_walk)
         x = np.full((1, 8), 100.0)
@@ -1085,7 +1102,7 @@ class TestSharedDerivation:
             transform8(DctEngine(1e-4, mode=ArithmeticMode.fixed(*bits)), x)
         # 8e-5 gives the plans of 1e-4, and the float limit is its own walk
         DctEngine(8e-5).safe_input_bound(FixedPointFormat(12, 2))
-        assert DctEngine(8e-5)._plan_set == DctEngine(1e-4)._plan_set
+        assert DctEngine(8e-5)._set is DctEngine(1e-4)._set
         assert len(walks) == 1
         DctEngine(1e-4).input_limit
         DctEngine(8e-5).input_limit
@@ -1096,11 +1113,20 @@ class TestSharedDerivation:
         assert len(dct8._PLAN_SETS) == 3
 
     def test_the_epsilon_range_has_27_plan_sets(self, monkeypatch):
+        # Two engines hold the same plan set exactly when their plans'
+        # steps, their compensation and their fold are equal; each set is
+        # made by the first engine of it, before anything is derived.
         monkeypatch.setattr(dct8, "_PLAN_SETS", {})
-        fmt = FixedPointFormat(16, 5)
+        sets = {}
         for eps in np.geomspace(1e-9, 1e-1, 2000):
-            DctEngine(float(eps)).safe_input_bound(fmt)
-        assert len(dct8._PLAN_SETS) <= 27
+            for compensation, fold in itertools.product(("folded", "per_rotator"), (False, True)):
+                engine = DctEngine(float(eps), compensation=compensation, fold_into_quantizer=fold)
+                steps = tuple((p.indices, p.directions) for p in engine.plans.values())
+                assert sets.setdefault((steps, compensation, fold), engine._set) is engine._set
+        assert len({id(plan_set) for plan_set in sets.values()}) == len(sets)
+        assert len({steps for steps, _, _ in sets}) <= 27
+        assert len(dct8._PLAN_SETS) == len(sets) <= 108
+        assert all("nodes" not in vars(plan_set) for plan_set in sets.values())
 
 
 DBL_MAX = sys.float_info.max
@@ -1161,7 +1187,7 @@ class TestInputLimit:
         assert engine.input_limit == DctEngine(eps, compensation=compensation).input_limit
         vertices = np.array(list(itertools.product((-1.0, 1.0), repeat=8)))
         x = list((vertices * engine.input_limit).T)
-        cols = dct8._flow(engine, x, rotate_float, operator.mul, dct8._unchecked)
+        cols = dct8._flow(engine._set, x, rotate_float, operator.mul, dct8._unchecked)
         assert np.abs(np.stack(cols, axis=1)).max() <= DBL_MAX / 2
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
@@ -1180,7 +1206,7 @@ class TestInputLimit:
             return col
 
         x = list((vertices * engine.input_limit).T)
-        dct8._flow(engine, x, rotate_float, operator.mul, record)
+        dct8._flow(engine._set, x, rotate_float, operator.mul, record)
         assert 0.99 * DBL_MAX / 2 <= peak <= DBL_MAX / 2
 
     def test_1e300_is_answered(self):

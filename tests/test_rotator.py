@@ -145,13 +145,14 @@ class TestPlanMatrix:
         assert m.d == pytest.approx(1.013067933963612, abs=1e-12)
 
     def test_empty_plan_is_identity(self):
-        assert plan_matrix(decompose(0.0, 1e-3)) == Matrix2.identity()
+        assert plan_matrix(decompose(0.0, 1e-3)) == Matrix2(1.0, 0.0, 0.0, 1.0)
 
     @given(theta=st.floats(-PI / 2, PI / 2), eps=st.sampled_from([1e-3, 1e-4, 1e-6]))
     def test_determinant_equals_inverse_gain_squared(self, theta, eps):
         plan = decompose(theta, eps)
         expected = 1.0 / plan.gain**2
-        assert plan_matrix(plan).det() == pytest.approx(expected, rel=1e-12)
+        m = plan_matrix(plan)
+        assert m.a * m.d - m.b * m.c == pytest.approx(expected, rel=1e-12)
 
     @given(theta=st.floats(-PI / 2, PI / 2), eps=st.sampled_from([1e-3, 1e-4]))
     def test_scaled_matrix_approximates_ideal_rotation(self, theta, eps):
@@ -170,7 +171,7 @@ class TestPlanMatrix:
 
 class TestIdealRotationMatrix:
     def test_zero(self):
-        assert ideal_rotation_matrix(0.0) == Matrix2.identity()
+        assert ideal_rotation_matrix(0.0) == Matrix2(1.0, 0.0, 0.0, 1.0)
 
     def test_quarter_turn(self):
         m = ideal_rotation_matrix(PI / 2)
