@@ -71,7 +71,7 @@ import numpy as np
 from cordic_dct import codec, dct8
 from cordic_dct.dct8 import (DctEngine, _dct2d_planes, _planes, dct2d, dct2d_oracle, dct8_cordic,
                              transform8)
-from cordic_dct.fixedpoint import ArithmeticMode, OverflowPolicy, _round_half_away, _signed_half
+from cordic_dct.fixedpoint import _BELOW_HALF, ArithmeticMode, OverflowPolicy, _round_half_away
 from cordic_dct.images import photo_proxy
 from cordic_dct.pgm import read_pgm, write_pgm
 
@@ -136,7 +136,7 @@ def tile_stages(img) -> list:
         ("planes and level shift", *measure(planes_and_shift)),
         ("oracle dct2d", *measure(oracle)),
         ("forward dct2d on planes", *measure(lambda: _dct2d_planes(engine, shifted))),
-        ("signed halves", *measure(lambda: _signed_half(coefs, out=halves))),
+        ("signed halves", *measure(lambda: np.copysign(_BELOW_HALF, coefs, out=halves))),
         ("reference +128 and -128", *measure(reference)),
         ("coefficient errors",
          *measure(lambda: codec._block_coef_errors(coefs, exact, engine, scratch, errors))),

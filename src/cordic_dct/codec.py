@@ -19,7 +19,7 @@ from io import StringIO
 import numpy as np
 
 from .dct8 import DCT_MATRIX, DctEngine, _as_blocks, _dct2d_planes, _planes, dct2d_oracle
-from .fixedpoint import ArithmeticMode, _signed_half
+from .fixedpoint import _BELOW_HALF, ArithmeticMode
 
 # ITU-T T.81 Annex K luminance quantization table.
 BASE_LUMA_QUANT = np.array(
@@ -132,12 +132,14 @@ def _quantize(coefs: np.ndarray, divisor: np.ndarray, halves: np.ndarray,
               out=None) -> np.ndarray:
     """Levels of (64, n) coefficient planes, rounded half away from zero,
     into ``out``: ``trunc(coefs / divisor + halves)``, where ``halves`` is
-    :func:`~cordic_dct.fixedpoint._signed_half` of ``coefs``.
+    ``np.copysign(_BELOW_HALF, coefs)``.
 
-    A quotient by a positive, finite step has the sign of its dividend,
-    ±0 and ±inf included, so these are the bits of
-    ``_round_half_away(coefs / divisor)``: three passes where that takes
-    five, and a sweep takes ``halves`` once for all its qualities.
+    This is :func:`~cordic_dct.fixedpoint._round_half_away`, the one
+    quantizer, with its signed half hoisted: a quotient by a positive,
+    finite step has the sign of its dividend, ±0 and ±inf included, so
+    these are the bits of ``_round_half_away(coefs / divisor)`` in three
+    passes where that takes four, and a sweep takes ``halves`` once for
+    all its qualities.
     """
     levels = np.divide(coefs, divisor, out=out)
     np.add(levels, halves, out=levels)
@@ -189,7 +191,7 @@ def encode_block(block, engine: DctEngine, q: np.ndarray) -> np.ndarray:
     shifted = _planes(blocks)
     shifted -= 128.0
     coefs, _ = _dct2d_planes(engine, shifted)
-    levels = _quantize(coefs, _divisor(engine, _step(q)), _signed_half(coefs))
+    levels = _quantize(coefs, _divisor(engine, _step(q)), np.copysign(_BELOW_HALF, coefs))
     return _unplane(levels, blocks.shape)
 
 
@@ -283,7 +285,8 @@ def roundtrip_image(img: GrayImage, engine: DctEngine, quality: int) -> GrayImag
     step = _step(quant_table_for_quality(quality))
     planes = _planes(_blocks_of(_pad_to_blocks(img.samples)))
     coefs, _ = _dct2d_planes(engine, np.subtract(planes, 128.0, dtype=np.float64))
-    decoded = _decode(_quantize(coefs, _divisor(engine, step), _signed_half(coefs)), step)
+    halves = np.copysign(_BELOW_HALF, coefs)
+    decoded = _decode(_quantize(coefs, _divisor(engine, step), halves), step)
     return _from_blocks(decoded.T, img)
 
 
@@ -456,7 +459,8 @@ def sweep(
                 levels, decoded, halves = (np.empty(coefs.size) for _ in range(3))
             tile_levels = levels[: coefs.size].reshape(coefs.shape)
             tile_decoded = decoded[: coefs.size].reshape(coefs.shape)
-            tile_halves = _signed_half(coefs, out=halves[: coefs.size].reshape(coefs.shape))
+            tile_halves = halves[: coefs.size].reshape(coefs.shape)
+            np.copysign(_BELOW_HALF, coefs, out=tile_halves)
             _block_coef_errors(coefs, oracle, engine, tile_levels.reshape(-1, 64),
                                out=block_errors[e, start:stop])
             for k, step in enumerate(steps):

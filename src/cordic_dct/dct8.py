@@ -146,7 +146,9 @@ class DctEngine:
     """Immutable bundle of rotation plans, scales and arithmetic mode.
 
     The engines of one plan set read one :class:`_PlanSet`, whose
-    read-only array is their ``post_scales``.
+    read-only array is their ``post_scales`` and whose flag is their
+    ``fold_into_quantizer``.  Rebinding or deleting an attribute raises
+    ``AttributeError``.
 
     Parameters
     ----------
@@ -181,21 +183,33 @@ class DctEngine:
         # Read by truthiness, a look-alike such as "False" would fold.
         if not isinstance(fold_into_quantizer, bool):
             raise ValueError(f"fold_into_quantizer must be a bool, got {fold_into_quantizer!r}")
-        self.epsilon = epsilon
-        self.mode = mode if mode is not None else ArithmeticMode.exact()
-        self.compensation = compensation
-        self.fold_into_quantizer = fold_into_quantizer
-
-        self.plans: dict[str, RotationPlan] = {
+        plans: dict[str, RotationPlan] = {
             name: sequence.plan(epsilon) for name, sequence in _DECOMPOSITIONS.items()
         }
-        key = (*[len(p.steps) for p in self.plans.values()], compensation, fold_into_quantizer)
+        key = (*[len(p.steps) for p in plans.values()], compensation, fold_into_quantizer)
         plan_set = _PLAN_SETS.get(key)
         if plan_set is None:  # two threads may both build it; both keep the one stored
             plan_set = _PLAN_SETS.setdefault(
-                key, _PlanSet(self.plans, compensation, fold_into_quantizer))
-        self._set = plan_set
-        self.post_scales = plan_set.post_scales
+                key, _PlanSet(plans, compensation, fold_into_quantizer))
+        # Set once, here: ``__setattr__`` refuses every later write.
+        self.__dict__.update(
+            epsilon=epsilon, mode=mode if mode is not None else ArithmeticMode.exact(),
+            compensation=compensation, plans=plans, _set=plan_set)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DctEngine is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DctEngine is immutable: cannot delete {name!r}")
+
+    @property
+    def post_scales(self) -> np.ndarray:
+        """The plan set's eight read-only post-scales."""
+        return self._set.post_scales
+
+    @property
+    def fold_into_quantizer(self) -> bool:
+        return self._set.fold_into_quantizer
 
     def operation_counts(self) -> dict:
         """Adds/shifts/multiplies for one 8-point transform, JSON-friendly.

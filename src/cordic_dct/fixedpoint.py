@@ -4,10 +4,14 @@ the input boundary of both datapaths.
 The rotator core runs either in plain binary64 (``ArithmeticMode.exact``)
 or on raw two's-complement integers with a configurable word length
 (``ArithmeticMode.fixed``).  Fixed-point right shifts round toward
-negative infinity, matching a hardware arithmetic shifter.  Out-of-range
-results either saturate or raise, per the mode's overflow policy, which
-only this module reads: :func:`fit_raw` for one value, ``_fit_array``
-for an array.
+negative infinity, matching a hardware arithmetic shifter.  A value
+enters the word by one rounding rule, ``_round_half_away``, for one
+number and for an array alike.  Out-of-range results either saturate or
+raise, per the mode's overflow policy, which only this module reads:
+:func:`fit_raw` for one value, ``_fit_array`` for an array.  The check
+stays two functions because one would branch on the type at its
+reduction, its count, its message and its clamp, and the two messages
+differ.
 
 The scalar rotator and the DCT cross into their datapaths here, the same
 way: :func:`check_input` refuses complex input and input that is
@@ -98,45 +102,18 @@ class FixedPointFormat:
         Range checking is left to the call site so the caller can apply
         its overflow policy.
         """
-        scaled = x * self.raw_scale
-        return math.trunc(scaled + math.copysign(_BELOW_HALF, scaled))
+        return _round_half_away(x * self.raw_scale)
 
 
-_SIGN_BIT = np.int64(-(1 << 63))  # a float64's sign bit, as int64
-_HALF_BITS = np.float64(_BELOW_HALF).view(np.int64)
-
-
-def _signed_half(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``_BELOW_HALF`` with the sign bit of each value of the float64 array
-    ``v``, into ``out`` (a float64 array other than ``v``) if given: the
-    half that :func:`_round_half_away` adds before truncating.
-
-    It is made by masking ``v``'s bits down to the sign bit and or-ing in
-    the bits of ``_BELOW_HALF``: the bits ``np.copysign(_BELOW_HALF, v)``
-    gives, for -0.0 and NaN too, in two integer passes that cost about
-    what an add does.  Any value with ``v``'s signs gives the same halves:
-    the codec takes them once from its coefficients for every quotient of
-    them by a positive step.
+def _round_half_away(v):
+    """Round to the nearest integer, ties away from zero: ``trunc(v + h)``,
+    where ``h`` is ``_BELOW_HALF`` with the sign of ``v``.  The one
+    quantizer of both datapaths: a Python number gives a Python int, by
+    ``math``; a float64 array gives an integral float64 array, by ``np``,
+    which the caller range-checks before it casts it to int64.
     """
-    if out is None:
-        out = np.empty_like(v)
-    half = out.view(np.int64)
-    np.bitwise_and(v.view(np.int64), _SIGN_BIT, out=half)
-    np.bitwise_or(half, _HALF_BITS, out=half)
-    return out
-
-
-def _round_half_away(v, out: np.ndarray | None = None) -> np.ndarray:
-    """Round to the nearest integer, ties away from zero, as
-    :meth:`FixedPointFormat.to_raw` does one value: ``trunc(v + h)``
-    where ``h`` is :func:`_signed_half` of ``v``.
-    With ``out`` (a float64 array other than ``v``) the result is written
-    there and no temporary is made.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    out = _signed_half(v, out)
-    np.add(v, out, out=out)
-    return np.trunc(out, out=out)
+    lib = np if type(v) is np.ndarray else math
+    return lib.trunc(v + lib.copysign(_BELOW_HALF, v))
 
 
 @dataclass(frozen=True)
@@ -256,13 +233,13 @@ def run_raw(values, mode: ArithmeticMode, graph, thresholds: tuple | None):
     fit)`` on the raw integers and return its raw outputs and the number of
     values clipped, at quantization and by ``fit``.
 
-    ``values`` is a list of Python numbers, quantized by
-    :meth:`FixedPointFormat.to_raw` into Python ints checked by
-    :func:`fit_raw`, or a float64 array, quantized by ``_round_half_away``
-    into int64 checked by ``_fit_array``.  An int64 array is taken as raw
-    words a graph in this word returned, in the word already: run as they
-    are, they clip nothing, and their peak is the one quantizing them
-    again would give.  ``graph`` passes each node it
+    ``values`` is a list of Python numbers or a float64 array, quantized
+    alike by ``_round_half_away`` (:meth:`FixedPointFormat.to_raw` per
+    number): into Python ints checked by :func:`fit_raw`, or an array
+    checked by ``_fit_array`` before its cast to int64.  An int64 array is
+    taken as raw words a graph in this word returned, in the word already:
+    run as they are, they clip nothing, and their peak is the one
+    quantizing them again would give.  ``graph`` passes each node it
     forms, each value that could leave the word, through ``fit``, and
     ``fit`` checks node ``i``, the ``i``-th, only when the input's
     ``max|raw|`` exceeds ``thresholds[0][i]``: at or below it the caller

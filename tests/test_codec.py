@@ -32,8 +32,7 @@ from cordic_dct.dct8 import (
     idct2d_oracle,
     transform8,
 )
-from cordic_dct.fixedpoint import (ArithmeticMode, OverflowPolicy, _round_half_away,
-                                   _signed_half)
+from cordic_dct.fixedpoint import _BELOW_HALF, ArithmeticMode, OverflowPolicy, _round_half_away
 from cordic_dct.images import gradient_image, photo_proxy, seeded_texture, zone_plate
 from cordic_dct.pgm import read_pgm, write_pgm
 
@@ -347,16 +346,22 @@ class TestSweep:
         min_size=1, max_size=40,
     )
 )
-def test_sign_bit_rounding_equals_copysign(values):
-    """The sign of the 0.49999999999999994 added before truncating comes
-    from the sign bit: the bits of ``trunc(v + copysign(0.49999999999999994,
-    v))``, -0.0 and NaN too."""
+def test_array_rounding_is_exact_and_keeps_zero_inf_and_nan(values):
+    """``_round_half_away`` of a float64 array rounds each finite value to
+    the nearest integer, ties away from zero, as exact arithmetic does, with
+    the value's sign on a zero result; it gives back an infinity, and a NaN
+    for a NaN.  Pinned bits: -0.0 and the values in (-1/2, -0] give -0.0,
+    +-inf and the quiet NaNs of either sign give themselves."""
     v = np.array(values)
-    want = np.trunc(v + np.copysign(0.49999999999999994, v))
-    assert _round_half_away(v).tobytes() == want.tobytes()
-    out = np.full_like(v, 3.0)
-    assert _round_half_away(v, out=out) is out
-    assert out.tobytes() == want.tobytes()
+    got, nan = _round_half_away(v), np.isnan(v)
+    want = np.array([x if not math.isfinite(x) else math.copysign(
+        float(math.floor(abs(Fraction(x)) + Fraction(1, 2))), x) for x in values])
+    assert np.isnan(got[nan]).all()
+    assert got[~nan].view(np.int64).tolist() == want[~nan].view(np.int64).tolist()
+    special = np.array([-0.0, -0.3, -5e-324, math.inf, -math.inf, math.nan, -math.nan])
+    assert _round_half_away(special).view(np.uint64).tolist() == [
+        0x8000000000000000, 0x8000000000000000, 0x8000000000000000,
+        0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000]
 
 
 def _divisors() -> list:
@@ -410,7 +415,7 @@ def test_hoisted_sign_rounds_as_the_quotient(values, divisor):
         c = np.array(values)
         c = np.concatenate([c, c * d])
         quotients = c / d
-        got = codec._quantize(c, d, _signed_half(c))
+        got = codec._quantize(c, d, np.copysign(_BELOW_HALF, c))
     assert got.view(np.int64).tolist() == _round_half_away(quotients).view(np.int64).tolist()
     want = np.array([q if math.isinf(q) else math.copysign(
         float(math.floor(abs(Fraction(q)) + Fraction(1, 2))), q) for q in quotients.tolist()])

@@ -256,6 +256,26 @@ class TestFlowGraph:
         after = dct2d(block, sibling).tobytes(), dct8_cordic(block[0], sibling).tobytes()
         assert after == before
 
+    @pytest.mark.parametrize("name", ["epsilon", "mode", "compensation", "plans", "_set",
+                                      "post_scales", "fold_into_quantizer", "input_limit"])
+    def test_attributes_cannot_be_rebound_or_deleted(self, name):
+        # A rebound post_scales would move the codec's fold divisor but not
+        # the scales the transform applies; a rebound mode would keep the
+        # old mode's cached input_limit.  A fixed input_limit is a new
+        # float at each derivation, so ``is`` also shows it stays cached.
+        engine = DctEngine(1e-4, mode=ArithmeticMode.fixed(24, 8), fold_into_quantizer=True)
+        block = RNG.integers(-128, 128, size=(8, 8)).astype(np.float64)
+        before = getattr(engine, name)
+        divisor = codec._divisor(engine, np.ones((64, 1))).tobytes()
+        coefs = dct2d(block, engine).tobytes()
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(engine, name, np.ones(8) if name == "post_scales" else before)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(engine, name)
+        assert getattr(engine, name) is before
+        assert codec._divisor(engine, np.ones((64, 1))).tobytes() == divisor
+        assert dct2d(block, engine).tobytes() == coefs
+
 
 class TestDct2d:
     def test_constant_block(self):
@@ -304,7 +324,9 @@ class TestDct2d:
     def test_fixed_input_is_quantized_once(self, monkeypatch, bits, shape):
         # The row pass hands its raw words to the column pass, which runs
         # them as they are: one quantization per call in fixed point, none
-        # in float.  Samples up to 4000 saturate 16.5 at quantization.
+        # in float.  ``to_raw`` calls the same function, so the count is
+        # also of any per-value quantization.  Samples up to 4000 saturate
+        # 16.5 at quantization.
         calls = [0]
         round_half_away = fixedpoint._round_half_away
 

@@ -361,11 +361,14 @@ class TestFixedPointFormat:
     @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), near_ties()),
                     max_size=20))
     def test_rounding_equals_the_exact_rule(self, drawn):
-        # Scalar and array quantizers against exact rounding: the largest
-        # double below 1/2 goes to 0, and 2**52 + 1 stays odd.
+        # The one quantizer, through to_raw, on each Python float and on
+        # an array, against exact rounding: the largest double below 1/2
+        # goes to 0, and 2**52 + 1 stays odd.
         values = ROUNDING_EDGES + drawn
         expected = [exact_round_half_away(v) for v in values]
         assert [FixedPointFormat(32, 0).to_raw(v) for v in values] == expected
+        scalar = [_round_half_away(v) for v in values]
+        assert scalar == expected and {type(r) for r in scalar} == {int}
         assert _round_half_away(np.array(values)).tolist() == expected
         fmt = FixedPointFormat(16, 12)
         assert fmt.to_raw(0.49999999999999994 * fmt.lsb) == 0
