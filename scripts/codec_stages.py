@@ -37,17 +37,13 @@ engines of its plan set share (the plan-set cache is emptied before each
 run), each the minimum time and median faults of ``REPEAT`` runs: what the
 benchmark's ``calls`` set-up spends its time in.
 
-Then benchmark-shaped ops, each a fresh ``read_pgm`` of the image, one
-``sweep`` and ``to_csv``: one epsilon and five qualities on the 512x512
-image in float, and two epsilons and two qualities on a 128x128 one in
-saturating 24.8 and 16.5 fixed point.
-
 Whether an op takes page faults depends on the process's history: glibc
 trims the top of its heap when freed memory there exceeds a threshold
-that earlier frees of large blocks move.  This process reads none.  So
-the last lines run the ops of perfbench's ``sweep-float`` and
-``sweep-fixed`` workloads each in a fresh process, with BLAS capped at
-one thread, after the workload's own set-up ran ``SETUP_REPEATS`` times
+that earlier frees of large blocks move.  This process, which has run
+everything above, shows none of the faults a benchmark op takes.  So the
+last lines run the ops of perfbench's ``sweep-float`` and ``sweep-fixed``
+workloads each in a fresh process, with BLAS capped at one thread, after
+the workload's own set-up ran ``SETUP_REPEATS`` times
 as ``perfbench/run.py`` runs it (``photo_proxy``, PGM write and read,
 the oracle-PSNR table and the op-count engines): the median wall time
 and minor faults of ``SHAPED_OPS`` ops, in which every op's heap growth
@@ -73,7 +69,6 @@ from cordic_dct.dct8 import (DctEngine, _dct2d_planes, _planes, dct2d, dct2d_ora
                              transform8)
 from cordic_dct.fixedpoint import _BELOW_HALF, ArithmeticMode, OverflowPolicy, _round_half_away
 from cordic_dct.images import photo_proxy
-from cordic_dct.pgm import read_pgm, write_pgm
 
 EPSILON = 1e-4
 QUALITIES = (95, 90, 85, 80, 75)
@@ -236,28 +231,6 @@ def construction_rows(img) -> list:
     return rows
 
 
-def op_rows(directory: Path) -> list:
-    """``(name, ms, faults)`` of benchmark-shaped ops: fresh ``read_pgm``,
-    one ``sweep`` and ``to_csv``."""
-    ops = [
-        ("128^2 24.8 op, 2 eps x 2 Q", 128, [1e-3, 1e-4], (90, 75), (24, 8)),
-        ("128^2 16.5 op, 2 eps x 2 Q", 128, [1e-3, 1e-4], (90, 75), (16, 5)),
-        ("512^2 float op, 1 eps x 5 Q", 512, [EPSILON], QUALITIES, None),
-    ]  # smallest first: a larger op's heap growth would hide a smaller one's faults
-    rows = []
-    for name, size, epsilons, qualities, bits in ops:
-        path = directory / f"photo{size}.pgm"
-        write_pgm(photo_proxy(size), path)
-        mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
-
-        def op():
-            codec.sweep(read_pgm(path), epsilons, qualities, mode=mode).to_csv()
-
-        op()  # warm-up: the engines' plans and the first heap growth
-        rows.append((name, *measure(op)))
-    return rows
-
-
 def shaped_op(workload: str) -> tuple[float, float]:
     """Median ms and minor faults per op of a perfbench sweep workload,
     run in this process after ``SETUP_REPEATS`` of its set-ups."""
@@ -297,8 +270,6 @@ def shaped_rows() -> list:
 def main():
     img = photo_proxy(512)
     tiles = -(-len(codec._blocks_of(codec._pad_to_blocks(img.samples))) // codec._TILE_BLOCKS)
-    with tempfile.TemporaryDirectory() as directory:
-        ops = op_rows(Path(directory))  # before the stages, which grow the heap
     construction = construction_rows(photo_proxy(128))
     rows = tile_stages(img)
     fixed = fixed_tile_rows(photo_proxy(128))
@@ -320,9 +291,6 @@ def main():
     print(f"{'construction':<32} {'ms':>8} {'faults':>8}")
     for name, ms, faults in construction:
         print(f"{name:<32} {ms:8.3f} {faults:8.0f}")
-    print(f"{'per op':<32} {'ms':>8} {'faults':>8}")
-    for name, ms, faults in ops:
-        print(f"{name:<32} {ms:8.2f} {faults:8.0f}")
     print(f"{'per op after perfbench set-up':<32} {'ms':>8} {'faults':>8}")
     for name, ms, faults in shaped:
         print(f"{name:<32} {ms:8.2f} {faults:8.0f}")

@@ -18,7 +18,8 @@ from io import StringIO
 
 import numpy as np
 
-from .dct8 import DCT_MATRIX, DctEngine, _as_blocks, _dct2d_planes, _planes, dct2d_oracle
+from .dct8 import (DCT_MATRIX, DctEngine, _as_blocks, _dct2d_planes, _planes, _real,
+                   dct2d_oracle)
 from .fixedpoint import _BELOW_HALF, ArithmeticMode
 
 # ITU-T T.81 Annex K luminance quantization table.
@@ -106,8 +107,9 @@ def quant_table_for_quality(quality: int) -> np.ndarray:
 
 def _step(q: np.ndarray) -> np.ndarray:
     """A quantizer table as a (64, 1) float64 column.  Refuses a zero,
-    negative or non-finite step, which would make levels of inf or NaN."""
-    step = np.asarray(q, dtype=np.float64).reshape(64, 1)
+    negative or non-finite step, which would make levels of inf or NaN, and
+    a table that is not of numbers (see :func:`~cordic_dct.dct8._real`)."""
+    step = _real(q).reshape(64, 1)
     if not ((step > 0.0) & (step < math.inf)).all():  # NaN fails both
         raise ValueError("quantizer table has a zero, negative or non-finite step")
     return step
@@ -282,12 +284,9 @@ def _from_blocks(blocks: np.ndarray, like: GrayImage) -> GrayImage:
 
 def roundtrip_image(img: GrayImage, engine: DctEngine, quality: int) -> GrayImage:
     """Encode and decode every 8x8 block; crop away the replication padding."""
-    step = _step(quant_table_for_quality(quality))
-    planes = _planes(_blocks_of(_pad_to_blocks(img.samples)))
-    coefs, _ = _dct2d_planes(engine, np.subtract(planes, 128.0, dtype=np.float64))
-    halves = np.copysign(_BELOW_HALF, coefs)
-    decoded = _decode(_quantize(coefs, _divisor(engine, step), halves), step)
-    return _from_blocks(decoded.T, img)
+    q = quant_table_for_quality(quality)
+    blocks = _blocks_of(_pad_to_blocks(img.samples))
+    return _from_blocks(decode_block(encode_block(blocks, engine, q), q), img)
 
 
 @dataclass(frozen=True)

@@ -106,10 +106,12 @@ DCT_MATRIX = dct_matrix()
 
 
 def _real(x) -> np.ndarray:
-    """``x`` as a float64 array; refuses a complex dtype, whose imaginary
-    part the cast would drop with only a ``ComplexWarning``."""
+    """``x`` as a float64 array.  Refuses every dtype but bool, integer and
+    float: the cast would drop a complex value's imaginary part with only a
+    ``ComplexWarning``, count a datetime in days since 1970, and parse a
+    string, also one held in an object array."""
     a = np.asarray(x)
-    if a.dtype.kind == "c":
+    if a.dtype.kind not in "biuf":
         raise ValueError(f"expected real samples, got dtype {a.dtype}")
     return a.astype(np.float64, copy=False)
 

@@ -86,32 +86,17 @@ def seeded_texture(size: int = 512, seed: int = 7) -> GrayImage:
     return GrayImage.from_array(_to_bytes(noise))
 
 
-def _mix(ramp: GrayImage, rings: GrayImage, grain: GrayImage) -> GrayImage:
-    """``0.55 ramp + 0.25 rings + 0.20 grain``, added left to right."""
-    v = np.multiply(ramp.samples, 0.55, dtype=np.float64)
-    term = np.multiply(rings.samples, 0.25, dtype=np.float64)
-    v += term
-    np.multiply(grain.samples, 0.20, out=term, dtype=np.float64)
-    v += term
-    np.clip(v, 0, 255, out=v)
-    return GrayImage.from_array(np.round(v, out=v).astype(np.uint8))
-
-
 def photo_proxy(size: int = 512, seed: int = 7) -> GrayImage:
     """Photograph stand-in: ramp + rings + texture, deterministic.
 
     Mixes low-frequency shading, mid-frequency structure and fine texture
-    so quantization quality factors separate cleanly in PSNR.
+    so quantization quality factors separate cleanly in PSNR:
+    ``0.55 ramp + 0.25 rings + 0.20 grain``, added left to right.
     """
-    return _mix(gradient_image(size, size), zone_plate(size), seeded_texture(size, seed))
-
-
-def bundled_corpus(size: int = 512) -> dict[str, GrayImage]:
-    """The three generators' images and the ``photo_proxy`` mixed from them."""
-    corpus = {
-        "gradient": gradient_image(size, size),
-        "zone_plate": zone_plate(size),
-        "texture": seeded_texture(size),
-    }
-    corpus["photo_proxy"] = _mix(*corpus.values())
-    return corpus
+    v = np.multiply(gradient_image(size, size).samples, 0.55, dtype=np.float64)
+    term = np.multiply(zone_plate(size).samples, 0.25, dtype=np.float64)
+    v += term
+    np.multiply(seeded_texture(size, seed).samples, 0.20, out=term, dtype=np.float64)
+    v += term
+    np.clip(v, 0, 255, out=v)
+    return GrayImage.from_array(np.round(v, out=v).astype(np.uint8))

@@ -12,12 +12,15 @@ shifts (floor semantics) on raw integers, and the gain compensation is
 carried out by a canonical-signed-digit expansion so the whole datapath
 stays multiplier-free.
 
-The kernels -- :func:`rotate_float`, :func:`rotate_raw` and
-:meth:`CsdScale.apply_raw` -- are written once, here.  Both rotations pass
-each value they form through a ``fit`` their caller gives: the word's range
-check, or no check.  Each updates by augmented assignment, in place on
-NumPy arrays, the values it forms, and a rotation its ``x`` and ``y`` too
-(see :func:`rotate_float`).  The scalar API runs them on Python numbers; the
+The micro-rotation recurrence is written once, here, in :func:`_rotate`, and
+so is the gain's CSD constant, :meth:`CsdScale.apply_raw`.  The two
+arithmetics differ only in how a step forms ``2**-i * v``:
+:func:`rotate_float` multiplies by the exact factor in binary64,
+:func:`rotate_raw` floor-shifts the raw word.  Both pass each value they
+form through a ``fit`` their caller gives: the word's range check, or no
+check.  Each kernel updates by augmented assignment, in place on NumPy
+arrays, the values it forms, and a rotation its ``x`` and ``y`` too (see
+:func:`_rotate`).  The scalar API runs them on Python numbers; the
 batched DCT in ``dct8`` runs them on NumPy columns, and then they take
 their shift amounts and ``2**-i`` factors as 0-d NumPy arrays, built once
 at import: a ufunc converts a Python-number operand again on every call,
@@ -33,6 +36,7 @@ quantizing multiply would overflow binary64.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +55,8 @@ from .planner import MicroRotation, RotationPlan
 # datapath) gets Python ints and floats.
 _POWERS = tuple(2.0 ** -i for i in range(64))
 _ARRAY_POWERS = tuple(np.array(p) for p in _POWERS)
-_ARRAY_SHIFTS = tuple(np.array(i, dtype=np.int64) for i in range(64))
+_SHIFTS = tuple(range(64))
+_ARRAY_SHIFTS = tuple(np.array(i, dtype=np.int64) for i in _SHIFTS)
 
 
 class CsdToleranceError(ValueError):
@@ -105,55 +110,22 @@ def micro_rotate(v: Vector2, step: MicroRotation, mode: ArithmeticMode = Arithme
     return _rotate_vector(v, (step,), math.hypot(1.0, 2.0 ** -step.index), None, mode)
 
 
-def rotate_float(x, y, steps, fit):
-    """Fold unscaled micro-rotations over ``(x, y)`` in binary64, each new
-    value passed through ``fit`` before the next step, as in
-    :func:`rotate_raw`.
+def _rotate(x, y, steps, fit, shift, table):
+    """The micro-rotation recurrence, written once for both arithmetics:
+    step ``i`` forms ``shift(v, table[i])``, which is ``2**-i * v``, from
+    both old values, then updates ``x`` and ``y`` by augmented assignment,
+    passing each new value through ``fit`` before the next step.
 
-    ``x`` and ``y`` are floats or NumPy arrays of them alike.  A step
-    branches on its direction with the factor ``p = 2**-i``, as
-    :func:`rotate_raw` does with its shift, for the bits of the signed
-    factor ``t = direction * p``: ``t*y`` is ``-(p*y)`` exactly, and ``x -
-    (-a)`` is ``x + a``.
-
-    A step takes both products from its old values, then updates ``x`` and
-    ``y`` by augmented assignment: NumPy arrays in place, so a caller's
-    float64 arrays ``x`` and ``y`` are overwritten with the result, and
-    must be values it formed and uses nowhere else.  Python numbers and
-    other values just rebind.
+    A step branches on its direction rather than multiplying by a signed
+    factor, for the bits of one: with ``t = direction * 2**-i``, ``t*y`` is
+    ``-(2**-i * y)`` exactly, and ``x - (-a)`` is ``x + a``.  The updates
+    are in place on NumPy arrays, so ``x`` and ``y`` must be values the
+    caller formed and uses nowhere else; Python numbers and other values
+    just rebind.
     """
-    powers = _ARRAY_POWERS if type(x) is ndarray else _POWERS
     for step in steps:
-        p = powers[step.index]
-        py, px = p * y, p * x
-        if step.direction > 0:
-            x -= py
-            x = fit(x)
-            y += px
-        else:
-            x += py
-            x = fit(x)
-            y -= px
-        y = fit(y)
-    return x, y
-
-
-def rotate_raw(x, y, steps, fit):
-    """Fold unscaled micro-rotations over raw two's-complement ``(x, y)``,
-    shift-add only: 2 shifts and 2 adds per step, each new value passed
-    through ``fit`` (the word's range check) before the next step.
-
-    ``x`` and ``y`` are Python ints or int64 NumPy arrays alike; ``>>`` on
-    either is an arithmetic (floor) shift, like a hardware shifter.  As in
-    :func:`rotate_float`, a step shifts both old values, then updates
-    ``x`` and ``y`` by augmented assignment: int64 arrays in place, so
-    they must be values the caller formed and uses nowhere else.
-    """
-    arrays = type(x) is ndarray
-    for step in steps:
-        i = _ARRAY_SHIFTS[step.index] if arrays else step.index
-        sx = x >> i
-        sy = y >> i
+        t = table[step.index]
+        sy, sx = shift(y, t), shift(x, t)
         if step.direction > 0:
             x -= sy
             x = fit(x)
@@ -164,6 +136,32 @@ def rotate_raw(x, y, steps, fit):
             y -= sx
         y = fit(y)
     return x, y
+
+
+def rotate_float(x, y, steps, fit):
+    """Fold unscaled micro-rotations over ``(x, y)`` in binary64: the
+    recurrence of :func:`_rotate` with the shift an exact multiply by
+    ``2**-i``, each new value passed through ``fit``.
+
+    ``x`` and ``y`` are floats or NumPy arrays of them alike; float64
+    arrays are overwritten with the result.
+    """
+    table = _ARRAY_POWERS if type(x) is ndarray else _POWERS
+    return _rotate(x, y, steps, fit, operator.mul, table)
+
+
+def rotate_raw(x, y, steps, fit):
+    """Fold unscaled micro-rotations over raw two's-complement ``(x, y)``,
+    shift-add only: the recurrence of :func:`_rotate` with the shift ``v >>
+    i``, 2 shifts and 2 adds per step, each new value passed through
+    ``fit`` (the word's range check).
+
+    ``x`` and ``y`` are Python ints or int64 NumPy arrays alike; ``>>`` on
+    either is an arithmetic (floor) shift, like a hardware shifter.  int64
+    arrays are overwritten with the result.
+    """
+    table = _ARRAY_SHIFTS if type(x) is ndarray else _SHIFTS
+    return _rotate(x, y, steps, fit, operator.rshift, table)
 
 
 def apply_plan(

@@ -719,3 +719,19 @@ def test_readme_commands_run(tmp_path):
             argv[k] = str(tmp_path / argv[k])
         rc, out = run_quiet(argv, stdin)
         assert rc == 0, (command, out)
+
+
+def test_readme_python_blocks_run():
+    # Each fenced python block runs as written, and the values its comments
+    # state hold: the plan's indices, the rotated vector, the stack's shape.
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 2
+    names = []
+    for k, block in enumerate(blocks):
+        names.append({})
+        exec(compile(block, f"README.md python block {k}", "exec"), names[-1])
+    sketch, batch = names
+    assert sketch["plan"].indices == (2, 4, 6, 9, 13)
+    v = sketch["v"]
+    assert math.hypot(v.x - math.cos(math.pi / 16), v.y - math.sin(math.pi / 16)) <= 1e-4
+    assert batch["coefs"].shape == (4096, 8, 8)

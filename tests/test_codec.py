@@ -255,12 +255,14 @@ class TestSweep:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_quality_monotonicity_across_corpus(self):
-        # every bundled image must order the quality factors; 256px keeps
-        # this quick (below ~200px the smooth gradient gets quantization
-        # luck at coarse Q)
-        from cordic_dct.images import bundled_corpus
+        # every generator's image must order the quality factors; 256px
+        # keeps this quick (below ~200px the smooth gradient gets
+        # quantization luck at coarse Q)
+        from cordic_dct.images import gradient_image, photo_proxy, seeded_texture, zone_plate
 
-        for name, img in bundled_corpus(256).items():
+        made = {"gradient": gradient_image(256, 256), "zone_plate": zone_plate(256),
+                "texture": seeded_texture(256), "photo_proxy": photo_proxy(256)}
+        for name, img in made.items():
             vals = [r.psnr_db for r in sweep(img, [1e-3], [95, 85, 75]).rows]
             assert vals[0] > vals[1] > vals[2], name
 

@@ -2,8 +2,8 @@
 run once each on the 128x128 image: a renamed codec or kernel internal it
 times fails here, not only in the script's own run.
 
-The benchmark-shaped ops (a 512x512 sweep, and the perfbench workloads in
-fresh processes) stay with ``python scripts/codec_stages.py``.
+The perfbench workloads' ops, each in a fresh process, stay with
+``python scripts/codec_stages.py``.
 """
 
 import importlib.util

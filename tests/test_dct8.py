@@ -178,21 +178,37 @@ class TestFlowGraph:
             DctEngine(1e-3, fold_into_quantizer=fold)
 
     @pytest.mark.parametrize("bits", [None, (16, 5)])
-    def test_complex_samples_refused(self, bits):
-        # The float64 cast would drop the imaginary part with a warning.
+    def test_non_numeric_samples_refused(self, bits):
+        # The float64 cast would drop the imaginary part with a warning,
+        # count a datetime in days since 1970 and parse a string, also one
+        # an object array holds.
         mode = None if bits is None else ArithmeticMode.fixed(*bits, OverflowPolicy.SATURATE)
         engine = DctEngine(1e-3, mode=mode)
-        for x in (np.array([1 + 1j] * 8), [1j] + [0.0] * 7, np.zeros((3, 8), np.complex64)):
+
+        def non_numeric(shape):
+            yield np.full(shape, 1 + 1j)
+            yield np.full(shape, np.datetime64("2020-01-01", "D"))
+            yield np.full(shape, "200")
+            yield np.full(shape, b"200")
+            yield np.full(shape, "200", dtype=object)
+
+        for x in (*non_numeric(8), [1j] + [0.0] * 7, np.zeros((3, 8), np.complex64)):
             with pytest.raises(ValueError, match="expected real samples"):
                 dct8_cordic(x, engine)
-        with pytest.raises(ValueError, match="expected real samples"):
-            transform8(engine, np.zeros((3, 8), np.complex128))
-        with pytest.raises(ValueError, match="expected real samples"):
-            dct2d(np.full((2, 8, 8), 1 + 1j), engine)
-        for oracle, shape in ((dct8_oracle, 8), (idct8_oracle, 8),
-                              (dct2d_oracle, (8, 8)), (idct2d_oracle, (8, 8))):
-            with pytest.raises(ValueError, match="expected real samples"):
-                oracle(np.full(shape, 1j))
+        q = codec.quant_table_for_quality(50)
+        entry_points = [
+            (lambda x: transform8(engine, x), (3, 8)),
+            (lambda x: dct2d(x, engine), (2, 8, 8)),
+            (lambda x: codec.encode_block(x, engine, q), (8, 8)),
+            (lambda x: codec.decode_block(x, q), (2, 8, 8)),
+            (lambda x: codec.encode_block(np.zeros((8, 8)), engine, x), (8, 8)),
+            (lambda x: codec.decode_block(np.zeros((8, 8)), x), (8, 8)),
+            (dct8_oracle, 8), (idct8_oracle, 8), (dct2d_oracle, (8, 8)), (idct2d_oracle, (8, 8)),
+        ]
+        for call, shape in entry_points:
+            for x in non_numeric(shape):
+                with pytest.raises(ValueError, match="expected real samples"):
+                    call(x)
 
     @pytest.mark.parametrize("compensation", ["folded", "per_rotator"])
     def test_post_scales_match_the_hand_written_lists(self, compensation):

@@ -1,4 +1,4 @@
-"""Synthetic test images: pinned bytes, small sizes, and the corpus."""
+"""Synthetic test images: pinned bytes and small sizes."""
 
 import hashlib
 import json
@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cordic_dct import images
-from cordic_dct.images import bundled_corpus, gradient_image, photo_proxy, seeded_texture, zone_plate
+from cordic_dct.images import gradient_image, photo_proxy, seeded_texture, zone_plate
 
 # sha256 of ``samples.tobytes()``, generated with the generators as they were
 # before they were rewritten without 2-D index grids: the rewrite keeps every
@@ -48,7 +47,7 @@ def test_small_sizes_warn_of_nothing(size):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         made = [gradient_image(size, size), gradient_image(size, 10 - size), zone_plate(size),
-                seeded_texture(size), photo_proxy(size), *bundled_corpus(size).values()]
+                seeded_texture(size), photo_proxy(size)]
     for img in made:
         assert img.samples.dtype == np.uint8 and img.samples.size == img.width * img.height
 
@@ -65,27 +64,3 @@ def test_zone_plate_is_symmetric():
     for size in (7, 8):
         v = zone_plate(size).samples
         assert np.array_equal(v, v.T) and np.array_equal(v, v[::-1]) and np.array_equal(v, v[:, ::-1])
-
-
-@pytest.mark.parametrize("size", [1, 8, 13])
-def test_corpus_builds_each_image_once(monkeypatch, size):
-    made = []
-
-    def counting(name):
-        generate = getattr(images, name)
-
-        def wrapper(*args, **kwargs):
-            made.append(name)
-            return generate(*args, **kwargs)
-        return wrapper
-
-    for name in ("gradient_image", "zone_plate", "seeded_texture", "photo_proxy"):
-        monkeypatch.setattr(images, name, counting(name))
-    corpus = bundled_corpus(size)
-    assert sorted(made) == ["gradient_image", "seeded_texture", "zone_plate"]
-    monkeypatch.undo()
-    assert list(corpus) == ["gradient", "zone_plate", "texture", "photo_proxy"]
-    expected = {"gradient": gradient_image(size, size), "zone_plate": zone_plate(size),
-                "texture": seeded_texture(size), "photo_proxy": photo_proxy(size)}
-    for name, img in corpus.items():
-        assert img.samples.tobytes() == expected[name].samples.tobytes()
