@@ -316,6 +316,37 @@ class TestKernelOperands:
         scalar = [rotate_raw(a, b, steps, _unchecked) for a, b in zip(x, y)]
         assert (ax.tolist(), ay.tolist()) == tuple(map(list, zip(*scalar)))
 
+    @pytest.mark.parametrize("container", ["python", "numpy"])
+    def test_fit_order(self, container):
+        # Node k of a walk is the k-th value passed to ``fit``: both kernels
+        # must fit each step's new x, then its new y, in step order, each
+        # formed from both old values.
+        steps = decompose(-PI / 3, 1e-9).steps
+        for rotate, x, y, scaled in (
+            (rotate_float, 3.25, -5.5, lambda v, i: v * 2.0 ** -i),
+            (rotate_raw, 3 << 20, -(5 << 19), lambda v, i: v >> i),
+        ):
+            expected = []
+            ex, ey = x, y
+            for step in steps:
+                ex, ey = (ex - step.direction * scaled(ey, step.index),
+                          ey + step.direction * scaled(ex, step.index))
+                expected += [ex, ey]
+            seen = []
+
+            def fit(v):
+                seen.append(v.item() if type(v) is np.ndarray else v)
+                return v
+
+            if container == "numpy":
+                dtype = np.float64 if rotate is rotate_float else np.int64
+                x, y = np.array([x], dtype), np.array([y], dtype)
+            rx, ry = rotate(x, y, steps, fit)
+            assert seen == expected, rotate.__name__
+            assert len(seen) == 2 * len(steps)
+            assert [rx.item() if container == "numpy" else rx,
+                    ry.item() if container == "numpy" else ry] == expected[-2:]
+
 
 class TestFixedPointFormat:
     def test_ranges(self):
