@@ -21,6 +21,7 @@ import numpy as np
 from .dct8 import (DCT_MATRIX, DctEngine, _as_blocks, _dct2d_planes, _planes, _real,
                    dct2d_oracle)
 from .fixedpoint import _BELOW_HALF, ArithmeticMode
+from .planner import _check_epsilon
 
 # ITU-T T.81 Annex K luminance quantization table.
 BASE_LUMA_QUANT = np.array(
@@ -63,7 +64,9 @@ class GrayImage:
     def from_array(cls, arr) -> "GrayImage":
         """An image of a 2-D array of integral sample values in [0, 255].
 
-        Raises ``ValueError`` on an empty array and on a sample that is
+        Raises ``ValueError`` on an empty array, on samples the transforms
+        refuse, with their message (string, complex, datetime and object
+        arrays: :func:`~cordic_dct.dct8._real`), and on a sample that is
         non-finite, outside that range or not an integer (``12.7``), rather
         than casting it.
         """
@@ -71,9 +74,10 @@ class GrayImage:
         if a.ndim != 2 or a.size == 0:
             raise ValueError("expected a non-empty 2-D array")
         if a.dtype != np.uint8:
+            a = _real(a)
             if not np.all((a >= 0) & (a <= 255)):  # NaN fails both
                 raise ValueError("sample values non-finite or outside [0, 255]")
-            if a.dtype.kind not in "biu" and not np.array_equal(a, np.trunc(a)):
+            if not np.array_equal(a, np.trunc(a)):
                 raise ValueError("sample values must be integers")
             a = a.astype(np.uint8)
         return cls(width=a.shape[1], height=a.shape[0], samples=a)
@@ -410,14 +414,17 @@ def sweep(
     deterministic for fixed inputs.  A row's epsilon and quality are a
     Python float and int whatever number types the caller passed (NumPy
     scalars, say), so every report serializes.  Raises ``ValueError`` on
-    an epsilon or quality given twice, equal in value, before it builds
-    any engine.
+    an epsilon or quality its engine or table refuses, or given twice,
+    equal in value, before it builds any engine.
     """
     blocks = _blocks_of(_pad_to_blocks(img.samples)).reshape(-1, 64)
-    epsilons = sorted(epsilons)
+    epsilons = list(epsilons)
     qualities = list(qualities)
-    # Tables first: they refuse a malformed quality before sorting compares it.
+    # Each value's own check first, before sorting compares a malformed one.
     tables = {quality: quant_table_for_quality(quality) for quality in qualities}
+    for eps in epsilons:
+        _check_epsilon(eps)
+    epsilons.sort()
     qualities.sort(reverse=True)
     # Sorted, a repeat sits next to its twin; ``==`` matches it across
     # number types (``1e-3`` and ``np.float64(1e-3)``).

@@ -20,7 +20,7 @@ compensates every rotator by its own gain right away.  Both modes agree
 with the exact-matrix oracle to the plan tolerance.
 
 Samples enter either arithmetic through the input boundary the scalar
-rotator uses too, in ``fixedpoint``: one refusal (complex, non-finite, or
+rotator uses too, in ``fixedpoint``: one refusal (not real, non-finite, or
 beyond :attr:`DctEngine.input_limit`) and, in fixed point, one quantizer
 and range check (:func:`~cordic_dct.fixedpoint.run_raw`).  There each
 add, micro-rotation step and compensation product is a node,
@@ -159,7 +159,8 @@ class DctEngine:
         :func:`~cordic_dct.planner.decompose` of its angle, bit for bit: the
         shortest prefix within ``epsilon`` of the angle's decomposition at
         ``EPSILON_MIN`` (``_DECOMPOSITIONS``), so building an engine runs
-        no decomposition.
+        no decomposition.  One outside [1e-9, 1e-1], NaN or not a real
+        number (a string, ``None``) raises ``decompose``'s ``ValueError``.
     mode:
         ``ArithmeticMode.exact()`` or an ``ArithmeticMode.fixed(...)``.
     compensation:
@@ -531,9 +532,9 @@ def transform8(engine: DctEngine, X, *, _axis: int | None = None) -> tuple[np.nd
     One ``(8,)`` vector runs the flow graph on Python numbers; a batch
     runs the same graph on NumPy columns, for the same bits.  Raises
     ``ValueError`` on any other shape (a block stack goes through
-    :func:`dct2d`), on complex samples, and on a sample that is non-finite
-    or beyond the engine's :attr:`DctEngine.input_limit`, in both
-    arithmetic modes.
+    :func:`dct2d`), on samples that are not real numbers (see ``_real``),
+    and on a sample that is non-finite or beyond the engine's
+    :attr:`DctEngine.input_limit`, in both arithmetic modes.
 
     ``_axis`` is internal to :func:`_dct2d_planes`: it runs the graph
     along that axis of an array of any shape, whose slices along it are

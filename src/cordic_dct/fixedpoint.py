@@ -14,11 +14,11 @@ reduction, its count, its message and its clamp, and the two messages
 differ.
 
 The scalar rotator and the DCT cross into their datapaths here, the same
-way: :func:`check_input` refuses complex input and input that is
-non-finite or beyond :func:`datapath_limit`, and in fixed point
-:func:`run_raw` quantizes the input into the word, runs the caller's raw
-graph with the word's range check on every node the caller has not
-proved to stay in the word, and counts what it clipped.
+way: :func:`check_input` refuses input that is not real, non-finite or
+beyond :func:`datapath_limit`, and in fixed point :func:`run_raw`
+quantizes the input into the word, runs the caller's raw graph with the
+word's range check on every node the caller has not proved to stay in the
+word, and counts what it clipped.
 
 A mode is a pure value.  The datapath's cost is not kept on it: adds and
 shifts come from a static cost model (``DctEngine.operation_counts``),
@@ -207,18 +207,21 @@ def datapath_limit(mode: ArithmeticMode, float_limit) -> float:
     return float_limit()
 
 
-# NumPy orders complex numbers, so a range check alone would pass them.
-_COMPLEX = (complex, np.complexfloating)
+# The real scalars, of the dtype kinds ``dct8._real`` takes (a bool is an
+# int).  Concrete types: ``numbers.Real`` costs several times more per value.
+_INTEGER = (int, np.integer)
+_REAL = (float, *_INTEGER, np.floating, np.bool_)
 
 
 def check_input(values, limit: float, message) -> None:
-    """Refuse datapath input: raise ``ValueError`` on a complex value of
-    ``values`` (a list of Python numbers, or a NumPy array), and with
-    ``message(limit)`` on a value that is non-finite or beyond ``limit``."""
+    """Refuse datapath input: raise ``ValueError`` on a value of ``values``
+    (a list of Python numbers, or a NumPy array) that is not a real number
+    (``_REAL``: a complex, a string, ``None``, a datetime), and with
+    ``message(limit)`` on one that is non-finite or beyond ``limit``."""
     if not isinstance(values, list):  # two reductions and no temporary
         values = (values.min(initial=limit), values.max(initial=-limit))
     for v in values:
-        if isinstance(v, _COMPLEX):
+        if not isinstance(v, _REAL):
             raise ValueError(f"expected real values, got {v!r}")
         if not -limit <= v <= limit:  # NaN fails every comparison
             raise ValueError(message(limit))

@@ -33,6 +33,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from io import StringIO
 
+from .fixedpoint import _INTEGER, _REAL
+
 INDEX_MAX = 30
 MAX_STEPS = 64
 EPSILON_MIN = 1e-9
@@ -51,7 +53,8 @@ class MicroRotation:
     direction: int
 
     def __post_init__(self):
-        if not 0 <= self.index <= INDEX_MAX:
+        # An integer: a float or a string would index no table.
+        if not (isinstance(self.index, _INTEGER) and 0 <= self.index <= INDEX_MAX):
             raise ValueError(f"shift index {self.index} outside [0, {INDEX_MAX}]")
         if self.direction not in (1, -1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction}")
@@ -111,12 +114,12 @@ class RotationPlan:
 
 
 def _check_angle(theta: float) -> None:
-    if not math.isfinite(theta) or abs(theta) > ANGLE_MAX:
+    if not (isinstance(theta, _REAL) and -ANGLE_MAX <= theta <= ANGLE_MAX):  # NaN fails both
         raise ValueError(f"angle {theta!r} outside [-pi/2, pi/2]")
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not (EPSILON_MIN <= epsilon <= EPSILON_MAX):
+    if not (isinstance(epsilon, _REAL) and EPSILON_MIN <= epsilon <= EPSILON_MAX):
         raise ValueError(f"epsilon {epsilon!r} outside [{EPSILON_MIN:g}, {EPSILON_MAX:g}]")
 
 
@@ -147,8 +150,9 @@ def decompose(theta: float, epsilon: float) -> RotationPlan:
     taking shift ``max(round(-log2|residual|), 0)`` at every step.
 
     Raises ValueError if |theta| > pi/2 or epsilon is outside [1e-9, 1e-1],
-    and RuntimeError if the loop fails to make progress (which would
-    indicate a bug in the index rule, not bad input).
+    with the same message if either is not a real number (a string,
+    ``None``, a complex), and RuntimeError if the loop fails to make
+    progress (which would indicate a bug in the index rule, not bad input).
     """
     _check_angle(theta)
     _check_epsilon(epsilon)
@@ -183,7 +187,7 @@ class _Decomposition:
     def plan(self, epsilon: float) -> RotationPlan:
         """The shortest prefix whose |residual| is within ``epsilon``.
         Raises the ValueError of :func:`decompose` on an ``epsilon`` outside
-        [1e-9, 1e-1] or NaN."""
+        [1e-9, 1e-1], NaN or not a real number."""
         _check_epsilon(epsilon)
         k = bisect_left(self._keys, -epsilon)
         # by position, which is cheaper than by keyword

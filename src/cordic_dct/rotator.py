@@ -25,9 +25,9 @@ batched DCT in ``dct8`` runs them on NumPy columns, and then they take
 their shift amounts and ``2**-i`` factors as 0-d NumPy arrays, built once
 at import: a ufunc converts a Python-number operand again on every call,
 a third to a half of one op's cost on an 8-element column.  Both cross
-the same input boundary, in ``fixedpoint``: one refusal of complex, non-finite and
-too large components, and in fixed point one quantizer and range check
-(:func:`~cordic_dct.fixedpoint.run_raw`).
+the same input boundary, in ``fixedpoint``: one refusal of components not
+real, non-finite or too large, and in fixed point one quantizer and range
+check (:func:`~cordic_dct.fixedpoint.run_raw`).
 A float rotation refuses a component beyond :func:`overflow_limit` of its
 growth, a fixed one beyond ``overflow_limit(2**frac_bits)``, where the
 quantizing multiply would overflow binary64.
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import ndarray
 
-from .fixedpoint import (ArithmeticMode, _unchecked, check_input, datapath_limit, overflow_limit,
-                         run_raw)
+from .fixedpoint import (_INTEGER, _REAL, ArithmeticMode, _unchecked, check_input, datapath_limit,
+                         overflow_limit, run_raw)
 from .planner import MicroRotation, RotationPlan
 
 
@@ -102,10 +102,10 @@ def micro_rotate(v: Vector2, step: MicroRotation, mode: ArithmeticMode = Arithme
     Fixed-point mode quantizes, runs the raw shift-add kernel, and
     converts back; chained fixed-point steps should go through
     :func:`apply_plan`, which stays in the raw domain throughout.
-    Raises ``ValueError`` on a complex component, on one that is
-    non-finite or beyond :func:`overflow_limit` of the growth ``sqrt2 *
-    hypot(1, 2**-i)`` in float or of ``2**frac_bits`` in fixed point, and
-    on a ``mode`` that is not an :class:`ArithmeticMode`.
+    Raises ``ValueError`` on a component that is not a real number (a
+    complex, a string, ``None``), non-finite or beyond :func:`overflow_limit`
+    of the growth ``sqrt2 * hypot(1, 2**-i)`` in float or of ``2**frac_bits``
+    in fixed point, and on a ``mode`` that is not an :class:`ArithmeticMode`.
     """
     return _rotate_vector(v, (step,), math.hypot(1.0, 2.0 ** -step.index), None, mode)
 
@@ -175,11 +175,11 @@ def apply_plan(
     With ``compensate`` the result approximates the ideal rotation of
     ``v`` by ``plan.target`` to within the plan tolerance.  The
     fixed-point path compensates via a CSD expansion of the gain (shift
-    and add only).  Raises ``ValueError`` on a complex component, on one
-    that is non-finite or beyond :func:`overflow_limit` of the growth
-    ``sqrt2 / plan.gain`` in float or of ``2**frac_bits`` in fixed point,
-    and on a ``compensate`` that is not a ``bool`` or a ``mode`` that is
-    not an :class:`ArithmeticMode`.
+    and add only).  Raises ``ValueError`` on a component that is not a real
+    number (a complex, a string, ``None``), non-finite or beyond
+    :func:`overflow_limit` of the growth ``sqrt2 / plan.gain`` in float or
+    of ``2**frac_bits`` in fixed point, and on a ``compensate`` that is not
+    a ``bool`` or a ``mode`` that is not an :class:`ArithmeticMode`.
     """
     # Read by truthiness, a look-alike such as "no" would compensate.
     if not isinstance(compensate, bool):
@@ -272,13 +272,15 @@ def csd_scale(value: float, max_terms: int = 16, tolerance: float = 1e-6) -> Csd
     (ties go to the larger power) until ``|remainder| <= tolerance`` or
     ``max_terms`` is hit, in which case :class:`CsdToleranceError` is
     raised.  The greedy remainder at least halves per term, which also
-    makes the emitted shifts strictly increasing.
+    makes the emitted shifts strictly increasing.  An argument out of range
+    or not a number (``max_terms``: an integer) raises ``ValueError``.
     """
-    if not 0.0 < value < 2.0:
+    if not (isinstance(value, _REAL) and 0.0 < value < 2.0):
         raise ValueError(f"value {value!r} outside (0, 2)")
-    if not 1 <= max_terms <= 16:
+    if not (isinstance(max_terms, _INTEGER) and 1 <= max_terms <= 16):
         raise ValueError(f"max_terms {max_terms} outside [1, 16]")
-    if not tolerance >= 0.0:  # NaN too: the loop would stop at once, with no terms
+    # NaN too: the loop would stop at once, with no terms
+    if not (isinstance(tolerance, _REAL) and tolerance >= 0.0):
         raise ValueError(f"tolerance {tolerance!r} is not a number >= 0")
 
     remainder = value

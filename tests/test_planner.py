@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -115,6 +116,11 @@ class TestDomainErrors:
             MicroRotation(INDEX_MAX + 1, 1)
         with pytest.raises(ValueError):
             MicroRotation(0, 0)
+        # A shift index is an integer: a float or a string indexes no table.
+        for index in (3.0, "3", None):
+            with pytest.raises(ValueError, match=r"^shift index .* outside \[0, 30\]$"):
+                MicroRotation(index, 1)
+        assert MicroRotation(np.int64(3), 1).angle == math.atan(2.0 ** -3)
 
     def test_plan_invariant_checks(self):
         with pytest.raises(ValueError):
